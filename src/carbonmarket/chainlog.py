@@ -288,20 +288,45 @@ def _parse_and_check(text: str) -> tuple[Optional[ChainLog], Optional[tuple[Opti
             tx = decode_transaction(tx_bytes)
         except LedgerError as exc:
             return log, (seq, f"entry {seq}: {exc.message}")
-        if tx.seq != seq:
-            return log, (seq, f"entry {seq}: embedded transaction claims seq {tx.seq}")
-        if _hash(tx_bytes) != tx_digest:
-            return log, (seq, f"entry {seq}: transaction digest mismatch")
-        if prev_hash != prev:
-            return log, (seq, f"entry {seq}: broken link to predecessor")
-        if entry_hash(seq, tx_digest, state_digest, prev_hash) != ehash:
-            return log, (seq, f"entry {seq}: entry hash mismatch")
-        log.entries.append(ChainEntry(seq=seq, tx=tx, tx_bytes=tx_bytes,
-                                      tx_digest=tx_digest, prev_hash=prev_hash,
-                                      state_digest=state_digest, entry_hash=ehash))
+        entry = ChainEntry(seq=seq, tx=tx, tx_bytes=tx_bytes, tx_digest=tx_digest,
+                           prev_hash=prev_hash, state_digest=state_digest,
+                           entry_hash=ehash)
+        problem = _link_problem(entry, prev)
+        if problem is not None:
+            return log, (seq, problem)
+        log.entries.append(entry)
         prev = ehash
         expected_seq += 1
     return log, None
+
+
+def _link_problem(entry: ChainEntry, prev: bytes) -> Optional[str]:
+    """Why `entry` does not belong after the entry hashing to `prev`, or None."""
+    seq = entry.seq
+    if entry.tx.seq != seq:
+        return f"entry {seq}: embedded transaction claims seq {entry.tx.seq}"
+    if _hash(entry.tx_bytes) != entry.tx_digest:
+        return f"entry {seq}: transaction digest mismatch"
+    if entry.prev_hash != prev:
+        return f"entry {seq}: broken link to predecessor"
+    if entry_hash(seq, entry.tx_digest, entry.state_digest,
+                  entry.prev_hash) != entry.entry_hash:
+        return f"entry {seq}: entry hash mismatch"
+    return None
+
+
+def _check_links(log: ChainLog):
+    """Walk the in-memory entries and raise ChainInvalid at the first one
+    that breaks the sequence or the hash chain."""
+    prev = GENESIS_PREV
+    for expected_seq, entry in enumerate(log.entries, start=log.genesis_seq + 1):
+        if entry.seq != expected_seq:
+            raise reject(ErrorCode.CHAIN_INVALID,
+                         f"sequence gap: entry claims seq {entry.seq}")
+        problem = _link_problem(entry, prev)
+        if problem is not None:
+            raise reject(ErrorCode.CHAIN_INVALID, problem)
+        prev = entry.entry_hash
 
 
 def verify_text(text: str) -> VerifyResult:
@@ -318,12 +343,11 @@ def replay(log: ChainLog, genesis: Optional[TokenLedger] = None,
     """Re-apply every logged transaction and check the recorded digests.
 
     `genesis` defaults to the state embedded in the log; a caller-supplied
-    genesis must hash to the log's recorded genesis digest.  Each replayed
-    transaction must reproduce the per-entry state digest bit-exactly.
+    genesis must hash to the log's recorded genesis digest.  The entries'
+    sequence and hash links are checked in memory first; each replayed
+    transaction must then reproduce the per-entry state digest bit-exactly.
     """
-    check = log.verify()
-    if not check.valid:
-        raise reject(ErrorCode.CHAIN_INVALID, check.detail or "chain verification failed")
+    _check_links(log)
     if genesis is None:
         ledger = TokenLedger.from_state_json(log.genesis_json)
     else:

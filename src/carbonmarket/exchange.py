@@ -26,6 +26,7 @@ cash, and the two always carry the same sign.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import ErrorCode, reject
@@ -131,6 +132,17 @@ def _price_after(fraction: Fixed, supply: Quantity, reserve: Money,
     return Fixed.from_float(raw, "nearest")
 
 
+@contextmanager
+def _priced(amount: Fixed, unit: str):
+    """Turn an overflow or a non-finite result of the curve math, or of
+    rounding it onto the grid, into a typed rejection."""
+    try:
+        yield
+    except (OverflowError, ValueError) as exc:
+        raise reject(ErrorCode.INVALID_AMOUNT,
+                     f"a trade of {amount} {unit} cannot be priced: {exc}") from exc
+
+
 def quote_buy_tokens(fraction: Fixed, supply: Quantity, reserve: Money,
                      tokens: Quantity) -> Quote:
     """Cash required (or owed) for a signed token amount.
@@ -146,12 +158,14 @@ def quote_buy_tokens(fraction: Fixed, supply: Quantity, reserve: Money,
     if tokens.is_negative and -tokens > supply:
         raise reject(ErrorCode.INVALID_AMOUNT,
                      f"cannot sell {-tokens} tokens against a supply of {supply}")
-    raw = cash_for_tokens_raw(fraction.to_float(), supply.to_float(),
-                              reserve.to_float(), tokens.to_float())
-    cash = Fixed.from_float(raw, "ceil")
-    if cash.is_zero:
-        raise reject(ErrorCode.INVALID_AMOUNT, "trade too small to price")
-    return Quote(tokens, cash, _price_after(fraction, supply, reserve, tokens))
+    with _priced(tokens, "tokens"):
+        raw = cash_for_tokens_raw(fraction.to_float(), supply.to_float(),
+                                  reserve.to_float(), tokens.to_float())
+        cash = Fixed.from_float(raw, "ceil")
+        if cash.is_zero:
+            raise reject(ErrorCode.INVALID_AMOUNT, "trade too small to price")
+        price_after = _price_after(fraction, supply, reserve, tokens)
+    return Quote(tokens, cash, price_after)
 
 
 def quote_spend_cash(fraction: Fixed, supply: Quantity, reserve: Money,
@@ -168,9 +182,11 @@ def quote_spend_cash(fraction: Fixed, supply: Quantity, reserve: Money,
     if cash.is_negative and -cash > reserve:
         raise reject(ErrorCode.RESERVE_EXHAUSTED,
                      f"cannot withdraw {-cash} from a reserve of {reserve}")
-    raw = tokens_for_cash_raw(fraction.to_float(), supply.to_float(),
-                              reserve.to_float(), cash.to_float())
-    tokens = Fixed.from_float(raw, "floor")
-    if tokens.is_zero:
-        raise reject(ErrorCode.INVALID_AMOUNT, "trade too small to price")
-    return Quote(tokens, cash, _price_after(fraction, supply, reserve, tokens))
+    with _priced(cash, "cash"):
+        raw = tokens_for_cash_raw(fraction.to_float(), supply.to_float(),
+                                  reserve.to_float(), cash.to_float())
+        tokens = Fixed.from_float(raw, "floor")
+        if tokens.is_zero:
+            raise reject(ErrorCode.INVALID_AMOUNT, "trade too small to price")
+        price_after = _price_after(fraction, supply, reserve, tokens)
+    return Quote(tokens, cash, price_after)

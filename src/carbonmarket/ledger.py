@@ -16,6 +16,15 @@ runtime configuration, not part of the serialized state.
 Authorization gates, in the order they are checked for every operation:
 unknown organisations first, then amount validity, then role authority, then
 operation-specific state (balances, projects, reserve).
+
+The canonical state JSON is kept incrementally: the ledger caches each org's
+encoded fragment and re-encodes only the orgs marked stale since the last
+call, so a digest costs one join and one hash rather than a re-encoding of
+the whole registry.  The cache rests on one invariant: `OrgRecord` fields
+change only through `TokenLedger` methods, and every such method marks the
+record it touches stale (`apply` marks the transaction's sender, target and
+cosigner before its handler runs).  Code outside the ledger must treat the
+records that `org()` and `registry` hand out as read-only.
 """
 
 from __future__ import annotations
@@ -27,12 +36,28 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .domain import (ComplianceReport, OrgRecord, Role, validate_org_id)
-from .errors import ErrorCode, reject
+from .errors import ErrorCode, LedgerError, reject
 from .exchange import (ExchangeState, Quote, quote_buy_tokens,
                        quote_spend_cash, spot_price, validate_fraction)
 from .fixed import ZERO, Fixed, Money, Quantity
 
 STATE_FORMAT = "carbonmarket-state-1"
+
+
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _org_json(record: OrgRecord) -> str:
+    """One org's fragment of the canonical state JSON."""
+    return _canonical({
+        "cash": record.cash.micro,
+        "emission": record.emission.micro,
+        "id": record.id,
+        "permit": record.permit.micro,
+        "projects": sorted(record.projects),
+        "role": record.role.as_string(),
+    })
 
 
 class TxKind(str, Enum):
@@ -98,13 +123,25 @@ class TokenLedger:
     """Registry, balances, market totals, and the exchange, as one state."""
 
     def __init__(self, signature_verifier: SignatureVerifier = assert_identities):
-        self.registry: dict[str, OrgRecord] = {}
+        self.registry = {}
         self.market_permit: Quantity = ZERO
         self.market_emission: Quantity = ZERO
         self.market_price: Money = ZERO
         self.exchange: Optional[ExchangeState] = None
         self.seq = 0
         self.signature_verifier = signature_verifier
+
+    @property
+    def registry(self) -> dict[str, OrgRecord]:
+        return self._registry
+
+    @registry.setter
+    def registry(self, records: dict[str, OrgRecord]):
+        # A wholesale replacement leaves every cached fragment stale.
+        self._registry = records
+        self._fragments: list[str] = [""] * len(records)
+        self._slots: dict[str, int] = {org_id: i for i, org_id in enumerate(records)}
+        self._stale: set[str] = set(records)
 
     # -- reads ----------------------------------------------------------
 
@@ -137,7 +174,10 @@ class TokenLedger:
 
     def copy(self) -> "TokenLedger":
         dup = TokenLedger(signature_verifier=self.signature_verifier)
-        dup.registry = {k: v.copy() for k, v in self.registry.items()}
+        dup._registry = {k: v.copy() for k, v in self.registry.items()}
+        dup._fragments = list(self._fragments)
+        dup._slots = dict(self._slots)
+        dup._stale = set(self._stale)
         dup.market_permit = self.market_permit
         dup.market_emission = self.market_emission
         dup.market_price = self.market_price
@@ -148,36 +188,36 @@ class TokenLedger:
     # -- canonical serialization -----------------------------------------
 
     def state_dict(self) -> dict:
-        orgs = [{
-            "id": rec.id,
-            "role": rec.role.as_string(),
-            "permit": rec.permit.micro,
-            "emission": rec.emission.micro,
-            "cash": rec.cash.micro,
-            "projects": sorted(rec.projects),
-        } for rec in self.registry.values()]
+        return json.loads(self.state_json())
+
+    def state_json(self) -> str:
+        """Canonical state: minified JSON with sorted keys at every level."""
+        for org_id in self._stale:
+            slot = self._slots.get(org_id)
+            if slot is not None:
+                self._fragments[slot] = _org_json(self.registry[org_id])
+        self._stale.clear()
         exchange = None
         if self.exchange is not None:
             exchange = {
+                "baseline_reserve": self.exchange.baseline_reserve.micro,
+                "baseline_supply": self.exchange.baseline_supply.micro,
                 "fraction": self.exchange.fraction.micro,
                 "reserve": self.exchange.reserve.micro,
-                "baseline_supply": self.exchange.baseline_supply.micro,
-                "baseline_reserve": self.exchange.baseline_reserve.micro,
             }
-        return {
-            "format": STATE_FORMAT,
-            "seq": self.seq,
-            "market": {
-                "permit": self.market_permit.micro,
-                "emission": self.market_emission.micro,
-                "price": self.market_price.micro,
-            },
-            "orgs": orgs,
-            "exchange": exchange,
+        market = {
+            "emission": self.market_emission.micro,
+            "permit": self.market_permit.micro,
+            "price": self.market_price.micro,
         }
-
-    def state_json(self) -> str:
-        return json.dumps(self.state_dict(), sort_keys=True, separators=(",", ":"))
+        return "".join((
+            '{"exchange":', _canonical(exchange),
+            ',"format":', _canonical(STATE_FORMAT),
+            ',"market":', _canonical(market),
+            ',"orgs":[', ",".join(self._fragments),
+            '],"seq":', _canonical(self.seq),
+            "}",
+        ))
 
     def state_digest(self) -> bytes:
         return hashlib.sha256(self.state_json().encode("utf-8")).digest()
@@ -198,15 +238,11 @@ class TokenLedger:
             ledger.market_emission = Fixed(market["emission"])
             ledger.market_price = Fixed(market["price"])
             for entry in data["orgs"]:
-                record = OrgRecord(
-                    id=validate_org_id(entry["id"]),
-                    role=Role.from_string(entry["role"]),
-                    permit=Fixed(entry["permit"]),
-                    emission=Fixed(entry["emission"]),
-                    cash=Fixed(entry["cash"]),
-                    projects=set(entry["projects"]),
-                )
-                ledger.registry[record.id] = record
+                record = ledger._register_org(entry["id"], Role.from_string(entry["role"]))
+                record.permit = Fixed(entry["permit"])
+                record.emission = Fixed(entry["emission"])
+                record.cash = Fixed(entry["cash"])
+                record.projects = set(entry["projects"])
             if data["exchange"] is not None:
                 ex = data["exchange"]
                 ledger.exchange = ExchangeState(
@@ -215,8 +251,10 @@ class TokenLedger:
                     baseline_supply=Fixed(ex["baseline_supply"]),
                     baseline_reserve=Fixed(ex["baseline_reserve"]),
                 )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise reject(ErrorCode.SCHEMA_ERROR, f"bad state field: {exc}") from exc
+        except LedgerError as exc:  # an empty or repeated org id
+            raise reject(ErrorCode.SCHEMA_ERROR, f"bad state org: {exc.message}") from exc
         ledger._check_loaded_invariants()
         return ledger
 
@@ -245,6 +283,7 @@ class TokenLedger:
     def setup_register_project(self, owner: str, project_id: str) -> OrgRecord:
         owner_rec = self.org(owner)
         self._check_new_project(owner_rec, project_id)
+        self._stale.add(owner)
         owner_rec.projects.add(project_id)
         return owner_rec
 
@@ -253,6 +292,7 @@ class TokenLedger:
         if amount.is_negative:
             raise reject(ErrorCode.INVALID_AMOUNT, "cash balances cannot be negative")
         record = self.org(org_id)
+        self._stale.add(org_id)
         record.cash = amount
         return record
 
@@ -279,6 +319,9 @@ class TokenLedger:
         handler = _HANDLERS.get(tx.kind)
         if handler is None:
             raise reject(ErrorCode.SCHEMA_ERROR, f"unknown transaction kind {tx.kind!r}")
+        # Handlers touch no org but these three; marking them first also
+        # covers a handler that raises after a partial update.
+        self._stale.update((tx.sender, tx.target, tx.cosigner))
         event = handler(self, tx)
         self.seq = tx.seq
         return event
@@ -291,6 +334,9 @@ class TokenLedger:
             raise reject(ErrorCode.DUPLICATE_ID, f"organisation {org_id!r} already registered")
         record = OrgRecord(id=org_id, role=role)
         self.registry[org_id] = record
+        self._slots[org_id] = len(self._fragments)
+        self._fragments.append("")
+        self._stale.add(org_id)
         return record
 
     def _check_new_project(self, owner: OrgRecord, project_id: str):

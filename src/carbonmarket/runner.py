@@ -121,8 +121,8 @@ def _check_expectation(exp: Expectation, ledger: TokenLedger,
 
 def run_scenario(scenario: Scenario) -> RunResult:
     genesis = build_genesis(scenario)
-    ledger = genesis.copy()
     chainlog = ChainLog.for_ledger(genesis)
+    ledger = genesis.copy()     # copied once genesis is encoded: a warm cache
     journal = Journal(opening_price=genesis.market_price)
     result = RunResult(scenario=scenario, genesis=genesis, final=ledger,
                        chainlog=chainlog, journal=journal)

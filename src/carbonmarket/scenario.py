@@ -24,6 +24,10 @@ from .errors import ErrorCode, LedgerError, reject
 from .fixed import Fixed
 from .journal import Account
 
+# libyaml's scanner and parser when PyYAML was built with them; the safe
+# constructor, and so the parsed tree, is the same either way.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 ACTIONS = (
     "setRole", "mintPermit", "grantPermit", "mintEmission", "transferPermit",
     "burnToken", "tradeToken", "convertCash", "setReserveFraction",
@@ -325,7 +329,7 @@ def _parse_step(index: int, raw: Any, declared: set[str]) -> Step:
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

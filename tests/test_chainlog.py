@@ -1,5 +1,6 @@
 """Chain log: canonical encoding, linkage, tamper detection, replay."""
 
+import dataclasses
 import random
 
 import pytest
@@ -149,3 +150,12 @@ def test_single_bit_corruptions_all_detected():
         corrupted[pos] ^= 1 << rng.randrange(8)
         text = bytes(corrupted).decode("utf-8", "replace")
         assert not verify_text(text).valid, f"flip at byte {pos} went undetected"
+
+
+def test_replay_rejects_broken_in_memory_link():
+    _, _, log = logged_driver()
+    log.entries[1] = dataclasses.replace(log.entries[1], prev_hash=bytes(32))
+    with pytest.raises(LedgerError) as err:
+        replay(log)
+    assert err.value.code is ErrorCode.CHAIN_INVALID
+    assert "entry 2" in err.value.message

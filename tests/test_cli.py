@@ -1,5 +1,7 @@
 """Command line behaviour: commands, exit codes, byte-stable outputs."""
 
+import pytest
+
 from carbonmarket.cli import main
 
 from conftest import GOLDEN_SCENARIO, SCENARIO_DIR
@@ -135,3 +137,14 @@ def test_market_steering_scenario_runs(capsys):
 
 def test_bad_usage_returns_two(capsys):
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--f", "0.01", "--s0", "1", "--c0", "1", "--buy-tokens", "1000000"),
+    ("--f", "0.1", "--s0", "1", "--c0", "1", "--buy-tokens", "1000"),
+])
+def test_quote_beyond_the_curve_is_an_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, "quote", *argv)
+    assert code == 2
+    assert out == ""
+    assert "InvalidAmount" in err

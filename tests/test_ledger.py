@@ -1,5 +1,6 @@
 """State machine behaviour: gates, conservation, atomicity, determinism."""
 
+import json
 import random
 
 import pytest
@@ -453,3 +454,26 @@ def test_set_price_reanchors_exchange(driver):
     with pytest.raises(LedgerError) as err:
         driver.set_price("A", 0)
     assert err.value.code is ErrorCode.INVALID_PRICE
+
+
+def test_trade_beyond_the_curve_is_rejected_atomically(driver):
+    driver.mint_permit("A", "E", 1)
+    driver.init_exchange("A", "0.01", 1, 1)
+    before = driver.ledger.state_json()
+    with pytest.raises(LedgerError) as err:
+        driver.trade_token("E", 1000000)
+    assert err.value.code is ErrorCode.INVALID_AMOUNT
+    assert driver.ledger.state_json() == before
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda state: state["orgs"].append(dict(state["orgs"][0])),   # repeated id
+    lambda state: state["orgs"][0].update(id=""),                  # empty id
+    lambda state: state["orgs"][0].update(cash=2**64),             # beyond 64 bits
+])
+def test_state_json_with_bad_org_is_a_schema_error(corrupt):
+    state = standard_market().state_dict()
+    corrupt(state)
+    with pytest.raises(LedgerError) as err:
+        TokenLedger.from_state_json(json.dumps(state))
+    assert err.value.code is ErrorCode.SCHEMA_ERROR

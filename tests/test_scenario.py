@@ -1,9 +1,11 @@
 """Scenario parsing, validation, and runner semantics."""
 
 import pytest
+import yaml
 
+import carbonmarket.scenario as scenario_module
 from carbonmarket import ErrorCode, LedgerError, parse_scenario, run_scenario
-from conftest import fx
+from conftest import SCENARIO_DIR, fx
 
 MINIMAL = """
 name: minimal
@@ -182,3 +184,29 @@ def test_expect_needs_exactly_one_subject():
   - {time: "t1", action: expect, org: E, market: permit, equals: 5}
 """)
     assert code_of(text) is ErrorCode.SCHEMA_ERROR
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("name", ["app-rec-2020", "market-steering", "shortfall-year"])
+def test_corpus_parses_identically_under_both_loaders(monkeypatch, name):
+    text = (SCENARIO_DIR / f"{name}.yaml").read_text(encoding="utf-8")
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    parsed = {}
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+        parsed[loader] = parse_scenario(text)
+    assert parsed[yaml.CSafeLoader] == parsed[yaml.SafeLoader]
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("text, position", [
+    ("name: x\n  genesis: {}\n", "line 2, column 10"),              # scanner error
+    ("name: x\nsteps: [\n  {time: t1},\n", "line 4, column 1"),   # parser error
+])
+def test_syntax_error_position_is_the_same_under_both_loaders(monkeypatch, text, position):
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+        with pytest.raises(LedgerError) as err:
+            parse_scenario(text)
+        assert err.value.code is ErrorCode.SYNTAX_ERROR
+        assert err.value.message.startswith(f"bad scenario file at {position}:")
