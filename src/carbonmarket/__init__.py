@@ -4,7 +4,7 @@ carbon-accounting journal, driven by declarative scenario files."""
 
 from .chainlog import ChainLog, replay, verify_text
 from .domain import (AUTHORITY, ENTERPRISE, VERIFIER, ComplianceReport,
-                     OrgRecord, Role, RoleKind, TokenKind)
+                     OrgRecord, Role, RoleKind)
 from .errors import ErrorCode, LedgerError
 from .exchange import (ExchangeState, Quote, quote_buy_tokens,
                        quote_spend_cash, spot_price)
@@ -21,7 +21,7 @@ __all__ = [
     "ComplianceReport", "ENTERPRISE", "ErrorCode", "ExchangeState", "Fixed",
     "Journal", "JournalEntry", "JournalLine", "LedgerError", "Money", "ONE",
     "OrgRecord", "Quantity", "Quote", "Role", "RoleKind", "RunResult",
-    "Scenario", "Side", "StepResult", "TokenKind", "TokenLedger",
+    "Scenario", "Side", "StepResult", "TokenLedger",
     "Transaction", "TxKind", "VERIFIER", "ZERO", "build_genesis",
     "load_scenario", "parse_scenario", "quote_buy_tokens", "quote_spend_cash",
     "replay", "run_scenario", "spot_price", "verify_text",

@@ -36,11 +36,11 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import ErrorCode, LedgerError, reject
 from .fixed import Fixed
-from .ledger import AppliedEvent, TokenLedger, Transaction, TxKind
+from .ledger import TokenLedger, Transaction, TxKind
 
 TX_MAGIC = b"CMTX1"
 FORMAT_NAME = "carbonmarket-chainlog"
@@ -368,10 +368,3 @@ def replay(log: ChainLog, genesis: Optional[TokenLedger] = None,
         if on_event is not None:
             on_event(event)
     return ledger
-
-
-def events_of(log: ChainLog, genesis: Optional[TokenLedger] = None) -> Iterable[AppliedEvent]:
-    """Replay and collect the applied events (for journal regeneration)."""
-    events: list[AppliedEvent] = []
-    replay(log, genesis, on_event=events.append)
-    return events

@@ -66,14 +66,6 @@ ENTERPRISE = Role(RoleKind.ENTERPRISE)
 VERIFIER = Role(RoleKind.ENTERPRISE, verifier=True)
 
 
-class TokenKind(Enum):
-    """The two token kinds: a permit to emit 1 tCO2e, and 1 tCO2e of
-    verified emissions."""
-
-    PERMIT = "permit"
-    EMISSION = "emission"
-
-
 @dataclass
 class OrgRecord:
     """A registered participant with its balances and project set.

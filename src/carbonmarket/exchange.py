@@ -66,6 +66,15 @@ def validate_fraction(fraction: Fixed) -> Fixed:
     return fraction
 
 
+def validate_anchor(fraction: Fixed, supply: Quantity, reserve: Money):
+    """Check a curve anchor (F, s0, C0) before any curve math runs on it."""
+    validate_fraction(fraction)
+    if supply <= ZERO:
+        raise reject(ErrorCode.INVALID_SUPPLY, "baseline supply must be positive")
+    if reserve <= ZERO:
+        raise reject(ErrorCode.INVALID_AMOUNT, "baseline reserve must be positive")
+
+
 # ---------------------------------------------------------------------------
 # Raw curve math (double precision, unrounded)
 # ---------------------------------------------------------------------------
@@ -115,11 +124,12 @@ def spot_price(state: ExchangeState, supply: Quantity) -> Money:
     """Spot price at `supply` against the stored baseline, grid-rounded."""
     if supply <= ZERO:
         raise reject(ErrorCode.INVALID_SUPPLY, f"supply must be positive, got {supply}")
-    raw = spot_price_raw(state.fraction.to_float(),
-                         state.baseline_supply.to_float(),
-                         state.baseline_reserve.to_float(),
-                         supply.to_float())
-    return Fixed.from_float(raw, "nearest")
+    with _priced(f"the spot price at supply {supply}"):
+        raw = spot_price_raw(state.fraction.to_float(),
+                             state.baseline_supply.to_float(),
+                             state.baseline_reserve.to_float(),
+                             supply.to_float())
+        return Fixed.from_float(raw, "nearest")
 
 
 def _price_after(fraction: Fixed, supply: Quantity, reserve: Money,
@@ -133,14 +143,13 @@ def _price_after(fraction: Fixed, supply: Quantity, reserve: Money,
 
 
 @contextmanager
-def _priced(amount: Fixed, unit: str):
+def _priced(what: str):
     """Turn an overflow or a non-finite result of the curve math, or of
     rounding it onto the grid, into a typed rejection."""
     try:
         yield
     except (OverflowError, ValueError) as exc:
-        raise reject(ErrorCode.INVALID_AMOUNT,
-                     f"a trade of {amount} {unit} cannot be priced: {exc}") from exc
+        raise reject(ErrorCode.INVALID_AMOUNT, f"{what} cannot be priced: {exc}") from exc
 
 
 def quote_buy_tokens(fraction: Fixed, supply: Quantity, reserve: Money,
@@ -158,7 +167,7 @@ def quote_buy_tokens(fraction: Fixed, supply: Quantity, reserve: Money,
     if tokens.is_negative and -tokens > supply:
         raise reject(ErrorCode.INVALID_AMOUNT,
                      f"cannot sell {-tokens} tokens against a supply of {supply}")
-    with _priced(tokens, "tokens"):
+    with _priced(f"a trade of {tokens} tokens"):
         raw = cash_for_tokens_raw(fraction.to_float(), supply.to_float(),
                                   reserve.to_float(), tokens.to_float())
         cash = Fixed.from_float(raw, "ceil")
@@ -182,7 +191,7 @@ def quote_spend_cash(fraction: Fixed, supply: Quantity, reserve: Money,
     if cash.is_negative and -cash > reserve:
         raise reject(ErrorCode.RESERVE_EXHAUSTED,
                      f"cannot withdraw {-cash} from a reserve of {reserve}")
-    with _priced(cash, "cash"):
+    with _priced(f"a trade of {cash} cash"):
         raw = tokens_for_cash_raw(fraction.to_float(), supply.to_float(),
                                   reserve.to_float(), cash.to_float())
         tokens = Fixed.from_float(raw, "floor")

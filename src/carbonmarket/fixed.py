@@ -78,10 +78,6 @@ class Fixed:
         return cls(int(scaled))
 
     @classmethod
-    def from_units(cls, units: int) -> "Fixed":
-        return cls(units * SCALE)
-
-    @classmethod
     def from_float(cls, value: float, rounding: str = "nearest") -> "Fixed":
         """Round a float onto the grid, snapping near-exact values first."""
         if not math.isfinite(value):

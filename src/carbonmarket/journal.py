@@ -406,5 +406,4 @@ _JOURNAL_HANDLERS = {
     TxKind.CONVERT_CASH: Journal._on_trade,
     TxKind.BURN_TOKEN: Journal._on_burn,
     TxKind.SET_PRICE: Journal._on_price_change,
-    TxKind.INIT_EXCHANGE: Journal._on_price_change,
 }

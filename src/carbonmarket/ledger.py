@@ -17,6 +17,13 @@ Authorization gates, in the order they are checked for every operation:
 unknown organisations first, then amount validity, then role authority, then
 operation-specific state (balances, projects, reserve).
 
+Organisations, projects, cash and the exchange come into being only through
+the `setup_*` genesis calls, which never pass through `apply` and never
+enter the chain log.  The `registerOrg`, `registerProject` and
+`initExchange` transaction kinds that once duplicated them are gone; no
+writer in this package ever logged them, so a hand-built v1 log holding one
+fails verification with `ChainInvalid`.
+
 The canonical state JSON is kept incrementally: the ledger caches each org's
 encoded fragment and re-encodes only the orgs marked stale since the last
 call, so a digest costs one join and one hash rather than a re-encoding of
@@ -37,8 +44,8 @@ from typing import Callable, Optional
 
 from .domain import (ComplianceReport, OrgRecord, Role, validate_org_id)
 from .errors import ErrorCode, LedgerError, reject
-from .exchange import (ExchangeState, Quote, quote_buy_tokens,
-                       quote_spend_cash, spot_price, validate_fraction)
+from .exchange import (ExchangeState, Quote, quote_buy_tokens, quote_spend_cash,
+                       spot_price, validate_anchor, validate_fraction)
 from .fixed import ZERO, Fixed, Money, Quantity
 
 STATE_FORMAT = "carbonmarket-state-1"
@@ -61,8 +68,8 @@ def _org_json(record: OrgRecord) -> str:
 
 
 class TxKind(str, Enum):
-    REGISTER_ORG = "registerOrg"
-    REGISTER_PROJECT = "registerProject"
+    """The logged transaction kinds; each value is a scenario action name."""
+
     SET_ROLE = "setRole"
     MINT_PERMIT = "mintPermit"
     GRANT_PERMIT = "grantPermit"
@@ -71,7 +78,6 @@ class TxKind(str, Enum):
     BURN_TOKEN = "burnToken"
     TRADE_TOKEN = "tradeToken"
     CONVERT_CASH = "convertCash"
-    INIT_EXCHANGE = "initExchange"
     SET_RESERVE_FRACTION = "setReserveFraction"
     ADJUST_RESERVE = "adjustReserve"
     SET_PRICE = "setPrice"
@@ -151,9 +157,6 @@ class TokenLedger:
             raise reject(ErrorCode.UNKNOWN_ORG, f"organisation {org_id!r} is not registered")
         return record
 
-    def has_project(self, org_id: str) -> bool:
-        return bool(self.org(org_id).projects)
-
     def project_owner(self, project_id: str) -> Optional[str]:
         for record in self.registry.values():
             if project_id in record.projects:
@@ -186,9 +189,6 @@ class TokenLedger:
         return dup
 
     # -- canonical serialization -----------------------------------------
-
-    def state_dict(self) -> dict:
-        return json.loads(self.state_json())
 
     def state_json(self) -> str:
         """Canonical state: minified JSON with sorted keys at every level."""
@@ -238,7 +238,8 @@ class TokenLedger:
             ledger.market_emission = Fixed(market["emission"])
             ledger.market_price = Fixed(market["price"])
             for entry in data["orgs"]:
-                record = ledger._register_org(entry["id"], Role.from_string(entry["role"]))
+                record = ledger.setup_register_org(entry["id"],
+                                                   Role.from_string(entry["role"]))
                 record.permit = Fixed(entry["permit"])
                 record.emission = Fixed(entry["emission"])
                 record.cash = Fixed(entry["cash"])
@@ -278,11 +279,26 @@ class TokenLedger:
     # -- genesis setup (declarative, before the first transaction) --------
 
     def setup_register_org(self, org_id: str, role: Role) -> OrgRecord:
-        return self._register_org(org_id, role)
+        validate_org_id(org_id)
+        if org_id in self.registry:
+            raise reject(ErrorCode.DUPLICATE_ID, f"organisation {org_id!r} already registered")
+        record = OrgRecord(id=org_id, role=role)
+        self.registry[org_id] = record
+        self._slots[org_id] = len(self._fragments)
+        self._fragments.append("")
+        self._stale.add(org_id)
+        return record
 
     def setup_register_project(self, owner: str, project_id: str) -> OrgRecord:
         owner_rec = self.org(owner)
-        self._check_new_project(owner_rec, project_id)
+        if not isinstance(project_id, str) or not project_id:
+            raise reject(ErrorCode.SCHEMA_ERROR, "project id must be a non-empty string")
+        if not owner_rec.role.is_enterprise:
+            raise reject(ErrorCode.UNAUTHORIZED, "projects are owned by enterprises")
+        holder = self.project_owner(project_id)
+        if holder is not None:
+            raise reject(ErrorCode.DUPLICATE_ID,
+                         f"project {project_id!r} already registered to {holder!r}")
         self._stale.add(owner)
         owner_rec.projects.add(project_id)
         return owner_rec
@@ -298,14 +314,15 @@ class TokenLedger:
 
     def setup_init_exchange(self, fraction: Fixed, baseline_supply: Quantity,
                             baseline_reserve: Money) -> ExchangeState:
-        self._check_exchange_params(fraction, baseline_supply, baseline_reserve)
+        validate_anchor(fraction, baseline_supply, baseline_reserve)
         if self.exchange is not None:
             raise reject(ErrorCode.EXCHANGE_ACTIVE, "exchange already initialised")
-        self.exchange = ExchangeState(fraction=fraction, reserve=baseline_reserve,
-                                      baseline_supply=baseline_supply,
-                                      baseline_reserve=baseline_reserve)
-        self.market_price = spot_price(self.exchange, baseline_supply)
-        return self.exchange
+        exchange = ExchangeState(fraction=fraction, reserve=baseline_reserve,
+                                 baseline_supply=baseline_supply,
+                                 baseline_reserve=baseline_reserve)
+        self.market_price = spot_price(exchange, baseline_supply)
+        self.exchange = exchange
+        return exchange
 
     # -- transaction application ------------------------------------------
 
@@ -319,42 +336,18 @@ class TokenLedger:
         handler = _HANDLERS.get(tx.kind)
         if handler is None:
             raise reject(ErrorCode.SCHEMA_ERROR, f"unknown transaction kind {tx.kind!r}")
-        # Handlers touch no org but these three; marking them first also
-        # covers a handler that raises after a partial update.
+        # Handlers touch no org but these three, and compute every new value
+        # before assigning any, so an amount that overflows the 64-bit range
+        # is rejected with the state untouched.
         self._stale.update((tx.sender, tx.target, tx.cosigner))
-        event = handler(self, tx)
+        try:
+            event = handler(self, tx)
+        except OverflowError as exc:
+            raise reject(ErrorCode.INVALID_AMOUNT, f"{tx.kind.value}: {exc}") from exc
         self.seq = tx.seq
         return event
 
     # -- shared validation --------------------------------------------------
-
-    def _register_org(self, org_id: str, role: Role) -> OrgRecord:
-        validate_org_id(org_id)
-        if org_id in self.registry:
-            raise reject(ErrorCode.DUPLICATE_ID, f"organisation {org_id!r} already registered")
-        record = OrgRecord(id=org_id, role=role)
-        self.registry[org_id] = record
-        self._slots[org_id] = len(self._fragments)
-        self._fragments.append("")
-        self._stale.add(org_id)
-        return record
-
-    def _check_new_project(self, owner: OrgRecord, project_id: str):
-        if not isinstance(project_id, str) or not project_id:
-            raise reject(ErrorCode.SCHEMA_ERROR, "project id must be a non-empty string")
-        if not owner.role.is_enterprise:
-            raise reject(ErrorCode.UNAUTHORIZED, "projects are owned by enterprises")
-        holder = self.project_owner(project_id)
-        if holder is not None:
-            raise reject(ErrorCode.DUPLICATE_ID,
-                         f"project {project_id!r} already registered to {holder!r}")
-
-    def _check_exchange_params(self, fraction: Fixed, supply: Quantity, reserve: Money):
-        validate_fraction(fraction)
-        if supply <= ZERO:
-            raise reject(ErrorCode.INVALID_SUPPLY, "baseline supply must be positive")
-        if reserve <= ZERO:
-            raise reject(ErrorCode.INVALID_AMOUNT, "baseline reserve must be positive")
 
     def _positive_amount(self, tx: Transaction) -> Quantity:
         if tx.amount is None or tx.amount <= ZERO:
@@ -403,22 +396,6 @@ class TokenLedger:
 
     # -- handlers -------------------------------------------------------------
 
-    def _apply_register_org(self, tx: Transaction) -> AppliedEvent:
-        try:
-            role = Role.from_string(self._payload_str(tx, "role"))
-        except ValueError as exc:
-            raise reject(ErrorCode.SCHEMA_ERROR, str(exc)) from exc
-        self._register_org(tx.target, role)
-        return self._event(tx)
-
-    def _apply_register_project(self, tx: Transaction) -> AppliedEvent:
-        owner = self.org(tx.target)
-        self._authority(tx.sender)
-        project_id = self._payload_str(tx, "project")
-        self._check_new_project(owner, project_id)
-        owner.projects.add(project_id)
-        return self._event(tx)
-
     def _apply_set_role(self, tx: Transaction) -> AppliedEvent:
         target = self.org(tx.target)
         new_role = self._payload_str(tx, "role")
@@ -437,8 +414,8 @@ class TokenLedger:
         target = self.org(tx.target)
         amount = self._positive_amount(tx)
         self._authority(tx.sender)
-        target.permit += amount
-        self.market_permit += amount
+        target.permit, self.market_permit = (target.permit + amount,
+                                             self.market_permit + amount)
         return self._event(tx)
 
     def _apply_grant_permit(self, tx: Transaction) -> AppliedEvent:
@@ -448,8 +425,8 @@ class TokenLedger:
         if not target.projects:
             raise reject(ErrorCode.NO_PROJECT,
                          f"{tx.target!r} owns no registered emissions-reduction project")
-        target.permit += amount
-        self.market_permit += amount
+        target.permit, self.market_permit = (target.permit + amount,
+                                             self.market_permit + amount)
         return self._event(tx)
 
     def _apply_mint_emission(self, tx: Transaction) -> AppliedEvent:
@@ -459,8 +436,8 @@ class TokenLedger:
         self._verifier(tx.cosigner)
         if not sender.role.is_enterprise:
             raise reject(ErrorCode.UNAUTHORIZED, "only enterprises record emissions")
-        sender.emission += amount
-        self.market_emission += amount
+        sender.emission, self.market_emission = (sender.emission + amount,
+                                                 self.market_emission + amount)
         return self._event(tx)
 
     def _apply_transfer_permit(self, tx: Transaction) -> AppliedEvent:
@@ -470,6 +447,8 @@ class TokenLedger:
         if amount > sender.permit:
             raise reject(ErrorCode.INSUFFICIENT_BALANCE,
                          f"{tx.sender!r} holds {sender.permit} permits, cannot move {amount}")
+        # Both balances stay within the market total, so neither can overflow;
+        # updating in turn keeps a self-transfer an identity.
         sender.permit -= amount
         target.permit += amount
         return self._event(tx)
@@ -491,10 +470,12 @@ class TokenLedger:
     def _trade(self, tx: Transaction, quote: Quote) -> AppliedEvent:
         sender = self.registry[tx.sender]
         exchange = self.exchange
-        sender.permit += quote.tokens_delta
-        self.market_permit += quote.tokens_delta
-        sender.cash -= quote.cash_delta
-        exchange.reserve += quote.cash_delta
+        permit = sender.permit + quote.tokens_delta
+        market = self.market_permit + quote.tokens_delta
+        cash = sender.cash - quote.cash_delta
+        reserve = exchange.reserve + quote.cash_delta
+        sender.permit, self.market_permit, sender.cash, exchange.reserve = \
+            permit, market, cash, reserve
         return self._event(tx, token_delta=quote.tokens_delta,
                            cash_delta=quote.cash_delta)
 
@@ -528,21 +509,6 @@ class TokenLedger:
                          f"{tx.sender!r} holds {sender.permit}")
         return self._trade(tx, quote)
 
-    def _apply_init_exchange(self, tx: Transaction) -> AppliedEvent:
-        self._authority(tx.sender)
-        fraction = self._payload_fixed(tx, "fraction")
-        supply = self._payload_fixed(tx, "supply")
-        reserve = self._payload_fixed(tx, "reserve")
-        self._check_exchange_params(fraction, supply, reserve)
-        if self.exchange is not None:
-            raise reject(ErrorCode.EXCHANGE_ACTIVE, "exchange already initialised")
-        price_before = self.market_price
-        self.exchange = ExchangeState(fraction=fraction, reserve=reserve,
-                                      baseline_supply=supply, baseline_reserve=reserve)
-        self.market_price = spot_price(self.exchange, supply)
-        return AppliedEvent(tx=tx, price_before=price_before,
-                            price_after=self.market_price)
-
     def _rebase_supply(self) -> Quantity:
         # Anchor market adjustments at the live supply; fall back to the old
         # baseline while no tokens circulate yet.
@@ -567,12 +533,12 @@ class TokenLedger:
         delta = tx.amount
         if delta.is_zero:
             return self._event(tx)  # explicit no-op, state untouched
-        if exchange.reserve + delta <= ZERO:
+        reserve = exchange.reserve + delta
+        if reserve <= ZERO:
             raise reject(ErrorCode.RESERVE_EXHAUSTED,
                          f"reserve {exchange.reserve} + delta {delta} must stay positive")
         exchange.baseline_supply = self._rebase_supply()
-        exchange.reserve += delta
-        exchange.baseline_reserve = exchange.reserve
+        exchange.reserve = exchange.baseline_reserve = reserve
         return self._event(tx)
 
     def _apply_set_price(self, tx: Transaction) -> AppliedEvent:
@@ -586,16 +552,14 @@ class TokenLedger:
             # C = F * s * P, rebased at the live supply.
             exchange = self.exchange
             supply = self._rebase_supply()
+            reserve = price.mul(exchange.fraction).mul(supply)
             exchange.baseline_supply = supply
-            exchange.reserve = price.mul(exchange.fraction).mul(supply)
-            exchange.baseline_reserve = exchange.reserve
+            exchange.reserve = exchange.baseline_reserve = reserve
         self.market_price = price
         return AppliedEvent(tx=tx, price_before=price_before, price_after=price)
 
 
 _HANDLERS: dict[TxKind, Callable[[TokenLedger, Transaction], AppliedEvent]] = {
-    TxKind.REGISTER_ORG: TokenLedger._apply_register_org,
-    TxKind.REGISTER_PROJECT: TokenLedger._apply_register_project,
     TxKind.SET_ROLE: TokenLedger._apply_set_role,
     TxKind.MINT_PERMIT: TokenLedger._apply_mint_permit,
     TxKind.GRANT_PERMIT: TokenLedger._apply_grant_permit,
@@ -604,7 +568,6 @@ _HANDLERS: dict[TxKind, Callable[[TokenLedger, Transaction], AppliedEvent]] = {
     TxKind.BURN_TOKEN: TokenLedger._apply_burn_token,
     TxKind.TRADE_TOKEN: TokenLedger._apply_trade_token,
     TxKind.CONVERT_CASH: TokenLedger._apply_convert_cash,
-    TxKind.INIT_EXCHANGE: TokenLedger._apply_init_exchange,
     TxKind.SET_RESERVE_FRACTION: TokenLedger._apply_set_reserve_fraction,
     TxKind.ADJUST_RESERVE: TokenLedger._apply_adjust_reserve,
     TxKind.SET_PRICE: TokenLedger._apply_set_price,

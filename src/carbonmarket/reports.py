@@ -10,7 +10,7 @@ import csv
 import io
 
 from .errors import ErrorCode, reject
-from .exchange import spot_price_raw
+from .exchange import ExchangeState, spot_price, validate_anchor
 from .fixed import Fixed
 from .journal import Account, Journal
 from .ledger import TokenLedger
@@ -77,17 +77,14 @@ def price_curve_rows(fraction: Fixed, supply0: Fixed, reserve0: Fixed,
     if not Fixed(0) < supply_min < supply_max:
         raise reject(ErrorCode.INVALID_RANGE,
                      "need 0 < min supply < max supply")
-    f = fraction.to_float()
-    s0 = supply0.to_float()
-    c0 = reserve0.to_float()
+    validate_anchor(fraction, supply0, reserve0)
+    anchor = ExchangeState(fraction, reserve0, supply0, reserve0)
     lo = supply_min.to_float()
     hi = supply_max.to_float()
     rows = []
     for i in range(points):
-        s = lo + (hi - lo) * i / (points - 1)
-        supply = Fixed.from_float(s, "nearest")
-        price = Fixed.from_float(spot_price_raw(f, s0, c0, supply.to_float()), "nearest")
-        rows.append((supply, price))
+        supply = Fixed.from_float(lo + (hi - lo) * i / (points - 1), "nearest")
+        rows.append((supply, spot_price(anchor, supply)))
     return rows
 
 

@@ -19,28 +19,7 @@ from .errors import ErrorCode, LedgerError
 from .fixed import Fixed
 from .journal import Account, Journal
 from .ledger import TokenLedger, Transaction, TxKind
-from .scenario import Expectation, Scenario, Step
-
-# scenario action -> (transaction kind, org-field mapping, amount key, payload keys)
-_TX_BUILDERS = {
-    "setRole": (TxKind.SET_ROLE, {"sender": "sender", "target": "target"}, None,
-                {"role": "role"}),
-    "mintPermit": (TxKind.MINT_PERMIT, {"signer": "sender", "target": "target"},
-                   "amount", {}),
-    "grantPermit": (TxKind.GRANT_PERMIT, {"signer": "sender", "target": "target"},
-                    "amount", {}),
-    "mintEmission": (TxKind.MINT_EMISSION, {"sender": "sender", "signer": "cosigner"},
-                     "amount", {}),
-    "transferPermit": (TxKind.TRANSFER_PERMIT, {"sender": "sender", "target": "target"},
-                       "amount", {}),
-    "burnToken": (TxKind.BURN_TOKEN, {"sender": "sender"}, "amount", {}),
-    "tradeToken": (TxKind.TRADE_TOKEN, {"sender": "sender"}, "amount", {}),
-    "convertCash": (TxKind.CONVERT_CASH, {"sender": "sender"}, "amount", {}),
-    "setReserveFraction": (TxKind.SET_RESERVE_FRACTION, {"authority": "sender"},
-                           None, {"fraction": "fraction"}),
-    "adjustReserve": (TxKind.ADJUST_RESERVE, {"authority": "sender"}, "delta", {}),
-    "setPrice": (TxKind.SET_PRICE, {"authority": "sender"}, None, {"price": "price"}),
-}
+from .scenario import ACTIONS, Expectation, Scenario, Step
 
 
 @dataclass(frozen=True)
@@ -82,15 +61,16 @@ def build_genesis(scenario: Scenario) -> TokenLedger:
 
 
 def _build_tx(step: Step, seq: int) -> Transaction:
-    kind, org_map, amount_key, payload_map = _TX_BUILDERS[step.action]
-    roles = {tx_field: step.fields[src] for src, tx_field in org_map.items()}
-    amount = step.fields[amount_key] if amount_key else None
-    payload = {}
-    for src, name in payload_map.items():
-        value = step.fields[src]
-        payload[name] = value.micro if isinstance(value, Fixed) else value
-    return Transaction(seq=seq, time=step.time, kind=kind, amount=amount,
-                       payload=payload, **roles)
+    spec = ACTIONS[step.action]
+    orgs = {tx_field: step.fields[key] for key, tx_field in spec.orgs.items()}
+    value = step.fields[spec.value]
+    if spec.in_payload:
+        amount = None
+        payload = {spec.value: value.micro if isinstance(value, Fixed) else value}
+    else:
+        amount, payload = value, {}
+    return Transaction(seq=seq, time=step.time, kind=TxKind(step.action),
+                       amount=amount, payload=payload, **orgs)
 
 
 def _check_expectation(exp: Expectation, ledger: TokenLedger,

@@ -15,7 +15,7 @@ log or journal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import yaml
 
@@ -28,43 +28,33 @@ from .journal import Account
 # constructor, and so the parsed tree, is the same either way.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-ACTIONS = (
-    "setRole", "mintPermit", "grantPermit", "mintEmission", "transferPermit",
-    "burnToken", "tradeToken", "convertCash", "setReserveFraction",
-    "adjustReserve", "setPrice", "expect",
-)
+
+class Action(NamedTuple):
+    """How one ledger action's step fields become a transaction."""
+
+    orgs: dict[str, str]    # org-reference step field -> transaction field it fills
+    value: str              # the one value step field
+    in_payload: bool        # the value goes in the payload, not as the amount
+
+
+# The ledger actions, in the order error messages list them; each name is
+# also the value of the `TxKind` the runner builds from it.
+ACTIONS = {
+    "setRole": Action({"sender": "sender", "target": "target"}, "role", True),
+    "mintPermit": Action({"signer": "sender", "target": "target"}, "amount", False),
+    "grantPermit": Action({"signer": "sender", "target": "target"}, "amount", False),
+    "mintEmission": Action({"sender": "sender", "signer": "cosigner"}, "amount", False),
+    "transferPermit": Action({"sender": "sender", "target": "target"}, "amount", False),
+    "burnToken": Action({"sender": "sender"}, "amount", False),
+    "tradeToken": Action({"sender": "sender"}, "amount", False),
+    "convertCash": Action({"sender": "sender"}, "amount", False),
+    "setReserveFraction": Action({"authority": "sender"}, "fraction", True),
+    "adjustReserve": Action({"authority": "sender"}, "delta", False),
+    "setPrice": Action({"authority": "sender"}, "price", True),
+}
 
 EXPECT_FIELDS = ("permit", "emission", "cash", "compliant", "outstanding")
 EXPECT_MARKETS = ("permit", "emission")
-
-# Required org-reference / value fields per action, used for validation.
-_ACTION_ORG_FIELDS = {
-    "setRole": ("sender", "target"),
-    "mintPermit": ("signer", "target"),
-    "grantPermit": ("signer", "target"),
-    "mintEmission": ("sender", "signer"),
-    "transferPermit": ("sender", "target"),
-    "burnToken": ("sender",),
-    "tradeToken": ("sender",),
-    "convertCash": ("sender",),
-    "setReserveFraction": ("authority",),
-    "adjustReserve": ("authority",),
-    "setPrice": ("authority",),
-}
-
-_ACTION_VALUE_FIELDS = {
-    "setRole": ("role",),
-    "mintPermit": ("amount",),
-    "grantPermit": ("amount",),
-    "mintEmission": ("amount",),
-    "transferPermit": ("amount",),
-    "burnToken": ("amount",),
-    "tradeToken": ("amount",),
-    "convertCash": ("amount",),
-    "setReserveFraction": ("fraction",),
-    "adjustReserve": ("delta",),
-    "setPrice": ("price",),
-}
 
 
 @dataclass(frozen=True)
@@ -122,20 +112,6 @@ class Scenario:
     description: str
     genesis: Genesis
     steps: tuple[Step, ...]
-
-    @property
-    def timestamps(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for step in self.steps:
-            if step.time not in seen:
-                seen.append(step.time)
-        return tuple(seen)
-
-    def action_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for step in self.steps:
-            counts[step.action] = counts.get(step.action, 0) + 1
-        return counts
 
 
 def _schema_error(where: str, message: str) -> LedgerError:
@@ -280,37 +256,35 @@ def _parse_step(index: int, raw: Any, declared: set[str]) -> Step:
         raise _schema_error(where, "missing `time`")
     time = str(time)
     action = raw.get("action")
-    if action not in ACTIONS:
-        raise _schema_error(where, f"unknown action {action!r}; expected one of {ACTIONS}")
-
     if action == "expect":
         if "expect_fail" in raw:
             raise _schema_error(where, "expect steps cannot carry expect_fail")
         return Step(index=index, time=time, action=action,
                     expect=_parse_expect(where, raw, declared))
+    # an unhashable YAML value (a list or a mapping) is no action either
+    spec = ACTIONS.get(action) if isinstance(action, str) else None
+    if spec is None:
+        raise _schema_error(where, f"unknown action {action!r}; "
+                                   f"expected one of {(*ACTIONS, 'expect')}")
 
-    org_fields = _ACTION_ORG_FIELDS[action]
-    value_fields = _ACTION_VALUE_FIELDS[action]
-    allowed = {"time", "action", "expect_fail", *org_fields, *value_fields}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {"time", "action", "expect_fail", *spec.orgs, spec.value}
     if unknown:
         raise _schema_error(where, f"unknown fields {sorted(unknown)} for {action}")
 
     fields: dict[str, Any] = {}
-    for key in org_fields:
+    for key in spec.orgs:
         org = _as_str(where, key, raw.get(key))
         if org not in declared:
             raise reject(ErrorCode.REFERENCE_ERROR,
                          f"{where}: {key} {org!r} is not declared in genesis")
         fields[key] = org
-    for key in value_fields:
-        if key == "role":
-            role = _as_str(where, key, raw.get(key))
-            if role not in ROLE_STRINGS:
-                raise _schema_error(where, f"role must be one of {ROLE_STRINGS}")
-            fields[key] = role
-        else:
-            fields[key] = _as_amount(where, key, raw.get(key))
+    if spec.value == "role":
+        role = _as_str(where, "role", raw.get("role"))
+        if role not in ROLE_STRINGS:
+            raise _schema_error(where, f"role must be one of {ROLE_STRINGS}")
+        fields["role"] = role
+    else:
+        fields[spec.value] = _as_amount(where, spec.value, raw.get(spec.value))
 
     expect_fail: Optional[str] = None
     if "expect_fail" in raw:

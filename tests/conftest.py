@@ -56,10 +56,9 @@ class LedgerDriver:
     def convert_cash(self, sender, amount):
         return self.apply(TxKind.CONVERT_CASH, sender=sender, amount=amount)
 
-    def init_exchange(self, authority, fraction, supply, reserve):
-        return self.apply(TxKind.INIT_EXCHANGE, sender=authority,
-                          fraction=fx(fraction).micro, supply=fx(supply).micro,
-                          reserve=fx(reserve).micro)
+    def init_exchange(self, fraction, supply, reserve):
+        """Genesis bootstrap: the exchange is state, never a transaction."""
+        return self.ledger.setup_init_exchange(fx(fraction), fx(supply), fx(reserve))
 
     def set_reserve_fraction(self, authority, fraction):
         return self.apply(TxKind.SET_RESERVE_FRACTION, sender=authority,

@@ -152,7 +152,7 @@ def test_criterion_4_reserve_law_and_solvency():
     # 10,000 ulp; solvency must hold after every single trade
     driver = LedgerDriver(standard_market(cash="10000000000"))
     driver.mint_permit("A", "E", 1000)
-    driver.init_exchange("A", "0.5", 1000, 10000)
+    driver.init_exchange("0.5", 1000, 10000)
     ledger = driver.ledger
     rng = random.Random(404)
 
@@ -189,7 +189,7 @@ def test_criterion_5_conservation_sequences():
     base = standard_market()
     base_driver = LedgerDriver(base)
     base_driver.mint_permit("A", "E", 500)
-    base_driver.init_exchange("A", "0.5", 500, 10000)
+    base_driver.init_exchange("0.5", 500, 10000)
     for _ in range(10000):
         driver = LedgerDriver(base.copy())
         random_walk(driver, rng, rng.randint(3, 8))
@@ -245,14 +245,14 @@ def test_criterion_6_tamper_detection_and_replay(golden_run):
 def test_criterion_7_adjustment_levers_exact():
     driver = LedgerDriver(standard_market())
     driver.mint_permit("A", "E", 1000)
-    driver.init_exchange("A", "0.5", 1000, 10000)
+    driver.init_exchange("0.5", 1000, 10000)
     assert driver.ledger.spot_price() == fx(20)
     driver.set_reserve_fraction("A", "0.25")
     assert driver.ledger.spot_price() == fx(40)
 
     driver = LedgerDriver(standard_market())
     driver.mint_permit("A", "E", 1000)
-    driver.init_exchange("A", "0.5", 1000, 10000)
+    driver.init_exchange("0.5", 1000, 10000)
     driver.adjust_reserve("A", 10000)
     assert driver.ledger.spot_price() == fx(40)
     ok(7, "halving F doubles the spot price 20 -> 40; doubling the reserve "

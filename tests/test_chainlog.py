@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import types
 
 import pytest
 
@@ -45,6 +46,21 @@ def test_decode_rejects_trailing_bytes():
                                           sender="E", amount=fx(1)))
     with pytest.raises(LedgerError) as err:
         decode_transaction(blob + b"x")
+    assert err.value.code is ErrorCode.CHAIN_INVALID
+
+
+@pytest.mark.parametrize("kind", ["registerOrg", "registerProject", "initExchange"])
+def test_log_holding_a_removed_kind_is_invalid(kind):
+    # genesis creates orgs, projects and the exchange; a hand-built v1 log
+    # entry of one of the kinds that once did so no longer decodes
+    log = ChainLog.for_ledger(standard_market())
+    log.append(Transaction(seq=1, time="t", kind=types.SimpleNamespace(value=kind),
+                           sender="A", target="G", payload={}), bytes(32))
+    check = verify_text(log.to_text())
+    assert not check.valid and check.first_bad_seq == 1
+    assert f"unknown transaction kind {kind!r}" in check.detail
+    with pytest.raises(LedgerError) as err:
+        ChainLog.from_text(log.to_text())
     assert err.value.code is ErrorCode.CHAIN_INVALID
 
 

@@ -148,3 +148,20 @@ def test_quote_beyond_the_curve_is_an_input_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "InvalidAmount" in err
+
+
+@pytest.mark.parametrize("argv, code_name", [
+    (("--f", "0.01", "--s0", "1", "--c0", "1", "--min", "1", "--max", "1000",
+      "--points", "3"), "InvalidAmount"),
+    (("--f", "0", "--s0", "1", "--c0", "1", "--min", "1", "--max", "10"),
+     "InvalidFraction"),
+    (("--f", "0.5", "--s0", "0", "--c0", "1", "--min", "1", "--max", "10"),
+     "InvalidSupply"),
+    (("--f", "2", "--s0", "1", "--c0", "1", "--min", "1", "--max", "10"),
+     "InvalidFraction"),
+])
+def test_price_curve_bad_anchor_or_overflow_is_an_input_error(capsys, argv, code_name):
+    code, out, err = run_cli(capsys, "price-curve", *argv)
+    assert code == 2
+    assert out == ""
+    assert code_name in err

@@ -1,7 +1,7 @@
 import pytest
 
 from carbonmarket import (AUTHORITY, ENTERPRISE, ErrorCode, LedgerError,
-                          Role, RoleKind, TokenKind, TokenLedger)
+                          Role, RoleKind, TokenLedger)
 from carbonmarket.fixed import ZERO
 
 from conftest import LedgerDriver, fx
@@ -17,10 +17,6 @@ def test_role_string_round_trip():
         assert Role.from_string(text).as_string() == text
     with pytest.raises(ValueError):
         Role.from_string("installation")
-
-
-def test_exactly_two_token_kinds():
-    assert {kind.value for kind in TokenKind} == {"permit", "emission"}
 
 
 def test_register_org_zero_initialised():
@@ -56,45 +52,28 @@ def test_register_org_requires_nonempty_id():
 
 
 def test_register_project_marks_owner(market):
-    assert market.has_project("E")
     assert market.org("E").projects == {"p1"}
-    assert not market.has_project("F")
+    assert not market.org("F").projects
     assert market.project_owner("p1") == "E"
     assert market.project_owner("nope") is None
 
 
 def test_register_project_gates(market):
-    driver = LedgerDriver(market)
-    from carbonmarket import TxKind
-    # non-authority caller
-    with pytest.raises(LedgerError) as err:
-        driver.apply(TxKind.REGISTER_PROJECT, sender="E", target="F", project="p2")
-    assert err.value.code is ErrorCode.UNAUTHORIZED
     # unknown owner
     with pytest.raises(LedgerError) as err:
-        driver.apply(TxKind.REGISTER_PROJECT, sender="A", target="Z", project="p2")
+        market.setup_register_project("Z", "p2")
     assert err.value.code is ErrorCode.UNKNOWN_ORG
     # projects belong to enterprises, not authorities
     with pytest.raises(LedgerError) as err:
-        driver.apply(TxKind.REGISTER_PROJECT, sender="A", target="A", project="p2")
+        market.setup_register_project("A", "p2")
     assert err.value.code is ErrorCode.UNAUTHORIZED
     # single-owner projects: an id registers once, globally
     with pytest.raises(LedgerError) as err:
-        driver.apply(TxKind.REGISTER_PROJECT, sender="A", target="F", project="p1")
+        market.setup_register_project("F", "p1")
     assert err.value.code is ErrorCode.DUPLICATE_ID
     # and the happy path
-    driver.apply(TxKind.REGISTER_PROJECT, sender="A", target="F", project="p2")
-    assert market.has_project("F")
-
-
-def test_register_org_via_transaction(market):
-    driver = LedgerDriver(market)
-    from carbonmarket import TxKind
-    driver.apply(TxKind.REGISTER_ORG, target="G", role="verifier")
-    assert market.org("G").role.is_verifier
-    with pytest.raises(LedgerError) as err:
-        driver.apply(TxKind.REGISTER_ORG, target="G", role="enterprise")
-    assert err.value.code is ErrorCode.DUPLICATE_ID
+    market.setup_register_project("F", "p2")
+    assert market.org("F").projects == {"p2"}
 
 
 def test_compliance_check_fresh_org(market):

@@ -228,7 +228,7 @@ def make_exchange_driver(fraction="0.5", supply=1000, reserve=10000,
                          cash="1000000") -> LedgerDriver:
     driver = LedgerDriver(standard_market(cash=cash))
     driver.mint_permit("A", "E", supply)
-    driver.init_exchange("A", fraction, supply, reserve)
+    driver.init_exchange(fraction, supply, reserve)
     return driver
 
 
@@ -301,7 +301,7 @@ def test_cash_out_sells_tokens_at_the_margin():
     # spot price of 24 surrenders exactly 10 tokens
     driver = LedgerDriver(standard_market())
     driver.mint_permit("A", "E", 10000)
-    driver.init_exchange("A", "1", 10000, 240000)
+    driver.init_exchange("1", 10000, 240000)
     assert driver.ledger.market_price == fx(24)
     event = driver.convert_cash("E", -240)
     assert event.token_delta == fx(-10)

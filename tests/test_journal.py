@@ -22,18 +22,16 @@ def priced_driver(price=20, supply=100000):
     """Large flat-curve market so trades execute at the marked price."""
     driver = LedgerDriver(standard_market(cash="10000000"))
     driver.mint_permit("A", "F", supply)
-    driver.init_exchange("A", "1", supply, supply * price)
+    driver.init_exchange("1", supply, supply * price)
     return driver
 
 
 # -- issuance and transfer -------------------------------------------------------
 
 def test_mint_permit_entry_and_lot(driver):
-    driver.init_exchange("A", "1", 1000, 20000)
-    event = driver.mint_permit("A", "E", 100)
-    journal = Journal(opening_price=ZERO)
-    journal.on_event(driver.events[0])  # exchange init establishes price 20
-    entries = journal.on_event(event)
+    driver.init_exchange("1", 1000, 20000)       # the genesis price is 20
+    journal = Journal(opening_price=driver.ledger.market_price)
+    entries = journal.on_event(driver.mint_permit("A", "E", 100))
     assert entry_amounts(entries[0]) == [
         (Account.PERMIT_ALLOWANCES, Side.DR, fx(2000)),
         (Account.DEFERRED_INCOME, Side.CR, fx(2000)),
@@ -241,9 +239,9 @@ def test_empty_journal_trial_balance_all_zero():
 def test_lot_conservation_under_random_activity():
     rng = random.Random(5150)
     driver = LedgerDriver(standard_market(cash="10000000"))
-    journal = Journal(opening_price=ZERO)
+    driver.init_exchange("1", 100000, 2000000)
+    journal = Journal(opening_price=driver.ledger.market_price)
     journal.on_event(driver.mint_permit("A", "F", 100000))
-    journal.on_event(driver.init_exchange("A", "1", 100000, 2000000))
     ops = ("mint", "grant", "transfer", "trade", "convert", "burn", "emit", "price")
     for _ in range(300):
         op = rng.choice(ops)

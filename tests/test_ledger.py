@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from carbonmarket import (ErrorCode, LedgerError, TokenLedger, Transaction,
-                          TxKind)
+from carbonmarket import (ErrorCode, Fixed, LedgerError, TokenLedger,
+                          Transaction, TxKind)
 from carbonmarket.fixed import ZERO
 
 from conftest import LedgerDriver, fx, standard_market
@@ -126,6 +126,8 @@ def test_transfer_moves_balance_not_market(driver):
     assert driver.ledger.org("E").permit == fx(130)
     assert driver.ledger.org("F").permit == fx(10)
     assert driver.ledger.market_permit == before
+    driver.transfer_permit("E", "E", 10)        # a self-transfer moves nothing
+    assert driver.ledger.org("E").permit == fx(130)
 
 
 def test_transfer_insufficient_balance(driver):
@@ -212,7 +214,7 @@ def test_seq_must_be_dense(market):
 
 def test_failed_transaction_leaves_state_untouched(driver):
     driver.mint_permit("A", "E", 10)
-    driver.init_exchange("A", "0.5", 10, 200)
+    driver.init_exchange("0.5", 10, 200)
     snapshot = driver.ledger.state_json()
     failures = [
         dict(kind=TxKind.MINT_PERMIT, sender="E", target="F", amount=5),
@@ -226,7 +228,29 @@ def test_failed_transaction_leaves_state_untouched(driver):
         with pytest.raises(LedgerError):
             driver.apply(**kwargs)
         assert driver.ledger.state_json() == snapshot
-        assert driver.ledger.seq == 2
+        assert driver.ledger.seq == 1
+
+
+BIG = Fixed(2**62)
+
+
+@pytest.mark.parametrize("first, second", [
+    (lambda d: d.mint_permit("A", "E", BIG), lambda d: d.mint_permit("A", "F", BIG)),
+    (lambda d: d.mint_permit("A", "F", BIG), lambda d: d.grant_permit("V", "E", BIG)),
+    (lambda d: d.mint_emission("E", "V", BIG), lambda d: d.mint_emission("F", "V", BIG)),
+    (lambda d: d.mint_permit("A", "E", 10), lambda d: d.set_price("A", BIG)),
+], ids=["mintPermit", "grantPermit", "mintEmission", "setPrice"])
+def test_overflow_is_rejected_atomically(driver, first, second):
+    # the second transaction's own balance would fit the 64-bit range; the
+    # market total, or the reserve re-tuned to the new price, would not
+    driver.init_exchange("0.5", 1000, 10000)
+    first(driver)
+    snapshot = driver.ledger.state_json()
+    with pytest.raises(LedgerError) as err:
+        second(driver)
+    assert err.value.code is ErrorCode.INVALID_AMOUNT
+    assert driver.ledger.state_json() == snapshot
+    assert driver.ledger.seq == 1
 
 
 # -- conservation and replay determinism ----------------------------------------------
@@ -274,14 +298,14 @@ def test_random_walk_preserves_totals():
     for round_no in range(50):
         driver = LedgerDriver(standard_market())
         driver.mint_permit("A", "E", 500)
-        driver.init_exchange("A", "0.5", 500, 10000)
+        driver.init_exchange("0.5", 500, 10000)
         random_walk(driver, rng, 40)
         assert_conservation(driver.ledger)
 
 
 def test_market_totals_move_only_through_designated_ops(driver):
     ledger = driver.ledger
-    driver.init_exchange("A", "1", 1000, 20000)
+    driver.init_exchange("1", 1000, 20000)
 
     driver.mint_permit("A", "E", 40)            # permit total up
     assert ledger.market_permit == fx(40)
@@ -302,12 +326,12 @@ def test_market_totals_move_only_through_designated_ops(driver):
 
 
 def test_replay_is_bit_identical(driver):
+    driver.init_exchange("0.5", 500, 10000)
+    replayed = driver.ledger.copy()
     driver.mint_permit("A", "E", 500)
-    driver.init_exchange("A", "0.5", 500, 10000)
     random_walk(driver, random.Random(42), 60)
     digest = driver.ledger.state_digest()
 
-    replayed = standard_market()
     for event in driver.events:
         replayed.apply(event.tx)
     assert replayed.state_digest() == digest
@@ -318,11 +342,9 @@ def test_replay_is_bit_identical(driver):
 
 ROLE_GATED = {
     "setRole": {"authority"},
-    "registerProject": {"authority"},
     "mintPermit": {"authority"},
     "grantPermit": {"verifier"},
     "mintEmissionCosigner": {"verifier"},
-    "initExchange": {"authority"},
     "setReserveFraction": {"authority"},
     "adjustReserve": {"authority"},
     "setPrice": {"authority"},
@@ -332,23 +354,17 @@ CALLERS = {"authority": "A", "enterprise": "E", "verifier": "V"}
 
 
 def _invoke(op: str, caller: str):
-    ledger = standard_market()
-    driver = LedgerDriver(ledger)
+    driver = LedgerDriver(standard_market())
     driver.mint_permit("A", "F", 100)
-    driver.init_exchange("A", "0.5", 100, 2000)
+    driver.init_exchange("0.5", 100, 2000)
     if op == "setRole":
         driver.set_role(caller, "F", "verifier")
-    elif op == "registerProject":
-        driver.apply(TxKind.REGISTER_PROJECT, sender=caller, target="F", project="px")
     elif op == "mintPermit":
         driver.mint_permit(caller, "F", 10)
     elif op == "grantPermit":
         driver.grant_permit(caller, "E", 10)
     elif op == "mintEmissionCosigner":
         driver.mint_emission("F", caller, 10)
-    elif op == "initExchange":
-        ledger.exchange = None
-        driver.init_exchange(caller, "0.5", 100, 2000)
     elif op == "setReserveFraction":
         driver.set_reserve_fraction(caller, "0.25")
     elif op == "adjustReserve":
@@ -374,7 +390,7 @@ def test_ungated_operations_open_to_every_role():
         driver = LedgerDriver(standard_market())
         driver.ledger.setup_set_cash(caller, fx(100000))
         driver.mint_permit("A", caller, 100)
-        driver.init_exchange("A", "1", 100, 2000)
+        driver.init_exchange("1", 100, 2000)
         driver.transfer_permit(caller, "F", 10)
         driver.burn_token(caller, 10)
         driver.trade_token(caller, 5)
@@ -385,7 +401,7 @@ def test_ungated_operations_open_to_every_role():
 
 def test_set_reserve_fraction_rebases_and_reprices(driver):
     driver.mint_permit("A", "E", 1000)
-    driver.init_exchange("A", "0.5", 1000, 10000)
+    driver.init_exchange("0.5", 1000, 10000)
     assert driver.ledger.spot_price() == fx(20)
     driver.set_reserve_fraction("A", "0.25")
     assert driver.ledger.spot_price() == fx(40)
@@ -396,13 +412,13 @@ def test_set_reserve_fraction_rebases_and_reprices(driver):
 
 def test_set_reserve_fraction_identity(driver):
     driver.mint_permit("A", "E", 1000)
-    driver.init_exchange("A", "0.5", 1000, 10000)
+    driver.init_exchange("0.5", 1000, 10000)
     driver.set_reserve_fraction("A", "0.5")
     assert driver.ledger.spot_price() == fx(20)
 
 
 def test_set_reserve_fraction_bounds(driver):
-    driver.init_exchange("A", "0.5", 1000, 10000)
+    driver.init_exchange("0.5", 1000, 10000)
     for bad in ("0", "1.5", "-0.2"):
         with pytest.raises(LedgerError) as err:
             driver.set_reserve_fraction("A", bad)
@@ -411,23 +427,23 @@ def test_set_reserve_fraction_bounds(driver):
 
 def test_adjust_reserve_scales_price(driver):
     driver.mint_permit("A", "E", 1000)
-    driver.init_exchange("A", "0.5", 1000, 10000)
+    driver.init_exchange("0.5", 1000, 10000)
     driver.adjust_reserve("A", 10000)
     assert driver.ledger.spot_price() == fx(40)
 
 
 def test_adjust_reserve_zero_is_identity(driver):
     driver.mint_permit("A", "E", 1000)
-    driver.init_exchange("A", "0.5", 1000, 10000)
-    before = driver.ledger.state_dict()
+    driver.init_exchange("0.5", 1000, 10000)
+    before = json.loads(driver.ledger.state_json())
     driver.adjust_reserve("A", 0)
-    after = driver.ledger.state_dict()
+    after = json.loads(driver.ledger.state_json())
     before.pop("seq"), after.pop("seq")
     assert before == after
 
 
 def test_adjust_reserve_cannot_exhaust(driver):
-    driver.init_exchange("A", "0.5", 1000, 10000)
+    driver.init_exchange("0.5", 1000, 10000)
     with pytest.raises(LedgerError) as err:
         driver.adjust_reserve("A", -10000)
     assert err.value.code is ErrorCode.RESERVE_EXHAUSTED
@@ -437,15 +453,15 @@ def test_exchange_bootstrap_gates(driver):
     with pytest.raises(LedgerError) as err:
         driver.trade_token("E", 5)
     assert err.value.code is ErrorCode.EXCHANGE_INACTIVE
-    driver.init_exchange("A", "0.5", 1000, 10000)
+    driver.init_exchange("0.5", 1000, 10000)
     with pytest.raises(LedgerError) as err:
-        driver.init_exchange("A", "0.5", 1000, 10000)
+        driver.init_exchange("0.5", 1000, 10000)
     assert err.value.code is ErrorCode.EXCHANGE_ACTIVE
 
 
 def test_set_price_reanchors_exchange(driver):
     driver.mint_permit("A", "E", 140)
-    driver.init_exchange("A", "1", 1000, 20000)
+    driver.init_exchange("1", 1000, 20000)
     assert driver.ledger.market_price == fx(20)
     driver.set_price("A", 24)
     assert driver.ledger.market_price == fx(24)
@@ -458,7 +474,7 @@ def test_set_price_reanchors_exchange(driver):
 
 def test_trade_beyond_the_curve_is_rejected_atomically(driver):
     driver.mint_permit("A", "E", 1)
-    driver.init_exchange("A", "0.01", 1, 1)
+    driver.init_exchange("0.01", 1, 1)
     before = driver.ledger.state_json()
     with pytest.raises(LedgerError) as err:
         driver.trade_token("E", 1000000)
@@ -472,7 +488,7 @@ def test_trade_beyond_the_curve_is_rejected_atomically(driver):
     lambda state: state["orgs"][0].update(cash=2**64),             # beyond 64 bits
 ])
 def test_state_json_with_bad_org_is_a_schema_error(corrupt):
-    state = standard_market().state_dict()
+    state = json.loads(standard_market().state_json())
     corrupt(state)
     with pytest.raises(LedgerError) as err:
         TokenLedger.from_state_json(json.dumps(state))

@@ -1,10 +1,13 @@
 """Scenario parsing, validation, and runner semantics."""
 
+from collections import Counter
+
 import pytest
 import yaml
 
 import carbonmarket.scenario as scenario_module
-from carbonmarket import ErrorCode, LedgerError, parse_scenario, run_scenario
+from carbonmarket import ErrorCode, LedgerError, TxKind, parse_scenario, run_scenario
+from carbonmarket.scenario import ACTIONS
 from conftest import SCENARIO_DIR, fx
 
 MINIMAL = """
@@ -26,8 +29,9 @@ def code_of(text) -> ErrorCode:
 def test_golden_scenario_parses(golden_run):
     scenario = golden_run.scenario
     assert scenario.name == "app-rec-2020"
-    assert scenario.timestamps == ("2020-01-01", "2020-06-30", "2020-12-31")
-    counts = scenario.action_counts()
+    assert sorted({step.time for step in scenario.steps}) == [
+        "2020-01-01", "2020-06-30", "2020-12-31"]
+    counts = Counter(step.action for step in scenario.steps)
     assert sum(v for k, v in counts.items() if k != "expect") == 10
     assert counts["setPrice"] == 2
     assert counts["mintEmission"] == 2
@@ -52,7 +56,26 @@ def test_unknown_action_is_a_schema_error():
     text = MINIMAL.replace("steps: []", """steps:
   - {time: "t1", action: mintAllowance, signer: A, target: E, amount: 5}
 """)
+    with pytest.raises(LedgerError) as err:
+        parse_scenario(text)
+    assert err.value.code is ErrorCode.SCHEMA_ERROR
+    assert err.value.message == (
+        "steps[0]: unknown action 'mintAllowance'; expected one of ('setRole', "
+        "'mintPermit', 'grantPermit', 'mintEmission', 'transferPermit', "
+        "'burnToken', 'tradeToken', 'convertCash', 'setReserveFraction', "
+        "'adjustReserve', 'setPrice', 'expect')")
+
+
+@pytest.mark.parametrize("action", ["[1, 2]", "{x: 1}", "null"])
+def test_unhashable_or_missing_action_is_a_schema_error(action):
+    text = MINIMAL.replace("steps: []", f"""steps:
+  - {{time: "t1", action: {action}, signer: A, target: E, amount: 5}}
+""")
     assert code_of(text) is ErrorCode.SCHEMA_ERROR
+
+
+def test_every_action_is_a_transaction_kind():
+    assert set(ACTIONS) == {kind.value for kind in TxKind}
 
 
 def test_yaml_syntax_error_reports_position():
