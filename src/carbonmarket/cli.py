@@ -111,8 +111,7 @@ def _cmd_replay(args) -> int:
 
 def _cmd_journal(args) -> int:
     log = ChainLog.from_text(_read(args.chainlog))
-    genesis = TokenLedger.from_state_json(log.genesis_json)
-    journal = Journal(opening_price=genesis.market_price)
+    journal = Journal()
     replay_chain(log, on_event=journal.on_event)
     sys.stdout.write(journal.export_csv())
     return EXIT_OK

@@ -1,7 +1,7 @@
 """Core identifiers, roles, and the organisation registry.
 
 Three effective roles exist: authorities, plain enterprises, and enterprises
-carrying verifier status.  Verifier is a status flag on an enterprise, not a
+holding verifier status.  Verifier is a status flag on an enterprise, not a
 third role kind, so an authority can never be a verifier.
 """
 

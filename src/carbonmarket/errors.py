@@ -1,6 +1,6 @@
 """Error codes shared by every module.
 
-Each rejected operation raises :class:`LedgerError` carrying one code from
+Each rejected operation raises :class:`LedgerError` with one code from
 :class:`ErrorCode`; reports print the code verbatim so scenario authors can
 match on it (e.g. ``expect_fail: InsufficientBalance``).
 """

@@ -2,32 +2,35 @@
 
 The journal is a pure fold: feed it every applied event in order and it
 produces balanced entries under a fair-value policy.  Holdings are tracked
-as FIFO lots per organisation; each lot remembers its carrying price (fair
-value at the last revaluation) and, for permits received free of charge, the
-issuance price at which deferred income was recognised.  Purchased lots
-carry no deferred income.
+as FIFO lots per organisation; each lot holds a quantity and, for permits
+received free of charge, the issuance price at which deferred income was
+recognised.  Purchased and transferred-in lots carry no deferred income.
 
 Policy summary:
 
 * Free issuance (allowances or credits) recognises the asset against
   deferred income at the prevailing market price.
 * Transfers release the sender's deferred income at issuance price into an
-  "Emission rights" liability; the receiver picks the lots up at the
-  sender's carrying price, without deferred income.
+  "Emission rights" liability; the receiver picks the lots up without
+  deferred income.
 * Recording emissions releases deferred income at the FIFO issuance price
   and accrues an "Expenses / Permit surrenderable" pair at the prevailing
   price for the tonnes emitted.
 * Exchange trades book the realized cash leg against the permit asset;
   sales additionally release deferred income for the lots sold.
-* Price checkpoints re-mark every holder's lots *and* every holder's
-  outstanding surrender liability to the new price (gain/loss on
-  revaluation), so the liability always values outstanding tonnes at the
-  current price and the final surrender extinguishes it exactly.
+* Price checkpoints revalue every holder's permits by holdings x (new - old)
+  *and* re-mark every holder's outstanding surrender liability to the new
+  price (gain/loss on revaluation), so the liability always values
+  outstanding tonnes at the current price and the final surrender
+  extinguishes it exactly.
 * Burning releases the surrender liability for the tonnes retired (capped
-  at its balance); permits surrendered beyond outstanding emissions are a
-  voluntary expense.
+  at its balance); permits surrendered beyond outstanding emissions are
+  expensed outright.
 
 Every entry balances exactly in fixed point; zero-amount lines are dropped.
+An event whose booking overflows the 64-bit amount range is refused with
+`InvalidAmount` and records no entry; the lots may then no longer mirror the
+ledger, so the fold stops there (as `run_scenario` and `journal` do).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from .errors import ErrorCode, reject
 from .fixed import ZERO, Money, Quantity
 from .ledger import AppliedEvent, TxKind
 
@@ -112,12 +116,11 @@ class JournalEntry:
 
 @dataclass
 class Lot:
-    """A FIFO holding slice: quantity at a carrying price, with the
-    issuance price attached while deferred income remains to release
-    (None for purchased lots)."""
+    """A FIFO holding slice: a quantity, with the issuance price attached
+    while deferred income remains to release (None for purchased and
+    transferred-in lots)."""
 
     qty: Quantity
-    carrying: Money
     issue: Optional[Money]
 
 
@@ -160,8 +163,7 @@ class _EntryBuilder:
 class Journal:
     """Fold applied events into balanced journal entries."""
 
-    def __init__(self, opening_price: Money = ZERO):
-        self.price = opening_price
+    def __init__(self):
         self.books: dict[str, OrgBooks] = {}
         self.entries: list[JournalEntry] = []
 
@@ -172,17 +174,18 @@ class Journal:
             self.books[org] = books
         return books
 
-    def holdings(self, org: str) -> Quantity:
-        books = self.books.get(org)
-        return books.holdings() if books else ZERO
-
     # -- event dispatch ----------------------------------------------------
 
     def on_event(self, event: AppliedEvent) -> list[JournalEntry]:
         handler = _JOURNAL_HANDLERS.get(event.tx.kind)
         produced: list[JournalEntry] = []
         if handler is not None:
-            produced = handler(self, event)
+            try:
+                produced = handler(self, event)
+            except OverflowError as exc:
+                tx = event.tx
+                raise reject(ErrorCode.INVALID_AMOUNT,
+                             f"cannot book seq {tx.seq} ({tx.kind.value}): {exc}") from exc
         self.entries.extend(produced)
         return produced
 
@@ -192,7 +195,7 @@ class Journal:
         qty = event.tx.amount
         price = event.price_after
         books = self.books_for(event.tx.target)
-        books.lots.append(Lot(qty=qty, carrying=price, issue=price))
+        books.lots.append(Lot(qty=qty, issue=price))
         entry = _EntryBuilder(event.tx.seq, event.tx.target)
         value = qty.mul(price)
         entry.dr(account, value)
@@ -254,7 +257,7 @@ class Journal:
         for lot in consumed:
             if lot.issue is not None:
                 released += lot.qty.mul(lot.issue)
-            receiver_books.lots.append(Lot(qty=lot.qty, carrying=lot.carrying, issue=None))
+            receiver_books.lots.append(Lot(qty=lot.qty, issue=None))
         entry = _EntryBuilder(event.tx.seq, event.tx.sender)
         entry.dr(Account.DEFERRED_INCOME, released)
         entry.cr(Account.EMISSION_RIGHTS, released)
@@ -272,7 +275,7 @@ class Journal:
         if tokens.is_positive:
             entry.dr(Account.EMISSION_PERMIT, cash)
             entry.cr(Account.CASH, cash)
-            books.lots.append(Lot(qty=tokens, carrying=cash.div(tokens), issue=None))
+            books.lots.append(Lot(qty=tokens, issue=None))
         else:
             sold = -tokens
             consumed = self._consume(books, sold, org)
@@ -313,7 +316,6 @@ class Journal:
 
     def _on_price_change(self, event: AppliedEvent) -> list[JournalEntry]:
         old, new = event.price_before, event.price_after
-        self.price = new
         if new == old:
             return []
         produced: list[JournalEntry] = []
@@ -327,8 +329,6 @@ class Journal:
             elif asset_delta < ZERO:
                 entry.dr(Account.LOSS_ON_REVALUATION, -asset_delta)
                 entry.cr(Account.EMISSION_PERMIT, -asset_delta)
-            for lot in books.lots:
-                lot.carrying = new
             remeasured = books.liability_qty.mul(new)
             liability_delta = remeasured - books.liability_balance
             if liability_delta > ZERO:
@@ -355,7 +355,7 @@ class Journal:
                 raise ValueError(f"lot underflow for {org!r}: {remaining} tokens unaccounted")
             head = books.lots[0]
             take = min(head.qty, remaining)
-            consumed.append(Lot(qty=take, carrying=head.carrying, issue=head.issue))
+            consumed.append(Lot(qty=take, issue=head.issue))
             head.qty -= take
             remaining -= take
             if head.qty.is_zero:

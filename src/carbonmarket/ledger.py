@@ -3,15 +3,13 @@
 A single writer applies :class:`Transaction` values in dense sequence order.
 Every handler validates all preconditions before touching state, so a
 rejected transaction leaves the ledger bit-identical and produces no event.
-Successful application returns an :class:`AppliedEvent` carrying the realized
+Successful application returns an :class:`AppliedEvent` holding the realized
 effects (trade legs, burn split, price movement) that downstream consumers
 (chain log, accounting journal) fold over.
 
-Authentication is a pluggable hook (`signature_verifier`): the default is
-identity assertion (simulation mode), honouring a transaction's sender and
-cosigner fields as already-authenticated identities. A custom verifier can
-reject transactions before any other gate runs; the hook is per-instance
-runtime configuration, not part of the serialized state.
+Identities run in simulation mode: a transaction's sender and cosigner
+fields are honoured as already-authenticated identities, and the ledger
+enforces only *who* must sign each operation.
 
 Authorization gates, in the order they are checked for every operation:
 unknown organisations first, then amount validity, then role authority, then
@@ -113,29 +111,18 @@ class AppliedEvent:
     token_delta: Quantity = ZERO   # exchange trades: signed token leg
     cash_delta: Money = ZERO       # exchange trades: signed cash leg
     retired: Quantity = ZERO       # burns: emission tonnes actually retired
-    voluntary: Quantity = ZERO     # burns: permits surrendered beyond that
-
-
-# Authentication hook: returns True to accept the claimed identities.
-SignatureVerifier = Callable[[Transaction], bool]
-
-
-def assert_identities(tx: Transaction) -> bool:
-    """Default simulation-mode verifier: claimed identities are trusted."""
-    return True
 
 
 class TokenLedger:
     """Registry, balances, market totals, and the exchange, as one state."""
 
-    def __init__(self, signature_verifier: SignatureVerifier = assert_identities):
+    def __init__(self):
         self.registry = {}
         self.market_permit: Quantity = ZERO
         self.market_emission: Quantity = ZERO
         self.market_price: Money = ZERO
         self.exchange: Optional[ExchangeState] = None
         self.seq = 0
-        self.signature_verifier = signature_verifier
 
     @property
     def registry(self) -> dict[str, OrgRecord]:
@@ -176,7 +163,7 @@ class TokenLedger:
         return spot_price(self.exchange, self.market_permit)
 
     def copy(self) -> "TokenLedger":
-        dup = TokenLedger(signature_verifier=self.signature_verifier)
+        dup = TokenLedger()
         dup._registry = {k: v.copy() for k, v in self.registry.items()}
         dup._fragments = list(self._fragments)
         dup._slots = dict(self._slots)
@@ -330,9 +317,6 @@ class TokenLedger:
         if tx.seq != self.seq + 1:
             raise reject(ErrorCode.SEQ_GAP,
                          f"expected seq {self.seq + 1}, got {tx.seq}")
-        if not self.signature_verifier(tx):
-            raise reject(ErrorCode.UNAUTHORIZED,
-                         f"signature verification rejected seq {tx.seq}")
         handler = _HANDLERS.get(tx.kind)
         if handler is None:
             raise reject(ErrorCode.SCHEMA_ERROR, f"unknown transaction kind {tx.kind!r}")
@@ -460,12 +444,11 @@ class TokenLedger:
             raise reject(ErrorCode.INSUFFICIENT_BALANCE,
                          f"{tx.sender!r} holds {sender.permit} permits, cannot burn {amount}")
         retired = min(amount, sender.emission)
-        voluntary = amount - retired
         sender.emission -= retired
         sender.permit -= amount
         self.market_permit -= amount
         self.market_emission -= retired
-        return self._event(tx, retired=retired, voluntary=voluntary)
+        return self._event(tx, retired=retired)
 
     def _trade(self, tx: Transaction, quote: Quote) -> AppliedEvent:
         sender = self.registry[tx.sender]

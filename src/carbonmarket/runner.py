@@ -4,8 +4,9 @@ The runner is the single writer: it turns each scenario step into a
 transaction, applies it to the ledger, appends the applied transaction to
 the chain log, and feeds the event to the journal.  Inline expectations are
 evaluated against the live state.  The run stops at the first failure
-(unexpected rejection, failed expectation, or a step that was marked
-expect_fail but succeeded); everything before the failure remains valid.
+(unexpected rejection, failed expectation, a step that was marked
+expect_fail but succeeded, or an applied transaction the journal cannot
+book); everything before the failure remains valid.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     genesis = build_genesis(scenario)
     chainlog = ChainLog.for_ledger(genesis)
     ledger = genesis.copy()     # copied once genesis is encoded: a warm cache
-    journal = Journal(opening_price=genesis.market_price)
+    journal = Journal()
     result = RunResult(scenario=scenario, genesis=genesis, final=ledger,
                        chainlog=chainlog, journal=journal)
 
@@ -147,7 +148,11 @@ def run_scenario(scenario: Scenario) -> RunResult:
                  f"{step.expect_fail or 'any error'} but was applied", seq=seq)
             break
         chainlog.append(tx, ledger.state_digest())
-        journal.on_event(event)
+        try:
+            journal.on_event(event)
+        except LedgerError as exc:
+            fail(step, exc.code, exc.message, seq=seq)
+            break
         result.steps.append(StepResult(index=step.index, time=step.time,
                                        action=step.action, status="applied", seq=seq))
 

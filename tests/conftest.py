@@ -8,6 +8,21 @@ from carbonmarket import (AUTHORITY, ENTERPRISE, VERIFIER, Fixed, TokenLedger,
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_SCENARIO = SCENARIO_DIR / "app-rec-2020.yaml"
 
+# The ledger accepts 1e12 tokens, but booking them at price 20 overflows the
+# journal's 64-bit amount range; the third step never runs.
+JOURNAL_OVERFLOW = """
+name: journal-overflow
+genesis:
+  orgs:
+    - {id: A, role: authority}
+    - {id: E, role: enterprise}
+  exchange: {fraction: 1, supply: 1000, reserve: 20000}
+steps:
+  - {time: "t1", action: mintPermit, signer: A, target: E, amount: 10}
+  - {time: "t2", action: mintPermit, signer: A, target: E, amount: 1000000000000}
+  - {time: "t3", action: mintPermit, signer: A, target: E, amount: 5}
+"""
+
 
 def fx(value) -> Fixed:
     return Fixed.parse(value)

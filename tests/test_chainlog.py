@@ -150,7 +150,7 @@ def test_corpus_scenarios_replay_deterministically(name):
     assert result.ok, result.failure
     # a fresh parse of the serialized log must reproduce state and journal
     log = ChainLog.from_text(result.chainlog.to_text())
-    journal = Journal(opening_price=result.genesis.market_price)
+    journal = Journal()
     ledger = replay(log, on_event=journal.on_event)
     assert ledger.state_digest() == result.final.state_digest()
     assert journal.export_csv() == result.journal.export_csv()

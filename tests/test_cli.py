@@ -4,7 +4,7 @@ import pytest
 
 from carbonmarket.cli import main
 
-from conftest import GOLDEN_SCENARIO, SCENARIO_DIR
+from conftest import GOLDEN_SCENARIO, JOURNAL_OVERFLOW, SCENARIO_DIR
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -77,6 +77,22 @@ steps:
     code, _, err = run_cli(capsys, "run", str(bad))
     assert code == 1
     assert "AssertionFailed" in err
+
+
+def test_journal_overflow_is_a_typed_failure(tmp_path, capsys):
+    scenario = tmp_path / "overflow.yaml"
+    scenario.write_text(JOURNAL_OVERFLOW, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", str(scenario), "--out", str(out_dir))
+    assert code == 1
+    assert "run failed at step 1 (mintPermit): InvalidAmount:" in err
+    chainlog = str(out_dir / "chainlog.log")
+    code, out, _ = run_cli(capsys, "verify", chainlog)
+    assert code == 0 and out == "chain valid\n"
+    code, out, err = run_cli(capsys, "journal", chainlog)
+    assert code == 2
+    assert out == ""
+    assert "InvalidAmount" in err
 
 
 def test_schema_error_returns_two(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 import random
 
-from carbonmarket import Account, Journal, Side
+import pytest
+
+from carbonmarket import Account, ErrorCode, Journal, LedgerError, Side
 from carbonmarket.chainlog import replay
 from carbonmarket.fixed import ZERO
 
@@ -18,6 +20,11 @@ def find_rows(journal, account, side):
             if line.account is account and line.side is side]
 
 
+def holdings(journal, org):
+    books = journal.books.get(org)
+    return books.holdings() if books else ZERO
+
+
 def priced_driver(price=20, supply=100000):
     """Large flat-curve market so trades execute at the marked price."""
     driver = LedgerDriver(standard_market(cash="10000000"))
@@ -30,13 +37,13 @@ def priced_driver(price=20, supply=100000):
 
 def test_mint_permit_entry_and_lot(driver):
     driver.init_exchange("1", 1000, 20000)       # the genesis price is 20
-    journal = Journal(opening_price=driver.ledger.market_price)
+    journal = Journal()
     entries = journal.on_event(driver.mint_permit("A", "E", 100))
     assert entry_amounts(entries[0]) == [
         (Account.PERMIT_ALLOWANCES, Side.DR, fx(2000)),
         (Account.DEFERRED_INCOME, Side.CR, fx(2000)),
     ]
-    assert journal.holdings("E") == fx(100)
+    assert holdings(journal, "E") == fx(100)
 
 
 def test_grant_permit_uses_credit_account(golden_run):
@@ -51,24 +58,23 @@ def test_transfer_releases_deferred_income_at_issue_price(golden_run):
 
 def test_transfer_of_entire_holding_empties_lots():
     driver = priced_driver()
-    journal = Journal(opening_price=driver.ledger.market_price)
+    journal = Journal()
     event = driver.mint_permit("A", "E", 30)
     journal.on_event(event)
     event = driver.transfer_permit("E", "F", 30)
     journal.on_event(event)
-    assert journal.holdings("E") == ZERO
+    assert holdings(journal, "E") == ZERO
     assert journal.books["E"].lots == []
 
 
-def test_receiver_lot_carries_senders_carrying_price():
+def test_receiver_lot_carries_no_deferred_income():
     driver = priced_driver(price=20)
-    journal = Journal(opening_price=driver.ledger.market_price)
+    journal = Journal()
     journal.on_event(driver.mint_permit("A", "E", 30))
-    journal.on_event(driver.set_price("A", 24))          # E's lot re-marked to 24
+    journal.on_event(driver.set_price("A", 24))
     journal.on_event(driver.transfer_permit("E", "F", 12))
     lot = journal.books["F"].lots[0]
     assert lot.qty == fx(12)
-    assert lot.carrying == fx(24)
     assert lot.issue is None  # deferred income does not travel with the lot
 
 
@@ -76,7 +82,7 @@ def test_two_small_transfers_equal_one_big_one():
     # oracle: FIFO lot simulation is additive in quantity
     def released_total(amounts):
         driver = priced_driver()
-        journal = Journal(opening_price=driver.ledger.market_price)
+        journal = Journal()
         journal.on_event(driver.mint_permit("A", "E", 10))
         journal.on_event(driver.grant_permit("V", "E", 10))
         for amount in amounts:
@@ -111,7 +117,7 @@ def test_mint_emission_policy_values(golden_run):
 
 def test_emission_without_lots_accrues_only():
     driver = priced_driver()
-    journal = Journal(opening_price=driver.ledger.market_price)
+    journal = Journal()
     entries = journal.on_event(driver.mint_emission("E", "V", 10))
     assert len(entries) == 1
     assert entry_amounts(entries[0]) == [
@@ -137,18 +143,34 @@ def test_revaluation_gain_per_holder(golden_run):
 
 def test_no_entry_when_price_unchanged():
     driver = priced_driver(price=20)
-    journal = Journal(opening_price=driver.ledger.market_price)
+    journal = Journal()
     journal.on_event(driver.mint_permit("A", "E", 10))
     entries = journal.on_event(driver.set_price("A", 20))
     assert entries == []
 
 
-def test_lots_remarked_to_new_price():
-    driver = priced_driver(price=20)
-    journal = Journal(opening_price=driver.ledger.market_price)
-    journal.on_event(driver.mint_permit("A", "E", 10))
-    journal.on_event(driver.set_price("A", 24))
-    assert all(lot.carrying == fx(24) for lot in journal.books["E"].lots)
+@pytest.mark.parametrize("new_price", [25, 16])
+def test_purchased_lot_revalued_by_holdings_times_price_move(new_price):
+    # a convex curve (fraction 0.5) fills the buy above the marked price of
+    # 20, yet revaluation moves only by holdings x (new - old)
+    driver = LedgerDriver(standard_market(cash="10000000"))
+    journal = Journal()
+    journal.on_event(driver.mint_permit("A", "F", 1000))
+    driver.init_exchange("0.5", 1000, 10000)
+    old = driver.ledger.market_price
+    assert old == fx(20)
+    buy = driver.trade_token("E", 100)
+    journal.on_event(buy)
+    assert buy.cash_delta != fx(100).mul(old)
+    entries = journal.on_event(driver.set_price("A", new_price))
+    row = next(entry for entry in entries if entry.org == "E")
+    delta = fx(100).mul(fx(new_price) - old)
+    if delta > ZERO:
+        assert entry_amounts(row) == [(Account.EMISSION_PERMIT, Side.DR, delta),
+                                      (Account.GAIN_ON_REVALUATION, Side.CR, delta)]
+    else:
+        assert entry_amounts(row) == [(Account.LOSS_ON_REVALUATION, Side.DR, -delta),
+                                      (Account.EMISSION_PERMIT, Side.CR, -delta)]
 
 
 # -- trades -----------------------------------------------------------------------
@@ -173,11 +195,10 @@ def test_sell_entry_with_deferred_release(golden_run):
 
 def test_purchased_lots_carry_no_deferred_income():
     driver = priced_driver(price=20)
-    journal = Journal(opening_price=driver.ledger.market_price)
+    journal = Journal()
     journal.on_event(driver.trade_token("E", 50))
     lot = journal.books["E"].lots[0]
     assert lot.issue is None
-    assert lot.carrying == fx(20)
     # selling them back releases no deferred income
     entries = journal.on_event(driver.trade_token("E", -50))
     accounts = {line.account for line in entries[0].lines}
@@ -196,7 +217,7 @@ def test_burn_extinguishes_liability(golden_run):
 
 def test_pure_voluntary_surrender_is_an_expense():
     driver = priced_driver(price=20)
-    journal = Journal(opening_price=driver.ledger.market_price)
+    journal = Journal()
     journal.on_event(driver.mint_permit("A", "E", 10))
     entries = journal.on_event(driver.burn_token("E", 10))
     assert entry_amounts(entries[0]) == [
@@ -207,13 +228,27 @@ def test_pure_voluntary_surrender_is_an_expense():
 
 def test_partial_burn_keeps_liability_marked():
     driver = priced_driver(price=20)
-    journal = Journal(opening_price=driver.ledger.market_price)
+    journal = Journal()
     journal.on_event(driver.mint_permit("A", "E", 100))
     journal.on_event(driver.mint_emission("E", "V", 60))
     journal.on_event(driver.burn_token("E", 25))
     books = journal.books["E"]
     assert books.liability_qty == fx(35)
     assert books.liability_balance == fx(700)  # 35 tonnes at 20
+
+
+# -- numeric edges -------------------------------------------------------------------
+
+def test_booking_overflow_is_an_invalid_amount():
+    # the ledger holds 1e12 tokens, but 1e12 x 20 is beyond the 64-bit range
+    driver = priced_driver(price=20)
+    journal = Journal()
+    journal.on_event(driver.mint_permit("A", "E", 10))
+    before = list(journal.entries)
+    with pytest.raises(LedgerError) as err:
+        journal.on_event(driver.mint_permit("A", "E", 1000000000000))
+    assert err.value.code is ErrorCode.INVALID_AMOUNT
+    assert journal.entries == before
 
 
 # -- global invariants ------------------------------------------------------------------
@@ -240,7 +275,7 @@ def test_lot_conservation_under_random_activity():
     rng = random.Random(5150)
     driver = LedgerDriver(standard_market(cash="10000000"))
     driver.init_exchange("1", 100000, 2000000)
-    journal = Journal(opening_price=driver.ledger.market_price)
+    journal = Journal()
     journal.on_event(driver.mint_permit("A", "F", 100000))
     ops = ("mint", "grant", "transfer", "trade", "convert", "burn", "emit", "price")
     for _ in range(300):
@@ -269,13 +304,13 @@ def test_lot_conservation_under_random_activity():
             continue
         # lot quantities mirror the ledger's permit balances after every event
         for org_id, record in driver.ledger.registry.items():
-            assert journal.holdings(org_id) == record.permit, org_id
+            assert holdings(journal, org_id) == record.permit, org_id
         for entry in journal.entries:
             assert entry.total(Side.DR) == entry.total(Side.CR)
 
 
 def test_journal_from_replay_matches_live(golden_run):
-    regenerated = Journal(opening_price=golden_run.genesis.market_price)
+    regenerated = Journal()
     replay(golden_run.chainlog, on_event=regenerated.on_event)
     assert regenerated.export_csv() == golden_run.journal.export_csv()
     assert regenerated.trial_balance() == golden_run.journal.trial_balance()

@@ -8,7 +8,7 @@ import yaml
 import carbonmarket.scenario as scenario_module
 from carbonmarket import ErrorCode, LedgerError, TxKind, parse_scenario, run_scenario
 from carbonmarket.scenario import ACTIONS
-from conftest import SCENARIO_DIR, fx
+from conftest import JOURNAL_OVERFLOW, SCENARIO_DIR, fx
 
 MINIMAL = """
 name: minimal
@@ -175,6 +175,18 @@ def test_failed_assertion_stops_the_run():
     assert result.failure.error == ErrorCode.ASSERTION_FAILED.value
     # the trailing step never ran
     assert len(result.steps) == 2
+
+
+def test_journal_overflow_fails_the_step():
+    result = run_scenario(parse_scenario(JOURNAL_OVERFLOW))
+    assert not result.ok
+    assert [step.status for step in result.steps] == ["applied", "failed"]
+    assert result.failure.error == ErrorCode.INVALID_AMOUNT.value
+    assert result.failure.seq == 2
+    # the ledger applied the step and the log holds it; only the booking failed
+    assert len(result.chainlog.entries) == 2
+    assert result.final.org("E").permit == fx(1000000000010)
+    assert len(result.journal.entries) == 1
 
 
 def test_price_and_market_expectations():
