@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import reports
-from .chainlog import ChainLog, replay as replay_chain, verify_text
+from .chainlog import ChainLog, VerifyResult, replay as replay_chain, verify_text
 from .errors import ErrorCode, LedgerError
 from .exchange import quote_buy_tokens, quote_spend_cash, validate_fraction
 from .fixed import Fixed
@@ -38,11 +38,15 @@ _INPUT_CODES = {
 }
 
 
-def _read(path: str) -> str:
+def _read(path: str, undecodable: ErrorCode = ErrorCode.SYNTAX_ERROR) -> str:
+    """The file's UTF-8 text; other bytes raise `undecodable` (a chain log is
+    written as UTF-8, so for a log they are a change to it)."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise LedgerError(ErrorCode.SYNTAX_ERROR, f"cannot read {path!r}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise LedgerError(undecodable, f"{path!r} is not UTF-8 text: {exc}")
 
 
 def _amount(text: str) -> Fixed:
@@ -63,24 +67,11 @@ def _cmd_run(args) -> int:
     out.write(reports.compliance_csv(result.final))
     out.write(f"\nstate-digest {result.final.state_digest().hex()}\n")
     if args.out:
-        directory = Path(args.out)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / "genesis.json").write_text(result.genesis.state_json() + "\n",
-                                                encoding="utf-8")
-        (directory / "chainlog.log").write_text(result.chainlog.to_text(),
-                                                encoding="utf-8")
-        (directory / "journal.csv").write_text(result.journal.export_csv(),
-                                               encoding="utf-8")
-        (directory / "trial_balance.csv").write_text(
-            reports.trial_balance_csv(result.journal), encoding="utf-8")
-        (directory / "balances.csv").write_text(reports.balances_csv(result.final),
-                                                encoding="utf-8")
-        (directory / "compliance.csv").write_text(reports.compliance_csv(result.final),
-                                                  encoding="utf-8")
-        (directory / "market.csv").write_text(reports.market_csv(result.final),
-                                              encoding="utf-8")
-        (directory / "run.csv").write_text(reports.run_report_csv(result),
-                                           encoding="utf-8")
+        try:
+            _write_reports(Path(args.out), result)
+        except OSError as exc:
+            raise LedgerError(ErrorCode.SYNTAX_ERROR,
+                              f"cannot write {args.out!r}: {exc}") from exc
     if not result.ok:
         failure = result.failure
         print(f"run failed at step {failure.index} ({failure.action}): "
@@ -89,8 +80,30 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _write_reports(directory: Path, result):
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "genesis.json").write_text(result.genesis.state_json() + "\n",
+                                            encoding="utf-8")
+    (directory / "chainlog.log").write_text(result.chainlog.to_text(), encoding="utf-8")
+    (directory / "journal.csv").write_text(result.journal.export_csv(), encoding="utf-8")
+    (directory / "trial_balance.csv").write_text(
+        reports.trial_balance_csv(result.journal), encoding="utf-8")
+    (directory / "balances.csv").write_text(reports.balances_csv(result.final),
+                                            encoding="utf-8")
+    (directory / "compliance.csv").write_text(reports.compliance_csv(result.final),
+                                              encoding="utf-8")
+    (directory / "market.csv").write_text(reports.market_csv(result.final),
+                                          encoding="utf-8")
+    (directory / "run.csv").write_text(reports.run_report_csv(result), encoding="utf-8")
+
+
 def _cmd_verify(args) -> int:
-    check = verify_text(_read(args.chainlog))
+    try:
+        check = verify_text(_read(args.chainlog, ErrorCode.CHAIN_INVALID))
+    except LedgerError as exc:
+        if exc.code is not ErrorCode.CHAIN_INVALID:
+            raise
+        check = VerifyResult(valid=False, detail=exc.message)
     if check.valid:
         print("chain valid")
         return EXIT_OK
@@ -100,7 +113,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    log = ChainLog.from_text(_read(args.chainlog))
+    log = ChainLog.from_text(_read(args.chainlog, ErrorCode.CHAIN_INVALID))
     genesis = TokenLedger.from_state_json(_read(args.genesis))
     ledger = replay_chain(log, genesis)
     print(f"replay ok: {len(log.entries)} transactions, "
@@ -110,7 +123,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_journal(args) -> int:
-    log = ChainLog.from_text(_read(args.chainlog))
+    log = ChainLog.from_text(_read(args.chainlog, ErrorCode.CHAIN_INVALID))
     journal = Journal()
     replay_chain(log, on_event=journal.on_event)
     sys.stdout.write(journal.export_csv())

@@ -11,8 +11,8 @@ Policy summary:
 * Free issuance (allowances or credits) recognises the asset against
   deferred income at the prevailing market price.
 * Transfers release the sender's deferred income at issuance price into an
-  "Emission rights" liability; the receiver picks the lots up without
-  deferred income.
+  "Emission rights" liability; the receiver gains one lot of the transferred
+  quantity with no issue price.
 * Recording emissions releases deferred income at the FIFO issuance price
   and accrues an "Expenses / Permit surrenderable" pair at the prevailing
   price for the tonnes emitted.
@@ -27,10 +27,12 @@ Policy summary:
   at its balance); permits surrendered beyond outstanding emissions are
   expensed outright.
 
-Every entry balances exactly in fixed point; zero-amount lines are dropped.
-An event whose booking overflows the 64-bit amount range is refused with
-`InvalidAmount` and records no entry; the lots may then no longer mirror the
-ledger, so the fold stops there (as `run_scenario` and `journal` do).
+Every handler books through `Journal._post`, which drops zero-amount lines
+and checks that the entry balances exactly in fixed point.  An event whose
+booking overflows the 64-bit amount range is refused with `InvalidAmount`
+and records no entry, even if it posted one before overflowing; the lots may
+then no longer mirror the ledger, so the fold stops there (as `run_scenario`
+and `journal` do).
 """
 
 from __future__ import annotations
@@ -137,27 +139,12 @@ class OrgBooks:
         return total
 
 
-class _EntryBuilder:
-    def __init__(self, event_ref: int, org: str):
-        self.event_ref = event_ref
-        self.org = org
-        self.lines: list[JournalLine] = []
+def _dr(account: Account, amount: Money) -> JournalLine:
+    return JournalLine(account, Side.DR, amount)
 
-    def dr(self, account: Account, amount: Money):
-        if amount > ZERO:
-            self.lines.append(JournalLine(account, Side.DR, amount))
 
-    def cr(self, account: Account, amount: Money):
-        if amount > ZERO:
-            self.lines.append(JournalLine(account, Side.CR, amount))
-
-    def build(self) -> Optional[JournalEntry]:
-        if not self.lines:
-            return None
-        entry = JournalEntry(self.event_ref, self.org, tuple(self.lines))
-        if entry.total(Side.DR) != entry.total(Side.CR):
-            raise ValueError(f"unbalanced journal entry for event {self.event_ref}")
-        return entry
+def _cr(account: Account, amount: Money) -> JournalLine:
+    return JournalLine(account, Side.CR, amount)
 
 
 class Journal:
@@ -177,122 +164,77 @@ class Journal:
     # -- event dispatch ----------------------------------------------------
 
     def on_event(self, event: AppliedEvent) -> list[JournalEntry]:
+        """Book one event; returns the entries it added."""
+        start = len(self.entries)
         handler = _JOURNAL_HANDLERS.get(event.tx.kind)
-        produced: list[JournalEntry] = []
         if handler is not None:
             try:
-                produced = handler(self, event)
+                handler(self, event)
             except OverflowError as exc:
+                del self.entries[start:]
                 tx = event.tx
                 raise reject(ErrorCode.INVALID_AMOUNT,
                              f"cannot book seq {tx.seq} ({tx.kind.value}): {exc}") from exc
-        self.entries.extend(produced)
-        return produced
+        return self.entries[start:]
 
-    # -- issuance -----------------------------------------------------------
+    def _post(self, event: AppliedEvent, org: str, *lines: JournalLine):
+        """Append one entry of the non-zero `lines`, if there are any."""
+        lines = tuple(line for line in lines if line.amount > ZERO)
+        if not lines:
+            return
+        entry = JournalEntry(event.tx.seq, org, lines)
+        if entry.total(Side.DR) != entry.total(Side.CR):
+            raise ValueError(f"unbalanced journal entry for event {event.tx.seq}")
+        self.entries.append(entry)
 
-    def _on_issue(self, event: AppliedEvent, account: Account) -> list[JournalEntry]:
-        qty = event.tx.amount
+    def _on_issue(self, event: AppliedEvent):
+        tx = event.tx
+        account = (Account.PERMIT_ALLOWANCES if tx.kind is TxKind.MINT_PERMIT
+                   else Account.PERMIT_CREDITS)
         price = event.price_after
-        books = self.books_for(event.tx.target)
-        books.lots.append(Lot(qty=qty, issue=price))
-        entry = _EntryBuilder(event.tx.seq, event.tx.target)
-        value = qty.mul(price)
-        entry.dr(account, value)
-        entry.cr(Account.DEFERRED_INCOME, value)
-        built = entry.build()
-        return [built] if built else []
+        self.books_for(tx.target).lots.append(Lot(qty=tx.amount, issue=price))
+        value = tx.amount.mul(price)
+        self._post(event, tx.target, _dr(account, value),
+                   _cr(Account.DEFERRED_INCOME, value))
 
-    def _on_mint_permit(self, event: AppliedEvent) -> list[JournalEntry]:
-        return self._on_issue(event, Account.PERMIT_ALLOWANCES)
-
-    def _on_grant_permit(self, event: AppliedEvent) -> list[JournalEntry]:
-        return self._on_issue(event, Account.PERMIT_CREDITS)
-
-    # -- emissions ------------------------------------------------------------
-
-    def _on_mint_emission(self, event: AppliedEvent) -> list[JournalEntry]:
+    def _on_mint_emission(self, event: AppliedEvent):
         qty = event.tx.amount
-        price = event.price_after
         org = event.tx.sender
         books = self.books_for(org)
+        issue = next((lot.issue for lot in books.lots if lot.issue is not None), ZERO)
+        released = qty.mul(issue)
+        self._post(event, org, _dr(Account.DEFERRED_INCOME, released),
+                   _cr(Account.INCOME, released))
 
-        produced: list[JournalEntry] = []
-        release_price = self._fifo_issue_price(books)
-        if release_price is not None:
-            released = qty.mul(release_price)
-            entry = _EntryBuilder(event.tx.seq, org)
-            entry.dr(Account.DEFERRED_INCOME, released)
-            entry.cr(Account.INCOME, released)
-            built = entry.build()
-            if built:
-                produced.append(built)
-
-        accrual = qty.mul(price)
+        accrual = qty.mul(event.price_after)
         books.liability_qty += qty
         books.liability_balance += accrual
-        entry = _EntryBuilder(event.tx.seq, org)
-        entry.dr(Account.EXPENSES_EMISSIONS, accrual)
-        entry.cr(Account.PERMIT_SURRENDERABLE, accrual)
-        built = entry.build()
-        if built:
-            produced.append(built)
-        return produced
+        self._post(event, org, _dr(Account.EXPENSES_EMISSIONS, accrual),
+                   _cr(Account.PERMIT_SURRENDERABLE, accrual))
 
-    @staticmethod
-    def _fifo_issue_price(books: OrgBooks) -> Optional[Money]:
-        for lot in books.lots:
-            if lot.issue is not None:
-                return lot.issue
-        return None
+    def _on_transfer(self, event: AppliedEvent):
+        tx = event.tx
+        released = self._consume(self.books_for(tx.sender), tx.amount, tx.sender)
+        self.books_for(tx.target).lots.append(Lot(qty=tx.amount, issue=None))
+        self._post(event, tx.sender, _dr(Account.DEFERRED_INCOME, released),
+                   _cr(Account.EMISSION_RIGHTS, released))
 
-    # -- transfers --------------------------------------------------------------
-
-    def _on_transfer(self, event: AppliedEvent) -> list[JournalEntry]:
-        qty = event.tx.amount
-        sender_books = self.books_for(event.tx.sender)
-        receiver_books = self.books_for(event.tx.target)
-        consumed = self._consume(sender_books, qty, event.tx.sender)
-        released = ZERO
-        for lot in consumed:
-            if lot.issue is not None:
-                released += lot.qty.mul(lot.issue)
-            receiver_books.lots.append(Lot(qty=lot.qty, issue=None))
-        entry = _EntryBuilder(event.tx.seq, event.tx.sender)
-        entry.dr(Account.DEFERRED_INCOME, released)
-        entry.cr(Account.EMISSION_RIGHTS, released)
-        built = entry.build()
-        return [built] if built else []
-
-    # -- exchange trades -----------------------------------------------------------
-
-    def _on_trade(self, event: AppliedEvent) -> list[JournalEntry]:
+    def _on_trade(self, event: AppliedEvent):
         org = event.tx.sender
         books = self.books_for(org)
         tokens = event.token_delta
         cash = abs(event.cash_delta)
-        entry = _EntryBuilder(event.tx.seq, org)
         if tokens.is_positive:
-            entry.dr(Account.EMISSION_PERMIT, cash)
-            entry.cr(Account.CASH, cash)
             books.lots.append(Lot(qty=tokens, issue=None))
+            self._post(event, org, _dr(Account.EMISSION_PERMIT, cash),
+                       _cr(Account.CASH, cash))
         else:
-            sold = -tokens
-            consumed = self._consume(books, sold, org)
-            released = ZERO
-            for lot in consumed:
-                if lot.issue is not None:
-                    released += lot.qty.mul(lot.issue)
-            entry.dr(Account.CASH, cash)
-            entry.cr(Account.EMISSION_PERMIT, cash)
-            entry.dr(Account.DEFERRED_INCOME, released)
-            entry.cr(Account.INCOME, released)
-        built = entry.build()
-        return [built] if built else []
+            released = self._consume(books, -tokens, org)
+            self._post(event, org,
+                       _dr(Account.CASH, cash), _cr(Account.EMISSION_PERMIT, cash),
+                       _dr(Account.DEFERRED_INCOME, released), _cr(Account.INCOME, released))
 
-    # -- surrender ---------------------------------------------------------------------
-
-    def _on_burn(self, event: AppliedEvent) -> list[JournalEntry]:
+    def _on_burn(self, event: AppliedEvent):
         org = event.tx.sender
         qty = event.tx.amount
         price = event.price_after
@@ -304,63 +246,54 @@ class Journal:
         total_value = qty.mul(price)
         books.liability_qty -= event.retired
         books.liability_balance -= surrender
+        self._post(event, org, _dr(Account.PERMIT_SURRENDERABLE, surrender),
+                   _dr(Account.EXPENSES_EMISSIONS, total_value - surrender),
+                   _cr(Account.EMISSION_PERMIT, total_value))
 
-        entry = _EntryBuilder(event.tx.seq, org)
-        entry.dr(Account.PERMIT_SURRENDERABLE, surrender)
-        entry.dr(Account.EXPENSES_EMISSIONS, total_value - surrender)
-        entry.cr(Account.EMISSION_PERMIT, total_value)
-        built = entry.build()
-        return [built] if built else []
-
-    # -- price checkpoints ------------------------------------------------------------
-
-    def _on_price_change(self, event: AppliedEvent) -> list[JournalEntry]:
+    def _on_price_change(self, event: AppliedEvent):
         old, new = event.price_before, event.price_after
         if new == old:
-            return []
-        produced: list[JournalEntry] = []
+            return
         delta = new - old
         for org, books in self.books.items():
-            entry = _EntryBuilder(event.tx.seq, org)
+            lines = []
             asset_delta = books.holdings().mul(delta)
             if asset_delta > ZERO:
-                entry.dr(Account.EMISSION_PERMIT, asset_delta)
-                entry.cr(Account.GAIN_ON_REVALUATION, asset_delta)
+                lines += (_dr(Account.EMISSION_PERMIT, asset_delta),
+                          _cr(Account.GAIN_ON_REVALUATION, asset_delta))
             elif asset_delta < ZERO:
-                entry.dr(Account.LOSS_ON_REVALUATION, -asset_delta)
-                entry.cr(Account.EMISSION_PERMIT, -asset_delta)
+                lines += (_dr(Account.LOSS_ON_REVALUATION, -asset_delta),
+                          _cr(Account.EMISSION_PERMIT, -asset_delta))
             remeasured = books.liability_qty.mul(new)
             liability_delta = remeasured - books.liability_balance
             if liability_delta > ZERO:
-                entry.dr(Account.LOSS_ON_REVALUATION, liability_delta)
-                entry.cr(Account.PERMIT_SURRENDERABLE, liability_delta)
+                lines += (_dr(Account.LOSS_ON_REVALUATION, liability_delta),
+                          _cr(Account.PERMIT_SURRENDERABLE, liability_delta))
             elif liability_delta < ZERO:
-                entry.dr(Account.PERMIT_SURRENDERABLE, -liability_delta)
-                entry.cr(Account.GAIN_ON_REVALUATION, -liability_delta)
+                lines += (_dr(Account.PERMIT_SURRENDERABLE, -liability_delta),
+                          _cr(Account.GAIN_ON_REVALUATION, -liability_delta))
             books.liability_balance = remeasured
-            built = entry.build()
-            if built:
-                produced.append(built)
-        return produced
+            self._post(event, org, *lines)
 
     # -- lot mechanics -------------------------------------------------------------
 
     @staticmethod
-    def _consume(books: OrgBooks, qty: Quantity, org: str) -> list[Lot]:
-        """Remove `qty` tokens FIFO; returns the consumed slices."""
+    def _consume(books: OrgBooks, qty: Quantity, org: str) -> Money:
+        """Remove `qty` tokens FIFO; returns the deferred income they release."""
         remaining = qty
-        consumed: list[Lot] = []
+        released = ZERO
         while remaining > ZERO:
             if not books.lots:
                 raise ValueError(f"lot underflow for {org!r}: {remaining} tokens unaccounted")
             head = books.lots[0]
             take = min(head.qty, remaining)
-            consumed.append(Lot(qty=take, issue=head.issue))
+            if head.issue is not None:
+                released += take.mul(head.issue)
             head.qty -= take
             remaining -= take
             if head.qty.is_zero:
                 books.lots.pop(0)
-        return consumed
+        return released
 
     # -- reporting -----------------------------------------------------------------
 
@@ -398,8 +331,8 @@ class Journal:
 
 
 _JOURNAL_HANDLERS = {
-    TxKind.MINT_PERMIT: Journal._on_mint_permit,
-    TxKind.GRANT_PERMIT: Journal._on_grant_permit,
+    TxKind.MINT_PERMIT: Journal._on_issue,
+    TxKind.GRANT_PERMIT: Journal._on_issue,
     TxKind.MINT_EMISSION: Journal._on_mint_emission,
     TxKind.TRANSFER_PERMIT: Journal._on_transfer,
     TxKind.TRADE_TOKEN: Journal._on_trade,

@@ -23,13 +23,15 @@ writer in this package ever logged them, so a hand-built v1 log holding one
 fails verification with `ChainInvalid`.
 
 The canonical state JSON is kept incrementally: the ledger caches each org's
-encoded fragment and re-encodes only the orgs marked stale since the last
-call, so a digest costs one join and one hash rather than a re-encoding of
-the whole registry.  The cache rests on one invariant: `OrgRecord` fields
+encoded fragment in a dict keyed by org id and re-encodes only the orgs
+marked stale since the last call, so a digest costs one join and one hash
+rather than a re-encoding of the whole registry.  Only `setup_register_org`
+adds a key to `registry` and to the cache, so the cache's insertion order
+is registry order.  The cache rests on one invariant: `OrgRecord` fields
 change only through `TokenLedger` methods, and every such method marks the
 record it touches stale (`apply` marks the transaction's sender, target and
-cosigner before its handler runs).  Code outside the ledger must treat the
-records that `org()` and `registry` hand out as read-only.
+cosigner before its handler runs).  Code outside the ledger must treat
+`registry` and the records that it and `org()` hand out as read-only.
 """
 
 from __future__ import annotations
@@ -117,24 +119,14 @@ class TokenLedger:
     """Registry, balances, market totals, and the exchange, as one state."""
 
     def __init__(self):
-        self.registry = {}
+        self.registry: dict[str, OrgRecord] = {}
+        self._fragments: dict[str, str] = {}
+        self._stale: set[str] = set()
         self.market_permit: Quantity = ZERO
         self.market_emission: Quantity = ZERO
         self.market_price: Money = ZERO
         self.exchange: Optional[ExchangeState] = None
         self.seq = 0
-
-    @property
-    def registry(self) -> dict[str, OrgRecord]:
-        return self._registry
-
-    @registry.setter
-    def registry(self, records: dict[str, OrgRecord]):
-        # A wholesale replacement leaves every cached fragment stale.
-        self._registry = records
-        self._fragments: list[str] = [""] * len(records)
-        self._slots: dict[str, int] = {org_id: i for i, org_id in enumerate(records)}
-        self._stale: set[str] = set(records)
 
     # -- reads ----------------------------------------------------------
 
@@ -164,9 +156,8 @@ class TokenLedger:
 
     def copy(self) -> "TokenLedger":
         dup = TokenLedger()
-        dup._registry = {k: v.copy() for k, v in self.registry.items()}
-        dup._fragments = list(self._fragments)
-        dup._slots = dict(self._slots)
+        dup.registry = {k: v.copy() for k, v in self.registry.items()}
+        dup._fragments = dict(self._fragments)
         dup._stale = set(self._stale)
         dup.market_permit = self.market_permit
         dup.market_emission = self.market_emission
@@ -180,9 +171,8 @@ class TokenLedger:
     def state_json(self) -> str:
         """Canonical state: minified JSON with sorted keys at every level."""
         for org_id in self._stale:
-            slot = self._slots.get(org_id)
-            if slot is not None:
-                self._fragments[slot] = _org_json(self.registry[org_id])
+            if org_id in self._fragments:
+                self._fragments[org_id] = _org_json(self.registry[org_id])
         self._stale.clear()
         exchange = None
         if self.exchange is not None:
@@ -201,7 +191,7 @@ class TokenLedger:
             '{"exchange":', _canonical(exchange),
             ',"format":', _canonical(STATE_FORMAT),
             ',"market":', _canonical(market),
-            ',"orgs":[', ",".join(self._fragments),
+            ',"orgs":[', ",".join(self._fragments.values()),
             '],"seq":', _canonical(self.seq),
             "}",
         ))
@@ -271,8 +261,7 @@ class TokenLedger:
             raise reject(ErrorCode.DUPLICATE_ID, f"organisation {org_id!r} already registered")
         record = OrgRecord(id=org_id, role=role)
         self.registry[org_id] = record
-        self._slots[org_id] = len(self._fragments)
-        self._fragments.append("")
+        self._fragments[org_id] = ""
         self._stale.add(org_id)
         return record
 

@@ -343,6 +343,6 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise reject(ErrorCode.SYNTAX_ERROR, f"cannot read scenario {path!r}: {exc}") from exc
     return parse_scenario(text)

@@ -109,6 +109,39 @@ def test_missing_file_returns_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, bad, code, message", [
+    ("run", "scenario", 2, "error: SyntaxError"),
+    ("verify", "log", 1, "chain INVALID at seq ?"),
+    ("replay", "log", 1, "error: ChainInvalid"),
+    ("replay", "genesis", 2, "error: SyntaxError"),
+    ("journal", "log", 1, "error: ChainInvalid"),
+])
+def test_non_utf8_file_is_a_typed_error(tmp_path, capsys, command, bad, code, message):
+    out_dir = tmp_path / "out"
+    run_cli(capsys, "run", str(GOLDEN_SCENARIO), "--out", str(out_dir))
+    scenario, log, genesis = (tmp_path / "scenario.yaml", out_dir / "chainlog.log",
+                              out_dir / "genesis.json")
+    scenario.write_bytes(GOLDEN_SCENARIO.read_bytes())
+    path = {"scenario": scenario, "log": log, "genesis": genesis}[bad]
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] = 0xFF  # never a byte of UTF-8 text
+    path.write_bytes(bytes(data))
+    argv = {"run": [scenario], "verify": [log], "replay": [log, genesis],
+            "journal": [log]}[command]
+    got, _, err = run_cli(capsys, command, *map(str, argv))
+    assert got == code
+    assert message in err
+    assert "can't decode byte 0xff" in err
+
+
+def test_out_path_that_is_a_file_is_an_input_error(tmp_path, capsys):
+    taken = tmp_path / "README.md"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", str(GOLDEN_SCENARIO), "--out", str(taken))
+    assert code == 2
+    assert err.startswith(f"error: SyntaxError: cannot write {str(taken)!r}")
+
+
 def test_quote_buy_and_spend(capsys):
     code, out, _ = run_cli(capsys, "quote", "--f", "0.5", "--s0", "1000",
                            "--c0", "10000", "--buy-tokens", "100")

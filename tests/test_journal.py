@@ -76,6 +76,12 @@ def test_receiver_lot_carries_no_deferred_income():
     lot = journal.books["F"].lots[0]
     assert lot.qty == fx(12)
     assert lot.issue is None  # deferred income does not travel with the lot
+    # a transfer that consumes two of E's lots (issued at 20 and at 24)
+    # still gives F one lot of the transferred quantity
+    journal.on_event(driver.mint_permit("A", "E", 10))
+    journal.on_event(driver.transfer_permit("E", "F", 25))
+    assert [(lot.qty, lot.issue) for lot in journal.books["F"].lots] == [
+        (fx(12), None), (fx(25), None)]
 
 
 def test_two_small_transfers_equal_one_big_one():
@@ -247,6 +253,19 @@ def test_booking_overflow_is_an_invalid_amount():
     before = list(journal.entries)
     with pytest.raises(LedgerError) as err:
         journal.on_event(driver.mint_permit("A", "E", 1000000000000))
+    assert err.value.code is ErrorCode.INVALID_AMOUNT
+    assert journal.entries == before
+
+    # an event whose first entry books and whose second overflows records
+    # neither: the release is 1e7 x 1, the accrual 1e7 x 1e6
+    driver = priced_driver(price=20)
+    journal = Journal()
+    journal.on_event(driver.set_price("A", 1))
+    journal.on_event(driver.mint_permit("A", "E", 10))
+    journal.on_event(driver.set_price("A", 1000000))
+    before = list(journal.entries)
+    with pytest.raises(LedgerError) as err:
+        journal.on_event(driver.mint_emission("E", "V", 10000000))
     assert err.value.code is ErrorCode.INVALID_AMOUNT
     assert journal.entries == before
 
