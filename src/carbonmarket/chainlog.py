@@ -40,7 +40,7 @@ from typing import Optional
 
 from .errors import ErrorCode, LedgerError, reject
 from .fixed import Fixed
-from .ledger import TokenLedger, Transaction, TxKind
+from .ledger import STATE_FORMAT, TokenLedger, Transaction, TxKind
 
 TX_MAGIC = b"CMTX1"
 FORMAT_NAME = "carbonmarket-chainlog"
@@ -146,10 +146,6 @@ class ChainEntry:
     state_digest: bytes
     entry_hash: bytes
 
-    @property
-    def timestamp(self) -> str:
-        return self.tx.time
-
     def to_line(self) -> str:
         return " ".join((
             str(self.seq),
@@ -168,13 +164,29 @@ class VerifyResult:
     detail: str = ""
 
 
+def _genesis_seq(genesis_json: str) -> int:
+    """The genesis state's `seq`, once the line is known to be a state of
+    this format whose `seq` a transaction encoding can follow; anything else
+    is ChainInvalid.  The rest of the state is checked when it is loaded."""
+    try:
+        state = json.loads(genesis_json)
+    except json.JSONDecodeError as exc:
+        raise reject(ErrorCode.CHAIN_INVALID, f"bad genesis json: {exc}") from exc
+    if not isinstance(state, dict) or state.get("format") != STATE_FORMAT:
+        raise reject(ErrorCode.CHAIN_INVALID, "genesis is not a carbonmarket state")
+    seq = state.get("seq")
+    if not isinstance(seq, int) or isinstance(seq, bool) or not 0 <= seq < 2**64:
+        raise reject(ErrorCode.CHAIN_INVALID, f"bad genesis seq {repr(seq)[:40]}")
+    return seq
+
+
 class ChainLog:
     """Append-only chain anchored at a genesis state snapshot."""
 
     def __init__(self, genesis_json: str):
         self.genesis_json = genesis_json
         self.genesis_digest = _hash(genesis_json.encode("utf-8"))
-        self.genesis_seq = json.loads(genesis_json)["seq"]
+        self.genesis_seq = _genesis_seq(genesis_json)
         self.entries: list[ChainEntry] = []
 
     @classmethod
@@ -256,8 +268,8 @@ def _parse_and_check(text: str) -> tuple[Optional[ChainLog], Optional[tuple[Opti
     genesis_json = lines[1][len("genesis "):]
     try:
         log = ChainLog(genesis_json)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        return None, (None, f"bad genesis json: {exc}")
+    except LedgerError as exc:
+        return None, (None, exc.message)
     try:
         header_digest = _canonical_hex(header[3], 32)
     except ValueError:

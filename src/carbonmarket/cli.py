@@ -124,8 +124,9 @@ def _cmd_replay(args) -> int:
 
 def _cmd_journal(args) -> int:
     log = ChainLog.from_text(_read(args.chainlog, ErrorCode.CHAIN_INVALID))
-    journal = Journal()
-    replay_chain(log, on_event=journal.on_event)
+    genesis = TokenLedger.from_state_json(log.genesis_json)
+    journal = Journal(genesis)
+    replay_chain(log, genesis, on_event=journal.on_event)
     sys.stdout.write(journal.export_csv())
     return EXIT_OK
 

@@ -85,12 +85,6 @@ def spot_price_raw(fraction: float, supply0: float, reserve0: float,
     return reserve0 / (fraction * supply) * (supply / supply0) ** (1.0 / fraction)
 
 
-def reserve_at_raw(fraction: float, supply0: float, reserve0: float,
-                   supply: float) -> float:
-    """C(s) against the anchor (s0, C0)."""
-    return reserve0 * (supply / supply0) ** (1.0 / fraction)
-
-
 def cash_for_tokens_raw(fraction: float, supply: float, reserve: float,
                         tokens: float) -> float:
     """Cash moved when trading `tokens` at anchor (supply, reserve).

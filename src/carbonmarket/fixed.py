@@ -114,16 +114,6 @@ class Fixed:
         """Product of two amounts (e.g. quantity x unit price), half-even."""
         return Fixed(_half_even(self.micro * other.micro, SCALE))
 
-    def div(self, other: "Fixed") -> "Fixed":
-        """Quotient of two amounts (e.g. cash / quantity), half-even."""
-        den = other.micro
-        if den == 0:
-            raise ZeroDivisionError("division by zero amount")
-        num = self.micro * SCALE
-        if den < 0:
-            num, den = -num, -den
-        return Fixed(_half_even(num, den))
-
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

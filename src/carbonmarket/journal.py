@@ -5,6 +5,13 @@ produces balanced entries under a fair-value policy.  Holdings are tracked
 as FIFO lots per organisation; each lot holds a quantity and, for permits
 received free of charge, the issuance price at which deferred income was
 recognised.  Purchased and transferred-in lots carry no deferred income.
+Each organisation's books keep the lots' total quantity as a running sum,
+updated where a lot enters and in `_consume`, so a price checkpoint costs
+one multiplication per holder however many lots it holds.
+
+The books open on the genesis ledger: genesis permits become one lot with
+no issue price, and genesis emissions an outstanding surrender liability
+at the genesis price.  Opening balances book no entry.
 
 Policy summary:
 
@@ -45,7 +52,7 @@ from typing import Optional
 
 from .errors import ErrorCode, reject
 from .fixed import ZERO, Money, Quantity
-from .ledger import AppliedEvent, TxKind
+from .ledger import AppliedEvent, TokenLedger, TxKind
 
 
 class AccountClass(Enum):
@@ -129,14 +136,16 @@ class Lot:
 @dataclass
 class OrgBooks:
     lots: list[Lot] = field(default_factory=list)
+    held: Quantity = ZERO                # running sum of the lots' qty
     liability_qty: Quantity = ZERO       # outstanding emission tonnes
     liability_balance: Money = ZERO      # Permit surrenderable at marked price
 
     def holdings(self) -> Quantity:
-        total = ZERO
-        for lot in self.lots:
-            total += lot.qty
-        return total
+        return self.held
+
+    def add_lot(self, qty: Quantity, issue: Optional[Money]):
+        self.lots.append(Lot(qty=qty, issue=issue))
+        self.held += qty
 
 
 def _dr(account: Account, amount: Money) -> JournalLine:
@@ -150,9 +159,27 @@ def _cr(account: Account, amount: Money) -> JournalLine:
 class Journal:
     """Fold applied events into balanced journal entries."""
 
-    def __init__(self):
+    def __init__(self, genesis: Optional[TokenLedger] = None):
+        """Open the books on `genesis`, if given: an org's genesis permits
+        become one lot with no issue price and its genesis emissions its
+        outstanding liability at the genesis price.  Opening balances book
+        no entry."""
         self.books: dict[str, OrgBooks] = {}
         self.entries: list[JournalEntry] = []
+        if genesis is None:
+            return
+        for record in genesis.registry.values():
+            if record.permit.is_zero and record.emission.is_zero:
+                continue
+            books = self.books_for(record.id)
+            if not record.permit.is_zero:
+                books.add_lot(record.permit, None)
+            books.liability_qty = record.emission
+            try:
+                books.liability_balance = record.emission.mul(genesis.market_price)
+            except OverflowError as exc:
+                raise reject(ErrorCode.INVALID_AMOUNT,
+                             f"cannot open {record.id!r} at genesis: {exc}") from exc
 
     def books_for(self, org: str) -> OrgBooks:
         books = self.books.get(org)
@@ -192,7 +219,7 @@ class Journal:
         account = (Account.PERMIT_ALLOWANCES if tx.kind is TxKind.MINT_PERMIT
                    else Account.PERMIT_CREDITS)
         price = event.price_after
-        self.books_for(tx.target).lots.append(Lot(qty=tx.amount, issue=price))
+        self.books_for(tx.target).add_lot(tx.amount, price)
         value = tx.amount.mul(price)
         self._post(event, tx.target, _dr(account, value),
                    _cr(Account.DEFERRED_INCOME, value))
@@ -215,7 +242,7 @@ class Journal:
     def _on_transfer(self, event: AppliedEvent):
         tx = event.tx
         released = self._consume(self.books_for(tx.sender), tx.amount, tx.sender)
-        self.books_for(tx.target).lots.append(Lot(qty=tx.amount, issue=None))
+        self.books_for(tx.target).add_lot(tx.amount, None)
         self._post(event, tx.sender, _dr(Account.DEFERRED_INCOME, released),
                    _cr(Account.EMISSION_RIGHTS, released))
 
@@ -225,7 +252,7 @@ class Journal:
         tokens = event.token_delta
         cash = abs(event.cash_delta)
         if tokens.is_positive:
-            books.lots.append(Lot(qty=tokens, issue=None))
+            books.add_lot(tokens, None)
             self._post(event, org, _dr(Account.EMISSION_PERMIT, cash),
                        _cr(Account.CASH, cash))
         else:
@@ -293,6 +320,7 @@ class Journal:
             remaining -= take
             if head.qty.is_zero:
                 books.lots.pop(0)
+        books.held -= qty
         return released
 
     # -- reporting -----------------------------------------------------------------

@@ -174,27 +174,18 @@ class TokenLedger:
             if org_id in self._fragments:
                 self._fragments[org_id] = _org_json(self.registry[org_id])
         self._stale.clear()
-        exchange = None
-        if self.exchange is not None:
-            exchange = {
-                "baseline_reserve": self.exchange.baseline_reserve.micro,
-                "baseline_supply": self.exchange.baseline_supply.micro,
-                "fraction": self.exchange.fraction.micro,
-                "reserve": self.exchange.reserve.micro,
-            }
-        market = {
-            "emission": self.market_emission.micro,
-            "permit": self.market_permit.micro,
-            "price": self.market_price.micro,
-        }
-        return "".join((
-            '{"exchange":', _canonical(exchange),
-            ',"format":', _canonical(STATE_FORMAT),
-            ',"market":', _canonical(market),
-            ',"orgs":[', ",".join(self._fragments.values()),
-            '],"seq":', _canonical(self.seq),
-            "}",
-        ))
+        # Every value below is an int (or the ASCII format name), which
+        # json.dumps would write exactly as an f-string does.
+        ex = self.exchange
+        exchange = "null" if ex is None else (
+            f'{{"baseline_reserve":{ex.baseline_reserve.micro},'
+            f'"baseline_supply":{ex.baseline_supply.micro},'
+            f'"fraction":{ex.fraction.micro},"reserve":{ex.reserve.micro}}}')
+        orgs = ",".join(self._fragments.values())
+        return (f'{{"exchange":{exchange},"format":"{STATE_FORMAT}",'
+                f'"market":{{"emission":{self.market_emission.micro},'
+                f'"permit":{self.market_permit.micro},"price":{self.market_price.micro}}},'
+                f'"orgs":[{orgs}],"seq":{self.seq}}}')
 
     def state_digest(self) -> bytes:
         return hashlib.sha256(self.state_json().encode("utf-8")).digest()

@@ -104,7 +104,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     genesis = build_genesis(scenario)
     chainlog = ChainLog.for_ledger(genesis)
     ledger = genesis.copy()     # copied once genesis is encoded: a warm cache
-    journal = Journal()
+    journal = Journal(genesis)
     result = RunResult(scenario=scenario, genesis=genesis, final=ledger,
                        chainlog=chainlog, journal=journal)
 

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,20 @@ def standard_market(cash="100000") -> TokenLedger:
     ledger.setup_set_cash("E", fx(cash))
     ledger.setup_set_cash("F", fx(cash))
     return ledger
+
+
+def endowed_genesis(ledger: TokenLedger, price: int, **balances) -> TokenLedger:
+    """`ledger` reloaded through its state JSON with genesis balances: each
+    keyword maps an org id to its (permit, emission) in micro-units, the
+    market totals follow, and the market price is `price` micro-units."""
+    state = json.loads(ledger.state_json())
+    for org in state["orgs"]:
+        org["permit"], org["emission"] = balances.get(org["id"],
+                                                      (org["permit"], org["emission"]))
+    state["market"] = {"permit": sum(org["permit"] for org in state["orgs"]),
+                       "emission": sum(org["emission"] for org in state["orgs"]),
+                       "price": price}
+    return TokenLedger.from_state_json(json.dumps(state))
 
 
 @pytest.fixture

@@ -70,7 +70,7 @@ def test_genesis_entry_conventions():
     for prev, entry in zip(log.entries, log.entries[1:]):
         assert entry.prev_hash == prev.entry_hash
     assert [e.seq for e in log.entries] == [1, 2, 3]
-    assert log.entries[0].timestamp == "t0"
+    assert log.entries[0].tx.time == "t0"
 
 
 def test_append_rejects_seq_gap():

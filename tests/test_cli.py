@@ -1,10 +1,16 @@
 """Command line behaviour: commands, exit codes, byte-stable outputs."""
 
+import hashlib
+
 import pytest
 
+from carbonmarket import ChainLog, Transaction, TxKind
 from carbonmarket.cli import main
 
-from conftest import GOLDEN_SCENARIO, JOURNAL_OVERFLOW, SCENARIO_DIR
+from conftest import (GOLDEN_SCENARIO, JOURNAL_OVERFLOW, SCENARIO_DIR, endowed_genesis,
+                      fx, standard_market)
+
+TOKEN = 10**6   # micro-units per token
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -93,6 +99,96 @@ def test_journal_overflow_is_a_typed_failure(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "InvalidAmount" in err
+
+
+def write_log(path, genesis, *steps):
+    """A hash-correct chain log of `steps` (kind, sender, target, amount,
+    payload) applied to `genesis`."""
+    ledger = genesis.copy()
+    log = ChainLog.for_ledger(genesis)
+    for kind, sender, target, amount, payload in steps:
+        tx = Transaction(seq=ledger.seq + 1, time="t", kind=kind, sender=sender,
+                         target=target, amount=None if amount is None else fx(amount),
+                         payload=payload)
+        ledger.apply(tx)
+        log.append(tx, ledger.state_digest())
+    path.write_text(log.to_text(), encoding="utf-8")
+    return str(path)
+
+
+def test_journal_opens_from_genesis_balances(tmp_path, capsys):
+    # genesis permits are one opening lot and genesis emissions an opening
+    # liability at the genesis price (20), neither booked
+    genesis = endowed_genesis(standard_market(), 20 * TOKEN, E=(10 * TOKEN, 3 * TOKEN))
+    transfer = (TxKind.TRANSFER_PERMIT, "E", "F", 5, {})
+    log = write_log(tmp_path / "transfer.log", genesis, transfer)
+    assert run_cli(capsys, "verify", log) == (0, "chain valid\n", "")
+    assert run_cli(capsys, "journal", log) == (0, "event,account,class,side,amount\n", "")
+
+    log = write_log(tmp_path / "revalue.log", genesis, transfer,
+                    (TxKind.SET_PRICE, "A", "", None, {"price": 25 * TOKEN}),
+                    (TxKind.BURN_TOKEN, "E", "", 5, {}))
+    code, out, _ = run_cli(capsys, "journal", log)
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "2,Emission permit,Asset,Dr,25.000000",              # E's 5 held
+        "2,Emission permit,Asset,Dr,25.000000",              # F's 5 received
+        "2,Loss on revaluation,Equity,Dr,15.000000",         # 3 t from 20 to 25
+        "2,Gain on revaluation,Equity,Cr,25.000000",
+        "2,Gain on revaluation,Equity,Cr,25.000000",
+        "2,Permit surrenderable,Liability,Cr,15.000000",
+        "3,Expenses-Emissions,Equity,Dr,50.000000",
+        "3,Permit surrenderable,Liability,Dr,75.000000",     # the whole 3 t liability
+        "3,Emission permit,Asset,Cr,125.000000",
+    ]
+
+
+def test_genesis_liability_overflow_is_a_typed_failure(tmp_path, capsys):
+    genesis = endowed_genesis(standard_market(), 20 * TOKEN, E=(0, 10**12 * TOKEN))
+    log = write_log(tmp_path / "chainlog.log", genesis)
+    assert run_cli(capsys, "verify", log)[0] == 0
+    code, out, err = run_cli(capsys, "journal", log)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: InvalidAmount: cannot open 'E' at genesis")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seq", '"x"'), ("seq", "[1]"), ("seq", "1.5"), ("seq", "NaN"), ("seq", "-5"),
+    ("seq", "true"), ("seq", str(2**64)), ("seq", str(10**22)),
+    ("format", '"carbonmarket-state-2"'),
+])
+def test_bad_genesis_line_is_an_invalid_chain(tmp_path, capsys, field, value):
+    genesis = standard_market().state_json()
+    good = {"seq": '"seq":0', "format": '"format":"carbonmarket-state-1"'}[field]
+    assert good in genesis
+    line = genesis.replace(good, f'"{field}":{value}')
+    digest = hashlib.sha256(line.encode("utf-8")).hexdigest()
+    log = tmp_path / "chainlog.log"
+    log.write_text(f"carbonmarket-chainlog 1 sha256 {digest}\ngenesis {line}\n",
+                   encoding="utf-8")
+    state = tmp_path / "genesis.json"
+    state.write_text(genesis + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(log))
+    assert (code, out) == (1, "")
+    assert err.startswith("chain INVALID at seq ?: ")
+    for argv in (["replay", str(log), str(state)], ["journal", str(log)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ChainInvalid: ")
+
+
+def test_journal_needs_a_canonical_genesis_line(tmp_path, capsys):
+    # `journal` replays from the genesis it loaded, which must re-encode to
+    # the recorded digest, as a genesis file given to `replay` must
+    line = standard_market().state_json().replace(",", ", ")
+    digest = hashlib.sha256(line.encode("utf-8")).hexdigest()
+    log = tmp_path / "chainlog.log"
+    log.write_text(f"carbonmarket-chainlog 1 sha256 {digest}\ngenesis {line}\n",
+                   encoding="utf-8")
+    assert run_cli(capsys, "verify", str(log)) == (0, "chain valid\n", "")
+    code, out, err = run_cli(capsys, "journal", str(log))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: StateMismatch: ")
 
 
 def test_schema_error_returns_two(tmp_path, capsys):

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from carbonmarket import ErrorCode, LedgerError
 from carbonmarket.exchange import (ExchangeState, cash_for_tokens_raw,
                                    quote_buy_tokens, quote_spend_cash,
-                                   reserve_at_raw, spot_price, spot_price_raw)
+                                   spot_price, spot_price_raw)
 from carbonmarket.fixed import ZERO, Fixed
 
 from conftest import LedgerDriver, fx, standard_market
@@ -20,6 +20,12 @@ from conftest import LedgerDriver, fx, standard_market
 def state(fraction, s0, c0) -> ExchangeState:
     return ExchangeState(fraction=fx(fraction), reserve=fx(c0),
                          baseline_supply=fx(s0), baseline_reserve=fx(c0))
+
+
+def reserve_at_raw(fraction: float, supply0: float, reserve0: float,
+                   supply: float) -> float:
+    """Oracle reserve law: C(s) against the anchor (s0, C0)."""
+    return reserve0 * (supply / supply0) ** (1.0 / fraction)
 
 
 def central_difference_price(f, s0, c0, s, h):

@@ -3,12 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from carbonmarket import Account, ErrorCode, Journal, LedgerError, Side
+from carbonmarket import Account, ErrorCode, Journal, LedgerError, Side, Transaction
 from carbonmarket.chainlog import replay
-from carbonmarket.fixed import ZERO
+from carbonmarket.fixed import ZERO, Fixed
 
-from conftest import LedgerDriver, fx, standard_market
+from conftest import LedgerDriver, endowed_genesis, fx, standard_market
+from test_state_cache import TOKEN, transactions
 
 
 def entry_amounts(entry):
@@ -326,6 +328,54 @@ def test_lot_conservation_under_random_activity():
             assert holdings(journal, org_id) == record.permit, org_id
         for entry in journal.entries:
             assert entry.total(Side.DR) == entry.total(Side.CR)
+
+
+endowment = st.tuples(st.integers(0, 2000 * TOKEN), st.integers(0, 500 * TOKEN))
+
+
+# at least ten transactions per example, so that most examples apply some
+@settings(max_examples=100, deadline=None)
+@given(st.fixed_dictionaries({org: endowment for org in "EFV"}),
+       st.sampled_from((0, 20 * TOKEN, 7_654_321)), st.booleans(),
+       st.lists(transactions, min_size=10, max_size=40))
+def test_journal_mirrors_ledger_from_genesis(balances, price, exchange, sequence):
+    """From a genesis with permit and emission balances, through random
+    transactions: each org's running holdings, its lots and its ledger
+    permits agree, its outstanding liability is its ledger emissions, and
+    the journal's debits equal its credits."""
+    ledger = standard_market()
+    if exchange:
+        ledger.setup_init_exchange(Fixed(TOKEN // 2), Fixed(2000 * TOKEN),
+                                   Fixed(20000 * TOKEN))
+    ledger = endowed_genesis(ledger, price, **balances)
+    journal = Journal(ledger)
+
+    def check():
+        for org_id, record in ledger.registry.items():
+            books = journal.books.get(org_id)
+            held = books.holdings() if books else ZERO
+            lots = sum((lot.qty for lot in books.lots), ZERO) if books else ZERO
+            assert held == lots == record.permit, org_id
+            assert (books.liability_qty if books else ZERO) == record.emission, org_id
+        # summed exactly: a per-account net may leave the 64-bit amount range
+        assert sum(line.amount.micro if line.side is Side.DR else -line.amount.micro
+                   for entry in journal.entries for line in entry.lines) == 0
+
+    check()
+    for _, kind, sender, target, cosigner, amount, payload in sequence:
+        try:
+            event = ledger.apply(Transaction(
+                seq=ledger.seq + 1, time="t", kind=kind, sender=sender, target=target,
+                cosigner=cosigner, amount=None if amount is None else Fixed(amount),
+                payload=payload))
+        except LedgerError:
+            continue
+        try:
+            journal.on_event(event)
+        except LedgerError as exc:      # a booking overflow ends the fold
+            assert exc.code is ErrorCode.INVALID_AMOUNT
+            return
+        check()
 
 
 def test_journal_from_replay_matches_live(golden_run):
