@@ -40,7 +40,7 @@ from typing import Optional
 
 from .errors import ErrorCode, LedgerError, reject
 from .fixed import Fixed
-from .ledger import STATE_FORMAT, TokenLedger, Transaction, TxKind
+from .ledger import TokenLedger, Transaction, TxKind, parse_state
 
 TX_MAGIC = b"CMTX1"
 FORMAT_NAME = "carbonmarket-chainlog"
@@ -119,7 +119,7 @@ def decode_transaction(data: bytes) -> Transaction:
         raise reject(ErrorCode.CHAIN_INVALID, f"unknown transaction kind {kind_text!r}") from exc
     try:
         payload = json.loads(payload_text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # also too deep, or too long a number
         raise reject(ErrorCode.CHAIN_INVALID, f"bad payload json: {exc}") from exc
     if not isinstance(payload, dict) or canonical_payload(payload) != payload_text:
         raise reject(ErrorCode.CHAIN_INVALID, "payload not in canonical form")
@@ -165,19 +165,13 @@ class VerifyResult:
 
 
 def _genesis_seq(genesis_json: str) -> int:
-    """The genesis state's `seq`, once the line is known to be a state of
-    this format whose `seq` a transaction encoding can follow; anything else
-    is ChainInvalid.  The rest of the state is checked when it is loaded."""
+    """The genesis state's `seq`; a line that is not a state of this format
+    with a u64 `seq` is ChainInvalid.  The rest of the state is checked when
+    it is loaded."""
     try:
-        state = json.loads(genesis_json)
-    except json.JSONDecodeError as exc:
-        raise reject(ErrorCode.CHAIN_INVALID, f"bad genesis json: {exc}") from exc
-    if not isinstance(state, dict) or state.get("format") != STATE_FORMAT:
-        raise reject(ErrorCode.CHAIN_INVALID, "genesis is not a carbonmarket state")
-    seq = state.get("seq")
-    if not isinstance(seq, int) or isinstance(seq, bool) or not 0 <= seq < 2**64:
-        raise reject(ErrorCode.CHAIN_INVALID, f"bad genesis seq {repr(seq)[:40]}")
-    return seq
+        return parse_state(genesis_json)[1]
+    except LedgerError as exc:
+        raise reject(ErrorCode.CHAIN_INVALID, f"bad genesis: {exc.message}") from exc
 
 
 class ChainLog:

@@ -123,6 +123,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_journal(args) -> int:
+    # from_text checks every link, so a broken log fails before the books open
     log = ChainLog.from_text(_read(args.chainlog, ErrorCode.CHAIN_INVALID))
     genesis = TokenLedger.from_state_json(log.genesis_json)
     journal = Journal(genesis)

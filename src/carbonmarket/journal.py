@@ -136,16 +136,13 @@ class Lot:
 @dataclass
 class OrgBooks:
     lots: list[Lot] = field(default_factory=list)
-    held: Quantity = ZERO                # running sum of the lots' qty
+    holdings: Quantity = ZERO            # running sum of the lots' qty
     liability_qty: Quantity = ZERO       # outstanding emission tonnes
     liability_balance: Money = ZERO      # Permit surrenderable at marked price
 
-    def holdings(self) -> Quantity:
-        return self.held
-
     def add_lot(self, qty: Quantity, issue: Optional[Money]):
         self.lots.append(Lot(qty=qty, issue=issue))
-        self.held += qty
+        self.holdings += qty
 
 
 def _dr(account: Account, amount: Money) -> JournalLine:
@@ -159,15 +156,12 @@ def _cr(account: Account, amount: Money) -> JournalLine:
 class Journal:
     """Fold applied events into balanced journal entries."""
 
-    def __init__(self, genesis: Optional[TokenLedger] = None):
-        """Open the books on `genesis`, if given: an org's genesis permits
-        become one lot with no issue price and its genesis emissions its
-        outstanding liability at the genesis price.  Opening balances book
-        no entry."""
+    def __init__(self, genesis: TokenLedger):
+        """Open the books on `genesis`: an org's genesis permits become one
+        lot with no issue price and its genesis emissions its outstanding
+        liability at the genesis price.  Opening balances book no entry."""
         self.books: dict[str, OrgBooks] = {}
         self.entries: list[JournalEntry] = []
-        if genesis is None:
-            return
         for record in genesis.registry.values():
             if record.permit.is_zero and record.emission.is_zero:
                 continue
@@ -284,7 +278,7 @@ class Journal:
         delta = new - old
         for org, books in self.books.items():
             lines = []
-            asset_delta = books.holdings().mul(delta)
+            asset_delta = books.holdings.mul(delta)
             if asset_delta > ZERO:
                 lines += (_dr(Account.EMISSION_PERMIT, asset_delta),
                           _cr(Account.GAIN_ON_REVALUATION, asset_delta))
@@ -320,7 +314,7 @@ class Journal:
             remaining -= take
             if head.qty.is_zero:
                 books.lots.pop(0)
-        books.held -= qty
+        books.holdings -= qty
         return released
 
     # -- reporting -----------------------------------------------------------------

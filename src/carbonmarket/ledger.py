@@ -51,6 +51,23 @@ from .fixed import ZERO, Fixed, Money, Quantity
 STATE_FORMAT = "carbonmarket-state-1"
 
 
+def parse_state(text: str) -> tuple[dict, int]:
+    """The JSON object of a state in this format and its `seq`, an int in
+    [0, 2^64) so that a transaction encoding's u64 seq can follow it.  Text
+    that is not JSON (too deep or too long a number included) is a
+    SyntaxError; any other object or seq is a SchemaError."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise reject(ErrorCode.SYNTAX_ERROR, f"bad state json: {exc}") from exc
+    if not isinstance(data, dict) or data.get("format") != STATE_FORMAT:
+        raise reject(ErrorCode.SCHEMA_ERROR, "unrecognised state format")
+    seq = data.get("seq")
+    if type(seq) is not int or not 0 <= seq < 2**64:
+        raise reject(ErrorCode.SCHEMA_ERROR, f"bad state seq {repr(seq)[:40]}")
+    return data, seq
+
+
 def _canonical(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
@@ -192,15 +209,10 @@ class TokenLedger:
 
     @classmethod
     def from_state_json(cls, text: str) -> "TokenLedger":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise reject(ErrorCode.SYNTAX_ERROR, f"bad state json: {exc}") from exc
-        if not isinstance(data, dict) or data.get("format") != STATE_FORMAT:
-            raise reject(ErrorCode.SCHEMA_ERROR, "unrecognised state format")
+        data, seq = parse_state(text)
         try:
             ledger = cls()
-            ledger.seq = int(data["seq"])
+            ledger.seq = seq
             market = data["market"]
             ledger.market_permit = Fixed(market["permit"])
             ledger.market_emission = Fixed(market["emission"])

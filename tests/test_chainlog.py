@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import struct
 import types
 
 import pytest
@@ -46,6 +47,20 @@ def test_decode_rejects_trailing_bytes():
                                           sender="E", amount=fx(1)))
     with pytest.raises(LedgerError) as err:
         decode_transaction(blob + b"x")
+    assert err.value.code is ErrorCode.CHAIN_INVALID
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param('{"price":' + "9" * 5000 + "}", id="5000-digit-number"),
+    pytest.param("[" * 100000 + "]" * 100000, id="deep-nesting"),
+])
+def test_decode_rejects_a_payload_json_cannot_load(payload):
+    blob = encode_transaction(Transaction(seq=1, time="t", kind=TxKind.SET_PRICE,
+                                          sender="A", payload={}))
+    raw = payload.encode("ascii")
+    assert blob.endswith(struct.pack(">I", 2) + b"{}")
+    with pytest.raises(LedgerError) as err:
+        decode_transaction(blob[:-6] + struct.pack(">I", len(raw)) + raw)
     assert err.value.code is ErrorCode.CHAIN_INVALID
 
 
@@ -150,7 +165,7 @@ def test_corpus_scenarios_replay_deterministically(name):
     assert result.ok, result.failure
     # a fresh parse of the serialized log must reproduce state and journal
     log = ChainLog.from_text(result.chainlog.to_text())
-    journal = Journal()
+    journal = Journal(result.genesis)
     ledger = replay(log, on_event=journal.on_event)
     assert ledger.state_digest() == result.final.state_digest()
     assert journal.export_csv() == result.journal.export_csv()

@@ -152,10 +152,26 @@ def test_genesis_liability_overflow_is_a_typed_failure(tmp_path, capsys):
     assert err.startswith("error: InvalidAmount: cannot open 'E' at genesis")
 
 
+def test_broken_link_fails_before_the_books_open(tmp_path, capsys):
+    # the genesis liability would overflow when the books open, but the
+    # log's broken entry hash is reported first
+    genesis = endowed_genesis(standard_market(), 20 * TOKEN, E=(0, 10**12 * TOKEN))
+    log = tmp_path / "chainlog.log"
+    write_log(log, genesis, (TxKind.SET_PRICE, "A", "", None, {"price": 25 * TOKEN}))
+    text = log.read_text(encoding="utf-8")
+    log.write_text(text[:-2] + ("0" if text[-2] != "0" else "1") + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "journal", str(log))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ChainInvalid: entry 1: entry hash mismatch")
+
+
 @pytest.mark.parametrize("field, value", [
     ("seq", '"x"'), ("seq", "[1]"), ("seq", "1.5"), ("seq", "NaN"), ("seq", "-5"),
     ("seq", "true"), ("seq", str(2**64)), ("seq", str(10**22)),
     ("format", '"carbonmarket-state-2"'),
+    # json.loads raises a plain ValueError and a RecursionError for these
+    pytest.param("seq", "9" * 5000, id="seq-5000-digits"),
+    pytest.param("seq", "[" * 100000 + "]" * 100000, id="seq-deep-nesting"),
 ])
 def test_bad_genesis_line_is_an_invalid_chain(tmp_path, capsys, field, value):
     genesis = standard_market().state_json()

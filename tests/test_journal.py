@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carbonmarket import Account, ErrorCode, Journal, LedgerError, Side, Transaction
+from carbonmarket import (Account, ErrorCode, Journal, LedgerError, Side, TokenLedger,
+                          Transaction)
 from carbonmarket.chainlog import replay
 from carbonmarket.fixed import ZERO, Fixed
 
@@ -24,11 +25,13 @@ def find_rows(journal, account, side):
 
 def holdings(journal, org):
     books = journal.books.get(org)
-    return books.holdings() if books else ZERO
+    return books.holdings if books else ZERO
 
 
 def priced_driver(price=20, supply=100000):
-    """Large flat-curve market so trades execute at the marked price."""
+    """Large flat-curve market so trades execute at the marked price; F
+    holds the supply, which a journal opened on the driver's ledger takes
+    as F's opening lot."""
     driver = LedgerDriver(standard_market(cash="10000000"))
     driver.mint_permit("A", "F", supply)
     driver.init_exchange("1", supply, supply * price)
@@ -39,7 +42,7 @@ def priced_driver(price=20, supply=100000):
 
 def test_mint_permit_entry_and_lot(driver):
     driver.init_exchange("1", 1000, 20000)       # the genesis price is 20
-    journal = Journal()
+    journal = Journal(driver.ledger)
     entries = journal.on_event(driver.mint_permit("A", "E", 100))
     assert entry_amounts(entries[0]) == [
         (Account.PERMIT_ALLOWANCES, Side.DR, fx(2000)),
@@ -60,7 +63,7 @@ def test_transfer_releases_deferred_income_at_issue_price(golden_run):
 
 def test_transfer_of_entire_holding_empties_lots():
     driver = priced_driver()
-    journal = Journal()
+    journal = Journal(driver.ledger)
     event = driver.mint_permit("A", "E", 30)
     journal.on_event(event)
     event = driver.transfer_permit("E", "F", 30)
@@ -71,11 +74,12 @@ def test_transfer_of_entire_holding_empties_lots():
 
 def test_receiver_lot_carries_no_deferred_income():
     driver = priced_driver(price=20)
-    journal = Journal()
+    journal = Journal(driver.ledger)
     journal.on_event(driver.mint_permit("A", "E", 30))
     journal.on_event(driver.set_price("A", 24))
     journal.on_event(driver.transfer_permit("E", "F", 12))
-    lot = journal.books["F"].lots[0]
+    opening, lot = journal.books["F"].lots     # F's genesis supply, then E's 12
+    assert (opening.qty, opening.issue) == (fx(100000), None)
     assert lot.qty == fx(12)
     assert lot.issue is None  # deferred income does not travel with the lot
     # a transfer that consumes two of E's lots (issued at 20 and at 24)
@@ -83,14 +87,14 @@ def test_receiver_lot_carries_no_deferred_income():
     journal.on_event(driver.mint_permit("A", "E", 10))
     journal.on_event(driver.transfer_permit("E", "F", 25))
     assert [(lot.qty, lot.issue) for lot in journal.books["F"].lots] == [
-        (fx(12), None), (fx(25), None)]
+        (fx(100000), None), (fx(12), None), (fx(25), None)]
 
 
 def test_two_small_transfers_equal_one_big_one():
     # oracle: FIFO lot simulation is additive in quantity
     def released_total(amounts):
         driver = priced_driver()
-        journal = Journal()
+        journal = Journal(driver.ledger)
         journal.on_event(driver.mint_permit("A", "E", 10))
         journal.on_event(driver.grant_permit("V", "E", 10))
         for amount in amounts:
@@ -125,7 +129,7 @@ def test_mint_emission_policy_values(golden_run):
 
 def test_emission_without_lots_accrues_only():
     driver = priced_driver()
-    journal = Journal()
+    journal = Journal(driver.ledger)
     entries = journal.on_event(driver.mint_emission("E", "V", 10))
     assert len(entries) == 1
     assert entry_amounts(entries[0]) == [
@@ -151,7 +155,7 @@ def test_revaluation_gain_per_holder(golden_run):
 
 def test_no_entry_when_price_unchanged():
     driver = priced_driver(price=20)
-    journal = Journal()
+    journal = Journal(driver.ledger)
     journal.on_event(driver.mint_permit("A", "E", 10))
     entries = journal.on_event(driver.set_price("A", 20))
     assert entries == []
@@ -162,7 +166,7 @@ def test_purchased_lot_revalued_by_holdings_times_price_move(new_price):
     # a convex curve (fraction 0.5) fills the buy above the marked price of
     # 20, yet revaluation moves only by holdings x (new - old)
     driver = LedgerDriver(standard_market(cash="10000000"))
-    journal = Journal()
+    journal = Journal(driver.ledger)
     journal.on_event(driver.mint_permit("A", "F", 1000))
     driver.init_exchange("0.5", 1000, 10000)
     old = driver.ledger.market_price
@@ -203,7 +207,7 @@ def test_sell_entry_with_deferred_release(golden_run):
 
 def test_purchased_lots_carry_no_deferred_income():
     driver = priced_driver(price=20)
-    journal = Journal()
+    journal = Journal(driver.ledger)
     journal.on_event(driver.trade_token("E", 50))
     lot = journal.books["E"].lots[0]
     assert lot.issue is None
@@ -225,7 +229,7 @@ def test_burn_extinguishes_liability(golden_run):
 
 def test_pure_voluntary_surrender_is_an_expense():
     driver = priced_driver(price=20)
-    journal = Journal()
+    journal = Journal(driver.ledger)
     journal.on_event(driver.mint_permit("A", "E", 10))
     entries = journal.on_event(driver.burn_token("E", 10))
     assert entry_amounts(entries[0]) == [
@@ -236,7 +240,7 @@ def test_pure_voluntary_surrender_is_an_expense():
 
 def test_partial_burn_keeps_liability_marked():
     driver = priced_driver(price=20)
-    journal = Journal()
+    journal = Journal(driver.ledger)
     journal.on_event(driver.mint_permit("A", "E", 100))
     journal.on_event(driver.mint_emission("E", "V", 60))
     journal.on_event(driver.burn_token("E", 25))
@@ -250,7 +254,7 @@ def test_partial_burn_keeps_liability_marked():
 def test_booking_overflow_is_an_invalid_amount():
     # the ledger holds 1e12 tokens, but 1e12 x 20 is beyond the 64-bit range
     driver = priced_driver(price=20)
-    journal = Journal()
+    journal = Journal(driver.ledger)
     journal.on_event(driver.mint_permit("A", "E", 10))
     before = list(journal.entries)
     with pytest.raises(LedgerError) as err:
@@ -261,7 +265,7 @@ def test_booking_overflow_is_an_invalid_amount():
     # an event whose first entry books and whose second overflows records
     # neither: the release is 1e7 x 1, the accrual 1e7 x 1e6
     driver = priced_driver(price=20)
-    journal = Journal()
+    journal = Journal(driver.ledger)
     journal.on_event(driver.set_price("A", 1))
     journal.on_event(driver.mint_permit("A", "E", 10))
     journal.on_event(driver.set_price("A", 1000000))
@@ -287,7 +291,7 @@ def test_trial_balance_closure(golden_run):
 
 
 def test_empty_journal_trial_balance_all_zero():
-    nets = Journal().trial_balance()
+    nets = Journal(TokenLedger()).trial_balance()
     assert set(nets) == set(Account)
     assert all(v == ZERO for v in nets.values())
 
@@ -296,7 +300,7 @@ def test_lot_conservation_under_random_activity():
     rng = random.Random(5150)
     driver = LedgerDriver(standard_market(cash="10000000"))
     driver.init_exchange("1", 100000, 2000000)
-    journal = Journal()
+    journal = Journal(driver.ledger)
     journal.on_event(driver.mint_permit("A", "F", 100000))
     ops = ("mint", "grant", "transfer", "trade", "convert", "burn", "emit", "price")
     for _ in range(300):
@@ -353,7 +357,7 @@ def test_journal_mirrors_ledger_from_genesis(balances, price, exchange, sequence
     def check():
         for org_id, record in ledger.registry.items():
             books = journal.books.get(org_id)
-            held = books.holdings() if books else ZERO
+            held = books.holdings if books else ZERO
             lots = sum((lot.qty for lot in books.lots), ZERO) if books else ZERO
             assert held == lots == record.permit, org_id
             assert (books.liability_qty if books else ZERO) == record.emission, org_id
@@ -379,7 +383,7 @@ def test_journal_mirrors_ledger_from_genesis(balances, price, exchange, sequence
 
 
 def test_journal_from_replay_matches_live(golden_run):
-    regenerated = Journal()
+    regenerated = Journal(golden_run.genesis)
     replay(golden_run.chainlog, on_event=regenerated.on_event)
     assert regenerated.export_csv() == golden_run.journal.export_csv()
     assert regenerated.trial_balance() == golden_run.journal.trial_balance()
