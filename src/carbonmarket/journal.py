@@ -7,7 +7,8 @@ received free of charge, the issuance price at which deferred income was
 recognised.  Purchased and transferred-in lots carry no deferred income.
 Each organisation's books keep the lots' total quantity as a running sum,
 updated where a lot enters and in `_consume`, so a price checkpoint costs
-one multiplication per holder however many lots it holds.
+one multiplication per holder however many lots it holds, and none for
+books that hold nothing and owe nothing.
 
 The books open on the genesis ledger: genesis permits become one lot with
 no issue price, and genesis emissions an outstanding surrender liability
@@ -34,24 +35,30 @@ Policy summary:
   at its balance); permits surrendered beyond outstanding emissions are
   expensed outright.
 
-Every handler books through `Journal._post`, which drops zero-amount lines
-and checks that the entry balances exactly in fixed point.  An event whose
-booking overflows the 64-bit amount range is refused with `InvalidAmount`
-and records no entry, even if it posted one before overflowing; the lots may
-then no longer mirror the ledger, so the fold stops there (as `run_scenario`
-and `journal` do).
+The handlers compute on the amounts' integer micro-units, rounding
+products as `Fixed.mul` does, and build a `Fixed` only for a value the
+journal keeps: a line amount, a lot's quantity, an org's holdings and its
+liability.  Each of those keeps `Fixed`'s 64-bit range check.  Every handler
+books through `Journal._post`, which drops zero-amount lines, checks that
+the entry balances exactly, and carries each line into a running net per
+account; `trial_balance()` returns those nets.  An event whose booking
+leaves the 64-bit amount range (a line, an entry's total or an account's
+running net) is refused with `InvalidAmount` and records no entry and no
+net change, even if it posted one before overflowing; the lots may then no
+longer mirror the ledger, so the fold stops there (as `run_scenario` and
+`journal` do).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from functools import partial
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from .errors import ErrorCode, reject
-from .fixed import ZERO, Money, Quantity
+from .fixed import _LIMIT, SCALE, ZERO, Fixed, Money, Quantity, _half_even
 from .ledger import AppliedEvent, TokenLedger, TxKind
 
 
@@ -73,6 +80,10 @@ class Account(Enum):
     EXPENSES_EMISSIONS = "Expenses-Emissions"
     PERMIT_SURRENDERABLE = "Permit surrenderable"
     CASH = "Cash"
+
+    # members are singletons that compare by identity; the identity hash
+    # spares the journal's per-line dict lookups Enum's Python-level __hash__
+    __hash__ = object.__hash__
 
     @property
     def account_class(self) -> AccountClass:
@@ -98,16 +109,27 @@ class Side(Enum):
     DR = "Dr"
     CR = "Cr"
 
+    __hash__ = object.__hash__      # as for Account
 
-@dataclass(frozen=True)
-class JournalLine:
+
+DR, CR = Side.DR, Side.CR
+
+# The export order of the lines of one event: debits first, then by account name.
+_EXPORT_KEYS = sorted(((account, side) for side in Side for account in Account),
+                      key=lambda key: (key[1] is Side.CR, key[0].value))
+# Per (account, side): its rank in that order and its "account,class,side"
+# text, which needs no CSV quoting: no name holds a comma, quote or line break.
+_ROW = {(account, side): (rank, f"{account.value},{account.account_class.value},{side.value}")
+        for rank, (account, side) in enumerate(_EXPORT_KEYS)}
+
+
+class JournalLine(NamedTuple):
     account: Account
     side: Side
     amount: Money
 
 
-@dataclass(frozen=True)
-class JournalEntry:
+class JournalEntry(NamedTuple):
     """One balanced record; event_ref is the seq of the triggering
     transaction (price checkpoints included, they are transactions too)."""
 
@@ -116,11 +138,12 @@ class JournalEntry:
     lines: tuple[JournalLine, ...]
 
     def total(self, side: Side) -> Money:
-        total = ZERO
-        for line in self.lines:
-            if line.side is side:
-                total += line.amount
-        return total
+        return Fixed(sum(line.amount.micro for line in self.lines if line.side is side))
+
+
+# the records built straight from a tuple, skipping the Python-level __new__
+_line = partial(tuple.__new__, JournalLine)
+_entry = partial(tuple.__new__, JournalEntry)
 
 
 @dataclass
@@ -145,14 +168,6 @@ class OrgBooks:
         self.holdings += qty
 
 
-def _dr(account: Account, amount: Money) -> JournalLine:
-    return JournalLine(account, Side.DR, amount)
-
-
-def _cr(account: Account, amount: Money) -> JournalLine:
-    return JournalLine(account, Side.CR, amount)
-
-
 class Journal:
     """Fold applied events into balanced journal entries."""
 
@@ -162,6 +177,7 @@ class Journal:
         liability at the genesis price.  Opening balances book no entry."""
         self.books: dict[str, OrgBooks] = {}
         self.entries: list[JournalEntry] = []
+        self._nets: dict[Account, int] = {account: 0 for account in Account}
         for record in genesis.registry.values():
             if record.permit.is_zero and record.emission.is_zero:
                 continue
@@ -185,28 +201,51 @@ class Journal:
     # -- event dispatch ----------------------------------------------------
 
     def on_event(self, event: AppliedEvent) -> list[JournalEntry]:
-        """Book one event; returns the entries it added."""
+        """Book one event; returns the entries it added.  A refused event
+        leaves the entries and the running nets as they were."""
         start = len(self.entries)
         handler = _JOURNAL_HANDLERS.get(event.tx.kind)
         if handler is not None:
+            nets = self._nets.copy()
             try:
                 handler(self, event)
             except OverflowError as exc:
                 del self.entries[start:]
+                self._nets = nets
                 tx = event.tx
                 raise reject(ErrorCode.INVALID_AMOUNT,
                              f"cannot book seq {tx.seq} ({tx.kind.value}): {exc}") from exc
         return self.entries[start:]
 
-    def _post(self, event: AppliedEvent, org: str, *lines: JournalLine):
-        """Append one entry of the non-zero `lines`, if there are any."""
-        lines = tuple(line for line in lines if line.amount > ZERO)
-        if not lines:
+    def _post(self, event: AppliedEvent, org: str, *lines: tuple[Account, Side, int]):
+        """Append one entry of the positive (account, side, micro) `lines`,
+        if there are any, and carry them into the running nets."""
+        nets = self._nets
+        posted = []
+        debits = credits = 0
+        amount = ZERO
+        for account, side, micro in lines:
+            if micro <= 0:
+                continue
+            if micro != amount.micro:      # the two lines of a pair share one amount
+                amount = Fixed(micro)
+            posted.append(_line((account, side, amount)))
+            if side is DR:
+                debits += micro
+                net = nets[account] + micro
+            else:
+                credits += micro
+                net = nets[account] - micro
+            if not -_LIMIT < net < _LIMIT:
+                raise OverflowError(f"the running net of {account.value!r} "
+                                    f"exceeds the representable range")
+            nets[account] = net
+        if not posted:
             return
-        entry = JournalEntry(event.tx.seq, org, lines)
-        if entry.total(Side.DR) != entry.total(Side.CR):
+        if debits != credits:
             raise ValueError(f"unbalanced journal entry for event {event.tx.seq}")
-        self.entries.append(entry)
+        Fixed(debits)   # an entry's total must fit the amount range, like its lines
+        self.entries.append(_entry((event.tx.seq, org, tuple(posted))))
 
     def _on_issue(self, event: AppliedEvent):
         tx = event.tx
@@ -214,107 +253,121 @@ class Journal:
                    else Account.PERMIT_CREDITS)
         price = event.price_after
         self.books_for(tx.target).add_lot(tx.amount, price)
-        value = tx.amount.mul(price)
-        self._post(event, tx.target, _dr(account, value),
-                   _cr(Account.DEFERRED_INCOME, value))
+        value = _half_even(tx.amount.micro * price.micro, SCALE)
+        self._post(event, tx.target, (account, DR, value),
+                   (Account.DEFERRED_INCOME, CR, value))
 
     def _on_mint_emission(self, event: AppliedEvent):
-        qty = event.tx.amount
+        qty = event.tx.amount.micro
         org = event.tx.sender
         books = self.books_for(org)
         issue = next((lot.issue for lot in books.lots if lot.issue is not None), ZERO)
-        released = qty.mul(issue)
-        self._post(event, org, _dr(Account.DEFERRED_INCOME, released),
-                   _cr(Account.INCOME, released))
+        released = _half_even(qty * issue.micro, SCALE)
+        self._post(event, org, (Account.DEFERRED_INCOME, DR, released),
+                   (Account.INCOME, CR, released))
 
-        accrual = qty.mul(event.price_after)
-        books.liability_qty += qty
-        books.liability_balance += accrual
-        self._post(event, org, _dr(Account.EXPENSES_EMISSIONS, accrual),
-                   _cr(Account.PERMIT_SURRENDERABLE, accrual))
+        accrual = _half_even(qty * event.price_after.micro, SCALE)
+        books.liability_qty = Fixed(books.liability_qty.micro + qty)
+        books.liability_balance = Fixed(books.liability_balance.micro + accrual)
+        self._post(event, org, (Account.EXPENSES_EMISSIONS, DR, accrual),
+                   (Account.PERMIT_SURRENDERABLE, CR, accrual))
 
     def _on_transfer(self, event: AppliedEvent):
         tx = event.tx
-        released = self._consume(self.books_for(tx.sender), tx.amount, tx.sender)
+        released = self._consume(self.books_for(tx.sender), tx.amount.micro, tx.sender)
         self.books_for(tx.target).add_lot(tx.amount, None)
-        self._post(event, tx.sender, _dr(Account.DEFERRED_INCOME, released),
-                   _cr(Account.EMISSION_RIGHTS, released))
+        self._post(event, tx.sender, (Account.DEFERRED_INCOME, DR, released),
+                   (Account.EMISSION_RIGHTS, CR, released))
 
     def _on_trade(self, event: AppliedEvent):
         org = event.tx.sender
         books = self.books_for(org)
         tokens = event.token_delta
-        cash = abs(event.cash_delta)
+        cash = abs(event.cash_delta.micro)
         if tokens.is_positive:
             books.add_lot(tokens, None)
-            self._post(event, org, _dr(Account.EMISSION_PERMIT, cash),
-                       _cr(Account.CASH, cash))
+            self._post(event, org, (Account.EMISSION_PERMIT, DR, cash),
+                       (Account.CASH, CR, cash))
         else:
-            released = self._consume(books, -tokens, org)
+            released = self._consume(books, -tokens.micro, org)
             self._post(event, org,
-                       _dr(Account.CASH, cash), _cr(Account.EMISSION_PERMIT, cash),
-                       _dr(Account.DEFERRED_INCOME, released), _cr(Account.INCOME, released))
+                       (Account.CASH, DR, cash), (Account.EMISSION_PERMIT, CR, cash),
+                       (Account.DEFERRED_INCOME, DR, released), (Account.INCOME, CR, released))
 
     def _on_burn(self, event: AppliedEvent):
         org = event.tx.sender
-        qty = event.tx.amount
-        price = event.price_after
+        qty = event.tx.amount.micro
+        price = event.price_after.micro
+        retired = event.retired.micro
         books = self.books_for(org)
-        self._consume(books, qty, org)
+        # the release books no line here, but its range is checked as it is
+        # for a transfer or a sale: the sum only grows, so the final one will do
+        Fixed(self._consume(books, qty, org))
 
-        retired_value = event.retired.mul(price)
-        surrender = min(retired_value, books.liability_balance)
-        total_value = qty.mul(price)
-        books.liability_qty -= event.retired
-        books.liability_balance -= surrender
-        self._post(event, org, _dr(Account.PERMIT_SURRENDERABLE, surrender),
-                   _dr(Account.EXPENSES_EMISSIONS, total_value - surrender),
-                   _cr(Account.EMISSION_PERMIT, total_value))
+        balance = books.liability_balance.micro
+        surrender = min(_half_even(retired * price, SCALE), balance)
+        total_value = _half_even(qty * price, SCALE)
+        books.liability_qty = Fixed(books.liability_qty.micro - retired)
+        books.liability_balance = Fixed(balance - surrender)
+        self._post(event, org, (Account.PERMIT_SURRENDERABLE, DR, surrender),
+                   (Account.EXPENSES_EMISSIONS, DR, total_value - surrender),
+                   (Account.EMISSION_PERMIT, CR, total_value))
 
     def _on_price_change(self, event: AppliedEvent):
-        old, new = event.price_before, event.price_after
+        old, new = event.price_before.micro, event.price_after.micro
         if new == old:
             return
         delta = new - old
         for org, books in self.books.items():
+            held = books.holdings.micro
+            owed = books.liability_qty.micro
+            balance = books.liability_balance.micro
+            if not (held or owed or balance):
+                continue        # nothing to revalue or re-mark
             lines = []
-            asset_delta = books.holdings.mul(delta)
-            if asset_delta > ZERO:
-                lines += (_dr(Account.EMISSION_PERMIT, asset_delta),
-                          _cr(Account.GAIN_ON_REVALUATION, asset_delta))
-            elif asset_delta < ZERO:
-                lines += (_dr(Account.LOSS_ON_REVALUATION, -asset_delta),
-                          _cr(Account.EMISSION_PERMIT, -asset_delta))
-            remeasured = books.liability_qty.mul(new)
-            liability_delta = remeasured - books.liability_balance
-            if liability_delta > ZERO:
-                lines += (_dr(Account.LOSS_ON_REVALUATION, liability_delta),
-                          _cr(Account.PERMIT_SURRENDERABLE, liability_delta))
-            elif liability_delta < ZERO:
-                lines += (_dr(Account.PERMIT_SURRENDERABLE, -liability_delta),
-                          _cr(Account.GAIN_ON_REVALUATION, -liability_delta))
-            books.liability_balance = remeasured
+            asset_delta = _half_even(held * delta, SCALE)
+            if asset_delta > 0:
+                lines += ((Account.EMISSION_PERMIT, DR, asset_delta),
+                          (Account.GAIN_ON_REVALUATION, CR, asset_delta))
+            elif asset_delta < 0:
+                lines += ((Account.LOSS_ON_REVALUATION, DR, -asset_delta),
+                          (Account.EMISSION_PERMIT, CR, -asset_delta))
+            remeasured = _half_even(owed * new, SCALE)
+            liability_delta = remeasured - balance
+            if liability_delta > 0:
+                lines += ((Account.LOSS_ON_REVALUATION, DR, liability_delta),
+                          (Account.PERMIT_SURRENDERABLE, CR, liability_delta))
+            elif liability_delta < 0:
+                lines += ((Account.PERMIT_SURRENDERABLE, DR, -liability_delta),
+                          (Account.GAIN_ON_REVALUATION, CR, -liability_delta))
+            if liability_delta:
+                books.liability_balance = Fixed(remeasured)
             self._post(event, org, *lines)
 
     # -- lot mechanics -------------------------------------------------------------
 
     @staticmethod
-    def _consume(books: OrgBooks, qty: Quantity, org: str) -> Money:
-        """Remove `qty` tokens FIFO; returns the deferred income they release."""
+    def _consume(books: OrgBooks, qty: int, org: str) -> int:
+        """Remove `qty` micro-tokens FIFO; returns the deferred income they
+        release, in micro-units."""
+        lots = books.lots
         remaining = qty
-        released = ZERO
-        while remaining > ZERO:
-            if not books.lots:
-                raise ValueError(f"lot underflow for {org!r}: {remaining} tokens unaccounted")
-            head = books.lots[0]
-            take = min(head.qty, remaining)
+        released = 0
+        while remaining > 0:
+            if not lots:
+                raise ValueError(f"lot underflow for {org!r}: "
+                                 f"{Fixed(remaining)} tokens unaccounted")
+            head = lots[0]
+            held = head.qty.micro
+            take = min(held, remaining)
             if head.issue is not None:
-                released += take.mul(head.issue)
-            head.qty -= take
+                released += _half_even(take * head.issue.micro, SCALE)
             remaining -= take
-            if head.qty.is_zero:
-                books.lots.pop(0)
-        books.holdings -= qty
+            if take == held:
+                lots.pop(0)
+            else:
+                head.qty = Fixed(held - take)
+        books.holdings = Fixed(books.holdings.micro - qty)
         return released
 
     # -- reporting -----------------------------------------------------------------
@@ -322,34 +375,20 @@ class Journal:
     def trial_balance(self) -> dict[Account, Money]:
         """Per-account net debit (Dr - Cr); liabilities and equity normally
         carry a negative net under this convention."""
-        nets = {account: ZERO for account in Account}
-        for entry in self.entries:
-            for line in entry.lines:
-                if line.side is Side.DR:
-                    nets[line.account] += line.amount
-                else:
-                    nets[line.account] -= line.amount
-        return nets
-
-    def export_lines(self) -> list[tuple[int, str, str, str, str]]:
-        rows = []
-        for entry in self.entries:
-            for line in entry.lines:
-                rows.append((entry.event_ref,
-                             line.account.value,
-                             line.account.account_class.value,
-                             line.side.value,
-                             str(line.amount),
-                             line.side is Side.CR))
-        rows.sort(key=lambda r: (r[0], r[5], r[1]))
-        return [row[:5] for row in rows]
+        return {account: Fixed(net) for account, net in self._nets.items()}
 
     def export_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["event", "account", "class", "side", "amount"])
-        writer.writerows(self.export_lines())
-        return out.getvalue()
+        """The lines as CSV, ordered by event, then debits before credits,
+        then account name; ties keep their booking order."""
+        rows = [(event_ref, *_ROW[account, side], amount.micro)
+                for event_ref, _, lines in self.entries
+                for account, side, amount in lines]
+        rows.sort(key=itemgetter(0, 1))        # event, then rank; a stable sort
+        out = ["event,account,class,side,amount\n"]
+        for event_ref, _, text, micro in rows:
+            units, frac = divmod(micro, SCALE)
+            out.append(f"{event_ref},{text},{units}.{frac:06d}\n")
+        return "".join(out)
 
 
 _JOURNAL_HANDLERS = {

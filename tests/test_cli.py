@@ -101,6 +101,42 @@ def test_journal_overflow_is_a_typed_failure(tmp_path, capsys):
     assert "InvalidAmount" in err
 
 
+# E's one token revalued up by about 4e12 three times: every entry fits the
+# 64-bit amount range, but the third would carry the net of Gain on
+# revaluation past it.  The expect step reads that net after two.
+NET_OVERFLOW = """
+name: net-overflow
+genesis:
+  orgs:
+    - {id: A, role: authority}
+    - {id: E, role: enterprise}
+steps:
+  - {time: "t1", action: mintPermit, signer: A, target: E, amount: 1}
+  - {time: "t2", action: setPrice, authority: A, price: 4000000000000}
+  - {time: "t3", action: setPrice, authority: A, price: 1}
+  - {time: "t4", action: setPrice, authority: A, price: 4000000000000}
+  - {time: "t4", action: expect, account: Gain on revaluation, equals: -7999999999999}
+  - {time: "t5", action: setPrice, authority: A, price: 1}
+  - {time: "t6", action: setPrice, authority: A, price: 4000000000000}
+"""
+
+
+def test_running_net_overflow_is_a_typed_failure(tmp_path, capsys):
+    scenario = tmp_path / "net-overflow.yaml"
+    scenario.write_text(NET_OVERFLOW, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", str(scenario), "--out", str(out_dir))
+    assert code == 1
+    assert err.startswith("run failed at step 6 (setPrice): InvalidAmount: ")
+    assert "Traceback" not in err
+    trial = (out_dir / "trial_balance.csv").read_text(encoding="utf-8")
+    assert "Gain on revaluation,Equity,-7999999999999.000000\n" in trial
+    code, out, err = run_cli(capsys, "journal", str(out_dir / "chainlog.log"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: InvalidAmount: cannot book seq 6 (setPrice): ")
+
+
 def write_log(path, genesis, *steps):
     """A hash-correct chain log of `steps` (kind, sender, target, amount,
     payload) applied to `genesis`."""

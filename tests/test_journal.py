@@ -1,12 +1,14 @@
 """Accounting engine: golden rows, lot mechanics, balance invariants."""
 
+import csv
+import io
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carbonmarket import (Account, ErrorCode, Journal, LedgerError, Side, TokenLedger,
-                          Transaction)
+from carbonmarket import (Account, AccountClass, ErrorCode, Journal, LedgerError, Side,
+                          TokenLedger, Transaction)
 from carbonmarket.chainlog import replay
 from carbonmarket.fixed import ZERO, Fixed
 
@@ -249,6 +251,28 @@ def test_partial_burn_keeps_liability_marked():
     assert books.liability_balance == fx(700)  # 35 tonnes at 20
 
 
+def test_reprice_clears_a_balance_left_without_tonnes():
+    # three accruals of 0.000001 t at 1.5 round to 0.000002 each; retiring
+    # the 0.000003 t surrenders 0.000004 (4.5 rounds to even), so the books
+    # owe no tonnes but keep a balance of 0.000002, which a re-price clears
+    driver = LedgerDriver(standard_market())
+    journal = Journal(driver.ledger)
+    journal.on_event(driver.mint_permit("A", "E", 1))
+    journal.on_event(driver.set_price("A", "1.5"))
+    for _ in range(3):
+        journal.on_event(driver.mint_emission("E", "V", "0.000001"))
+    journal.on_event(driver.burn_token("E", "0.000003"))
+    journal.on_event(driver.burn_token("E", "0.999997"))
+    books = journal.books["E"]
+    assert (books.holdings, books.liability_qty) == (ZERO, ZERO)
+    assert books.liability_balance == fx("0.000002")
+    entries = journal.on_event(driver.set_price("A", 2))
+    assert [entry_amounts(entry) for entry in entries] == [[
+        (Account.PERMIT_SURRENDERABLE, Side.DR, fx("0.000002")),
+        (Account.GAIN_ON_REVALUATION, Side.CR, fx("0.000002"))]]
+    assert books.liability_balance == ZERO
+
+
 # -- numeric edges -------------------------------------------------------------------
 
 def test_booking_overflow_is_an_invalid_amount():
@@ -274,6 +298,25 @@ def test_booking_overflow_is_an_invalid_amount():
         journal.on_event(driver.mint_emission("E", "V", 10000000))
     assert err.value.code is ErrorCode.INVALID_AMOUNT
     assert journal.entries == before
+
+
+def test_running_net_overflow_is_refused_and_undone():
+    # every line fits the 64-bit amount range, but the second re-price would
+    # carry the nets of Emission permit and Gain on revaluation past it:
+    # E's entry books, then F's overflows, and the event is refused whole
+    driver = LedgerDriver(standard_market())
+    journal = Journal(driver.ledger)
+    journal.on_event(driver.mint_permit("A", "E", 1))
+    journal.on_event(driver.mint_permit("A", "F", 1))
+    journal.on_event(driver.set_price("A", 4000000000000))
+    before, nets = list(journal.entries), journal.trial_balance()
+    assert nets[Account.GAIN_ON_REVALUATION] == fx(-8000000000000)
+    with pytest.raises(LedgerError) as err:
+        journal.on_event(driver.set_price("A", 5000000000000))
+    assert err.value.code is ErrorCode.INVALID_AMOUNT
+    assert "running net of 'Emission permit'" in err.value.message
+    assert journal.entries == before
+    assert journal.trial_balance() == nets
 
 
 # -- global invariants ------------------------------------------------------------------
@@ -345,8 +388,9 @@ endowment = st.tuples(st.integers(0, 2000 * TOKEN), st.integers(0, 500 * TOKEN))
 def test_journal_mirrors_ledger_from_genesis(balances, price, exchange, sequence):
     """From a genesis with permit and emission balances, through random
     transactions: each org's running holdings, its lots and its ledger
-    permits agree, its outstanding liability is its ledger emissions, and
-    the journal's debits equal its credits."""
+    permits agree, its outstanding liability is its ledger emissions, the
+    journal's debits equal its credits, and after every event, booked or
+    refused, the trial balance is the exact fold of the entries kept."""
     ledger = standard_market()
     if exchange:
         ledger.setup_init_exchange(Fixed(TOKEN // 2), Fixed(2000 * TOKEN),
@@ -364,6 +408,16 @@ def test_journal_mirrors_ledger_from_genesis(balances, price, exchange, sequence
         # summed exactly: a per-account net may leave the 64-bit amount range
         assert sum(line.amount.micro if line.side is Side.DR else -line.amount.micro
                    for entry in journal.entries for line in entry.lines) == 0
+        check_nets()
+
+    def check_nets():
+        # the running nets are an exact fold over the entries kept
+        nets = dict.fromkeys(Account, 0)
+        for entry in journal.entries:
+            for line in entry.lines:
+                nets[line.account] += (line.amount.micro if line.side is Side.DR
+                                       else -line.amount.micro)
+        assert {account: net.micro for account, net in journal.trial_balance().items()} == nets
 
     check()
     for _, kind, sender, target, cosigner, amount, payload in sequence:
@@ -378,6 +432,7 @@ def test_journal_mirrors_ledger_from_genesis(balances, price, exchange, sequence
             journal.on_event(event)
         except LedgerError as exc:      # a booking overflow ends the fold
             assert exc.code is ErrorCode.INVALID_AMOUNT
+            check_nets()
             return
         check()
 
@@ -397,3 +452,24 @@ def test_export_ordering_and_columns(golden_run):
     keys = [(int(r[0]), r[3] == "Cr", r[1]) for r in rows]
     assert keys == sorted(keys)
     assert {r[2] for r in rows} <= {"Asset", "Liability", "Equity"}
+
+
+def test_export_names_need_no_csv_quoting():
+    names = ([account.value for account in Account] + [cls.value for cls in AccountClass]
+             + [side.value for side in Side])
+    for name in names:
+        assert not set(name) & set(',"\r\n'), name
+
+
+def test_export_matches_a_csv_writer(golden_run):
+    # oracle: csv.writer over the lines, stably sorted by event, then debits
+    # before credits, then account name
+    rows = [(entry.event_ref, line.account.value, line.account.account_class.value,
+             line.side.value, str(line.amount), line.side is Side.CR)
+            for entry in golden_run.journal.entries for line in entry.lines]
+    rows.sort(key=lambda row: (row[0], row[5], row[1]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["event", "account", "class", "side", "amount"])
+    writer.writerows(row[:5] for row in rows)
+    assert golden_run.journal.export_csv() == out.getvalue()
