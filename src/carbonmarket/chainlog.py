@@ -28,6 +28,12 @@ Hashes are SHA-256 (named in the header).  For each entry:
 with prev_hash of the first entry the all-zero digest.  state_digest commits
 to the full ledger state after applying the entry, which is what `replay`
 checks against; the genesis line lets a log be replayed self-contained.
+
+The writer is the only definition of this format.  A log is valid when its
+header and genesis line check out and re-writing each entry from its
+transaction and state digest reproduces that line byte for byte: the
+transaction bytes must be the encoding of the transaction they decode to,
+and every digest and hash is recomputed, never trusted.
 """
 
 from __future__ import annotations
@@ -59,28 +65,19 @@ def _put_str(out: bytearray, text: str):
     out += raw
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _take_str(data: bytes, pos: int) -> tuple[str, int]:
+    (length,) = struct.unpack_from(">I", data, pos)
+    end = pos + 4 + length
+    return data[pos + 4:end].decode("utf-8"), end
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise reject(ErrorCode.CHAIN_INVALID, "truncated transaction encoding")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
 
-    def take_str(self) -> str:
-        (length,) = struct.unpack(">I", self.take(4))
-        return self.take(length).decode("utf-8")
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+# json.dumps with these arguments would build an encoder on every call, and
+# the writer and the decoder encode the payload of every logged transaction
+_PAYLOAD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 def canonical_payload(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return _PAYLOAD_ENCODER.encode(payload)
 
 
 def encode_transaction(tx: Transaction) -> bytes:
@@ -97,22 +94,23 @@ def encode_transaction(tx: Transaction) -> bytes:
 
 
 def decode_transaction(data: bytes) -> Transaction:
-    reader = _Reader(data)
-    if reader.take(len(TX_MAGIC)) != TX_MAGIC:
-        raise reject(ErrorCode.CHAIN_INVALID, "bad transaction magic")
+    """The transaction `data` encodes.  ChainInvalid unless encoding that
+    transaction gives back `data` byte for byte, which rules out a wrong
+    magic, truncation, trailing bytes, a bad amount field and a payload not
+    in canonical form."""
     try:
-        (seq,) = struct.unpack(">Q", reader.take(8))
-        time = reader.take_str()
-        kind_text = reader.take_str()
-        sender = reader.take_str()
-        cosigner = reader.take_str()
-        target = reader.take_str()
-        present, micro = struct.unpack(">Bq", reader.take(9))
-        payload_text = reader.take_str()
-    except (struct.error, UnicodeDecodeError) as exc:
+        (seq,) = struct.unpack_from(">Q", data, len(TX_MAGIC))
+        pos = len(TX_MAGIC) + 8
+        texts = []
+        for _ in range(5):
+            text, pos = _take_str(data, pos)
+            texts.append(text)
+        present, micro = struct.unpack_from(">Bq", data, pos)
+        payload_text, _ = _take_str(data, pos + 9)
+        amount = Fixed(micro) if present else None
+    except (struct.error, UnicodeDecodeError, OverflowError) as exc:
         raise reject(ErrorCode.CHAIN_INVALID, f"bad transaction encoding: {exc}") from exc
-    if not reader.done():
-        raise reject(ErrorCode.CHAIN_INVALID, "trailing bytes after transaction")
+    time, kind_text, sender, cosigner, target = texts
     try:
         kind = TxKind(kind_text)
     except ValueError as exc:
@@ -121,19 +119,11 @@ def decode_transaction(data: bytes) -> Transaction:
         payload = json.loads(payload_text)
     except (ValueError, RecursionError) as exc:   # also too deep, or too long a number
         raise reject(ErrorCode.CHAIN_INVALID, f"bad payload json: {exc}") from exc
-    if not isinstance(payload, dict) or canonical_payload(payload) != payload_text:
-        raise reject(ErrorCode.CHAIN_INVALID, "payload not in canonical form")
-    if present not in (0, 1) or (present == 0 and micro != 0):
-        raise reject(ErrorCode.CHAIN_INVALID, "bad amount field")
-    amount = Fixed(micro) if present else None
-    return Transaction(seq=seq, time=time, kind=kind, sender=sender,
-                       target=target, cosigner=cosigner, amount=amount,
-                       payload=payload)
-
-
-def entry_hash(seq: int, tx_digest: bytes, state_digest: bytes,
-               prev_hash: bytes) -> bytes:
-    return _hash(struct.pack(">Q", seq) + tx_digest + state_digest + prev_hash)
+    tx = Transaction(seq=seq, time=time, kind=kind, sender=sender, target=target,
+                     cosigner=cosigner, amount=amount, payload=payload)
+    if not isinstance(payload, dict) or encode_transaction(tx) != data:
+        raise reject(ErrorCode.CHAIN_INVALID, "transaction not in canonical encoding")
+    return tx
 
 
 @dataclass(frozen=True)
@@ -155,6 +145,29 @@ class ChainEntry:
             self.state_digest.hex(),
             self.entry_hash.hex(),
         ))
+
+
+def _entry(prev: bytes, tx: Transaction, tx_bytes: bytes,
+           state_digest: bytes) -> ChainEntry:
+    """The entry for `tx`, encoded as `tx_bytes`, after the entry hashing to
+    `prev`."""
+    tx_digest = _hash(tx_bytes)
+    return ChainEntry(seq=tx.seq, tx=tx, tx_bytes=tx_bytes, tx_digest=tx_digest,
+                      prev_hash=prev, state_digest=state_digest,
+                      entry_hash=_hash(struct.pack(">Q", tx.seq) + tx_digest
+                                       + state_digest + prev))
+
+
+# the entry line's fields, as error messages name them
+_FIELDS = ("seq", "tx-hex", "transaction digest", "prev-hash", "state digest",
+           "entry hash")
+
+
+def _mismatch(seq: int, rewritten: str, line: str) -> str:
+    """Names the first field of entry `line` that `rewritten` does not reproduce."""
+    name = next(name for name, got, want in zip(_FIELDS, rewritten.split(" "), line.split(" "))
+                if got != want)
+    return f"entry {seq}: {name} mismatch"
 
 
 @dataclass(frozen=True)
@@ -199,13 +212,7 @@ class ChainLog:
         if tx.seq != self.head_seq + 1:
             raise reject(ErrorCode.SEQ_GAP,
                          f"expected seq {self.head_seq + 1}, got {tx.seq}")
-        tx_bytes = encode_transaction(tx)
-        tx_digest = _hash(tx_bytes)
-        prev = self.head_hash
-        entry = ChainEntry(seq=tx.seq, tx=tx, tx_bytes=tx_bytes,
-                           tx_digest=tx_digest, prev_hash=prev,
-                           state_digest=state_digest,
-                           entry_hash=entry_hash(tx.seq, tx_digest, state_digest, prev))
+        entry = _entry(self.head_hash, tx, encode_transaction(tx), state_digest)
         self.entries.append(entry)
         return entry
 
@@ -232,17 +239,6 @@ class ChainLog:
         return verify_text(self.to_text())
 
 
-def _canonical_hex(text: str, length: Optional[int] = None) -> bytes:
-    """Decode hex, insisting on the canonical lowercase form so that any
-    byte-level change to the file is a detectable change."""
-    data = bytes.fromhex(text)
-    if data.hex() != text:
-        raise ValueError(f"non-canonical hex {text[:16]!r}...")
-    if length is not None and len(data) != length:
-        raise ValueError(f"expected {length} bytes, got {len(data)}")
-    return data
-
-
 def _parse_and_check(text: str) -> tuple[Optional[ChainLog], Optional[tuple[Optional[int], str]]]:
     """Returns (log, None) on success or (partial-or-None, (bad_seq, why))."""
     # split strictly on "\n": splitlines() would also split on \v, \f, and
@@ -264,74 +260,47 @@ def _parse_and_check(text: str) -> tuple[Optional[ChainLog], Optional[tuple[Opti
         log = ChainLog(genesis_json)
     except LedgerError as exc:
         return None, (None, exc.message)
-    try:
-        header_digest = _canonical_hex(header[3], 32)
-    except ValueError:
-        return None, (None, "header genesis digest is not canonical hex")
-    if header_digest != log.genesis_digest:
+    if header[3] != log.genesis_digest.hex():
         return None, (None, "genesis state does not match the header digest")
 
     prev = GENESIS_PREV
-    expected_seq = log.genesis_seq + 1
-    for line in lines[2:]:
-        parts = line.split(" ")
-        if len(parts) != 6:
-            return log, (expected_seq, f"entry line has {len(parts)} fields, expected 6")
+    for seq, line in enumerate(lines[2:], start=log.genesis_seq + 1):
+        fields = line.split(" ")
+        if len(fields) != 6:
+            return log, (seq, f"entry line has {len(fields)} fields, expected 6")
         try:
-            seq = int(parts[0])
-            if str(seq) != parts[0]:
-                raise ValueError(f"non-canonical sequence field {parts[0]!r}")
-            tx_bytes = _canonical_hex(parts[1])
-            tx_digest = _canonical_hex(parts[2], 32)
-            prev_hash = _canonical_hex(parts[3], 32)
-            state_digest = _canonical_hex(parts[4], 32)
-            ehash = _canonical_hex(parts[5], 32)
+            tx_bytes = bytes.fromhex(fields[1])
+            state_digest = bytes.fromhex(fields[4])
         except ValueError as exc:
-            return log, (expected_seq, f"unparseable entry fields: {exc}")
-        if seq != expected_seq:
-            return log, (expected_seq, f"sequence gap: entry claims seq {seq}")
+            return log, (seq, f"unparseable entry fields: {exc}")
+        if len(state_digest) != 32:
+            return log, (seq, f"entry {seq}: state digest is not 32 bytes")
         try:
             tx = decode_transaction(tx_bytes)
         except LedgerError as exc:
             return log, (seq, f"entry {seq}: {exc.message}")
-        entry = ChainEntry(seq=seq, tx=tx, tx_bytes=tx_bytes, tx_digest=tx_digest,
-                           prev_hash=prev_hash, state_digest=state_digest,
-                           entry_hash=ehash)
-        problem = _link_problem(entry, prev)
-        if problem is not None:
-            return log, (seq, problem)
+        if tx.seq != seq:
+            return log, (seq, f"entry {seq}: embedded transaction claims seq {tx.seq}")
+        entry = _entry(prev, tx, tx_bytes, state_digest)
+        if entry.to_line() != line:
+            return log, (seq, _mismatch(seq, entry.to_line(), line))
         log.entries.append(entry)
-        prev = ehash
-        expected_seq += 1
+        prev = entry.entry_hash
     return log, None
-
-
-def _link_problem(entry: ChainEntry, prev: bytes) -> Optional[str]:
-    """Why `entry` does not belong after the entry hashing to `prev`, or None."""
-    seq = entry.seq
-    if entry.tx.seq != seq:
-        return f"entry {seq}: embedded transaction claims seq {entry.tx.seq}"
-    if _hash(entry.tx_bytes) != entry.tx_digest:
-        return f"entry {seq}: transaction digest mismatch"
-    if entry.prev_hash != prev:
-        return f"entry {seq}: broken link to predecessor"
-    if entry_hash(seq, entry.tx_digest, entry.state_digest,
-                  entry.prev_hash) != entry.entry_hash:
-        return f"entry {seq}: entry hash mismatch"
-    return None
 
 
 def _check_links(log: ChainLog):
     """Walk the in-memory entries and raise ChainInvalid at the first one
-    that breaks the sequence or the hash chain."""
+    that is not what re-writing it after its predecessor gives."""
     prev = GENESIS_PREV
     for expected_seq, entry in enumerate(log.entries, start=log.genesis_seq + 1):
         if entry.seq != expected_seq:
             raise reject(ErrorCode.CHAIN_INVALID,
                          f"sequence gap: entry claims seq {entry.seq}")
-        problem = _link_problem(entry, prev)
-        if problem is not None:
-            raise reject(ErrorCode.CHAIN_INVALID, problem)
+        rebuilt = _entry(prev, entry.tx, entry.tx_bytes, entry.state_digest)
+        if rebuilt != entry:
+            raise reject(ErrorCode.CHAIN_INVALID,
+                         _mismatch(expected_seq, rebuilt.to_line(), entry.to_line()))
         prev = entry.entry_hash
 
 

@@ -6,7 +6,9 @@ the chain log, and feeds the event to the journal.  Inline expectations are
 evaluated against the live state.  The run stops at the first failure
 (unexpected rejection, failed expectation, a step that was marked
 expect_fail but succeeded, or an applied transaction the journal cannot
-book); everything before the failure remains valid.
+book); everything before the failure remains valid.  A transaction the
+ledger applied is always logged and booked, even when its step fails, so
+the chain log replays to the run's final state.
 """
 
 from __future__ import annotations
@@ -142,16 +144,16 @@ def run_scenario(scenario: Scenario) -> RunResult:
             fail(step, ErrorCode.TRANSACTION_REJECTED,
                  f"seq {seq} ({step.action}) rejected: {exc}", seq=seq)
             break
-        if step.expect_fail is not None:
-            fail(step, ErrorCode.ASSERTION_FAILED,
-                 f"step was expected to fail with "
-                 f"{step.expect_fail or 'any error'} but was applied", seq=seq)
-            break
         chainlog.append(tx, ledger.state_digest())
         try:
             journal.on_event(event)
         except LedgerError as exc:
             fail(step, exc.code, exc.message, seq=seq)
+            break
+        if step.expect_fail is not None:
+            fail(step, ErrorCode.ASSERTION_FAILED,
+                 f"step was expected to fail with "
+                 f"{step.expect_fail or 'any error'} but was applied", seq=seq)
             break
         result.steps.append(StepResult(index=step.index, time=step.time,
                                        action=step.action, status="applied", seq=seq))

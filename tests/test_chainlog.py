@@ -42,11 +42,28 @@ def test_encode_decode_round_trip():
     assert encode_transaction(decode_transaction(blob)) == blob
 
 
-def test_decode_rejects_trailing_bytes():
-    blob = encode_transaction(Transaction(seq=1, time="t", kind=TxKind.BURN_TOKEN,
-                                          sender="E", amount=fx(1)))
+# a burn of 1 t ends u8(amount present) | i64be(micro) | u32be(2) | b"{}"
+BURN = encode_transaction(Transaction(seq=1, time="t", kind=TxKind.BURN_TOKEN,
+                                      sender="E", amount=fx(1)))
+
+
+def burn_ending(present, micro, length, payload):
+    return BURN[:-15] + struct.pack(">BqI", present, micro, length) + payload
+
+
+@pytest.mark.parametrize("blob", [
+    pytest.param(burn_ending(2, 10**6, 2, b"{}"), id="amount-flag-2"),
+    pytest.param(burn_ending(0, 10**6, 2, b"{}"), id="flag-0-with-amount"),
+    pytest.param(burn_ending(1, 10**6, 1, b"{}"), id="length-too-short"),
+    pytest.param(burn_ending(1, 10**6, 3, b"{}"), id="length-too-long"),
+    pytest.param(BURN + b"x", id="trailing-byte"),
+    pytest.param(burn_ending(1, 10**6, 3, b"{ }"), id="payload-with-spaces"),
+    pytest.param(burn_ending(1, -2**63, 2, b"{}"), id="min-i64-amount"),
+])
+def test_decode_rejects_non_canonical_encoding(blob):
+    assert burn_ending(1, 10**6, 2, b"{}") == BURN
     with pytest.raises(LedgerError) as err:
-        decode_transaction(blob + b"x")
+        decode_transaction(blob)
     assert err.value.code is ErrorCode.CHAIN_INVALID
 
 
@@ -106,18 +123,28 @@ def test_text_round_trip_and_verify():
     assert verify_text(ChainLog(TokenLedger().state_json()).to_text()).valid
 
 
+def flip_first_digit(hex_text):
+    return ("0" if hex_text[0] != "0" else "1") + hex_text[1:]
+
+
 def test_verify_flags_first_bad_entry():
     _, _, log = logged_driver()
     lines = log.to_text().splitlines()
-    # flip one hex digit inside entry 2's transaction digest
-    parts = lines[3].split(" ")
-    digest = list(parts[2])
-    digest[0] = "0" if digest[0] != "0" else "1"
-    parts[2] = "".join(digest)
-    lines[3] = " ".join(parts)
-    check = verify_text("\n".join(lines) + "\n")
-    assert not check.valid
-    assert check.first_bad_seq == 2
+    # a changed tx-hex or state digest is still re-written as given, and so
+    # shows in the digest or hash computed from it; the field itself is
+    # named when its hex is not the canonical lowercase
+    damage = [("seq", lambda seq: "3"), ("tx-hex", str.upper),
+              ("transaction digest", flip_first_digit), ("prev-hash", flip_first_digit),
+              ("state digest", str.upper), ("entry hash", flip_first_digit)]
+    for index, (name, change) in enumerate(damage):
+        parts = lines[3].split(" ")
+        parts[index] = change(parts[index])
+        damaged = lines[:3] + [" ".join(parts)] + lines[4:]
+        assert damaged != lines
+        check = verify_text("\n".join(damaged) + "\n")
+        assert not check.valid
+        assert check.first_bad_seq == 2
+        assert check.detail == f"entry 2: {name} mismatch"
 
 
 def test_replay_reproduces_state(golden_run):

@@ -1,6 +1,7 @@
 """Command line behaviour: commands, exit codes, byte-stable outputs."""
 
 import hashlib
+import types
 
 import pytest
 
@@ -229,6 +230,26 @@ def test_bad_genesis_line_is_an_invalid_chain(tmp_path, capsys, field, value):
         assert err.startswith("error: ChainInvalid: ")
 
 
+def test_minimum_amount_is_an_invalid_chain(tmp_path, capsys):
+    # i64 -2**63 fits the amount field but is no amount: a hash-correct
+    # entry holding it is invalid, not a traceback
+    genesis = standard_market()
+    chain = ChainLog.for_ledger(genesis)
+    chain.append(Transaction(seq=1, time="t", kind=TxKind.BURN_TOKEN, sender="E",
+                             amount=types.SimpleNamespace(micro=-2**63)), bytes(32))
+    log = tmp_path / "chainlog.log"
+    log.write_text(chain.to_text(), encoding="utf-8")
+    state = tmp_path / "genesis.json"
+    state.write_text(genesis.state_json() + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(log))
+    assert (code, out) == (1, "")
+    assert err.startswith("chain INVALID at seq 1: ")
+    for argv in (["replay", str(log), str(state)], ["journal", str(log)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ChainInvalid: ")
+
+
 def test_journal_needs_a_canonical_genesis_line(tmp_path, capsys):
     # `journal` replays from the genesis it loaded, which must re-encode to
     # the recorded digest, as a genesis file given to `replay` must
@@ -241,6 +262,41 @@ def test_journal_needs_a_canonical_genesis_line(tmp_path, capsys):
     code, out, err = run_cli(capsys, "journal", str(log))
     assert (code, out) == (1, "")
     assert err.startswith("error: StateMismatch: ")
+
+
+APPLIED_EXPECT_FAIL = """
+name: applied-expect-fail
+genesis:
+  orgs:
+    - {id: A, role: authority}
+    - {id: E, role: enterprise}
+steps:
+  - {time: "t1", action: mintPermit, signer: A, target: E, amount: 10}
+  - {time: "t2", action: mintPermit, signer: A, target: E, amount: 5, expect_fail: true}
+"""
+
+
+def test_log_of_a_run_failed_by_an_applied_step_replays_to_its_state(tmp_path, capsys):
+    # the second step was expected to fail but applied: the run fails, and
+    # its log and journal hold that transaction as its final state does
+    scenario = tmp_path / "applied.yaml"
+    scenario.write_text(APPLIED_EXPECT_FAIL, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "run", str(scenario), "--out", str(out_dir))
+    assert code == 1
+    assert err.startswith("run failed at step 1 (mintPermit): AssertionFailed: ")
+    digest = out.split("\nstate-digest ")[1].strip()
+    assert (out_dir / "run.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+        "0,t1,mintPermit,applied,1,,",
+        "1,t2,mintPermit,failed,2,AssertionFailed,"
+        "step was expected to fail with any error but was applied"]
+    log, genesis = str(out_dir / "chainlog.log"), str(out_dir / "genesis.json")
+    code, out, _ = run_cli(capsys, "replay", log, genesis)
+    assert code == 0
+    assert out.splitlines()[0] == f"replay ok: 2 transactions, state-digest {digest}"
+    code, out, _ = run_cli(capsys, "journal", log)
+    assert code == 0
+    assert out == (out_dir / "journal.csv").read_text(encoding="utf-8")
 
 
 def test_schema_error_returns_two(tmp_path, capsys):
