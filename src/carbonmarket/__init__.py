@@ -1,28 +1,44 @@
 """carbonmarket: a deterministic emissions-trading ledger with an
 algorithmic exchange, a tamper-evident transaction log, and a double-entry
-carbon-accounting journal, driven by declarative scenario files."""
+carbon-accounting journal, driven by declarative scenario files.
 
-from .chainlog import ChainLog, replay, verify_text
-from .domain import (AUTHORITY, ENTERPRISE, VERIFIER, ComplianceReport,
-                     OrgRecord, Role, RoleKind)
-from .errors import ErrorCode, LedgerError
-from .exchange import (ExchangeState, Quote, quote_buy_tokens,
-                       quote_spend_cash, spot_price)
-from .fixed import ONE, ZERO, Fixed, Money, Quantity
-from .journal import Account, AccountClass, Journal, JournalEntry, JournalLine, Side
-from .ledger import AppliedEvent, TokenLedger, Transaction, TxKind
-from .runner import RunResult, StepResult, build_genesis, run_scenario
-from .scenario import Scenario, load_scenario, parse_scenario
+`import carbonmarket` loads no submodule: each public name below is imported
+from its home submodule on first access (PEP 562), so a command that only
+checks a chain log never loads PyYAML, the scenario runner or the journal."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AUTHORITY", "Account", "AccountClass", "AppliedEvent", "ChainLog",
-    "ComplianceReport", "ENTERPRISE", "ErrorCode", "ExchangeState", "Fixed",
-    "Journal", "JournalEntry", "JournalLine", "LedgerError", "Money", "ONE",
-    "OrgRecord", "Quantity", "Quote", "Role", "RoleKind", "RunResult",
-    "Scenario", "Side", "StepResult", "TokenLedger",
-    "Transaction", "TxKind", "VERIFIER", "ZERO", "build_genesis",
-    "load_scenario", "parse_scenario", "quote_buy_tokens", "quote_spend_cash",
-    "replay", "run_scenario", "spot_price", "verify_text",
-]
+_EXPORTS = {
+    "chainlog": ("ChainLog", "replay", "verify_text"),
+    "domain": ("AUTHORITY", "ENTERPRISE", "VERIFIER", "ComplianceReport",
+               "OrgRecord", "Role", "RoleKind"),
+    "errors": ("ErrorCode", "LedgerError"),
+    "exchange": ("ExchangeState", "Quote", "quote_buy_tokens", "quote_spend_cash",
+                 "spot_price"),
+    "fixed": ("ONE", "ZERO", "Fixed", "Money", "Quantity"),
+    "journal": ("Account", "AccountClass", "Journal", "JournalEntry", "JournalLine",
+                "Side"),
+    "ledger": ("AppliedEvent", "TokenLedger", "Transaction", "TxKind"),
+    "runner": ("RunResult", "StepResult", "build_genesis", "run_scenario"),
+    "scenario": ("Scenario", "load_scenario", "parse_scenario"),
+}
+
+# public name -> the submodule that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value     # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted([*globals(), *__all__])

@@ -22,10 +22,7 @@ from .chainlog import ChainLog, VerifyResult, replay as replay_chain, verify_tex
 from .errors import ErrorCode, LedgerError
 from .exchange import quote_buy_tokens, quote_spend_cash, validate_fraction
 from .fixed import Fixed
-from .journal import Journal
 from .ledger import TokenLedger
-from .runner import run_scenario
-from .scenario import load_scenario
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -54,6 +51,20 @@ def _amount(text: str) -> Fixed:
         return Fixed.parse(text)
     except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+# Only `run` needs the scenario parser (and PyYAML) and the runner, so they are
+# imported when it calls them; `verify` and `replay` never load them.  These
+# stay names in this module, looked up when `run` calls them, so a caller can
+# replace them in place.
+def load_scenario(path):
+    from .scenario import load_scenario
+    return load_scenario(path)
+
+
+def run_scenario(scenario):
+    from .runner import run_scenario
+    return run_scenario(scenario)
 
 
 def _cmd_run(args) -> int:
@@ -123,6 +134,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_journal(args) -> int:
+    from .journal import Journal
     # from_text checks every link, so a broken log fails before the books open
     log = ChainLog.from_text(_read(args.chainlog, ErrorCode.CHAIN_INVALID))
     genesis = TokenLedger.from_state_json(log.genesis_json)

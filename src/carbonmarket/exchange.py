@@ -185,6 +185,10 @@ def quote_spend_cash(fraction: Fixed, supply: Quantity, reserve: Money,
     if cash.is_negative and -cash > reserve:
         raise reject(ErrorCode.RESERVE_EXHAUSTED,
                      f"cannot withdraw {-cash} from a reserve of {reserve}")
+    if not reserve.is_positive:
+        # the curve divides by the reserve; a setPrice whose F * s * P rounds
+        # to zero, or a loaded state, can leave it empty with tokens out
+        raise reject(ErrorCode.RESERVE_EXHAUSTED, "the exchange reserve is empty")
     with _priced(f"a trade of {cash} cash"):
         raw = tokens_for_cash_raw(fraction.to_float(), supply.to_float(),
                                   reserve.to_float(), cash.to_float())

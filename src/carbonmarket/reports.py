@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import csv
 import io
+from typing import TYPE_CHECKING
 
 from .errors import ErrorCode, reject
 from .exchange import ExchangeState, spot_price, validate_anchor
 from .fixed import Fixed
-from .journal import Account, Journal
 from .ledger import TokenLedger
-from .runner import RunResult
+
+if TYPE_CHECKING:       # `replay` writes balances without loading these
+    from .journal import Journal
+    from .runner import RunResult
 
 
 def _csv(rows: list[list[str]], header: list[str]) -> str:
@@ -55,6 +58,7 @@ def market_csv(ledger: TokenLedger) -> str:
 
 
 def trial_balance_csv(journal: Journal) -> str:
+    from .journal import Account
     nets = journal.trial_balance()
     rows = [[account.value, account.account_class.value, str(nets[account])]
             for account in Account]

@@ -130,6 +130,9 @@ def test_oversell_and_overdraw_rejected():
     with pytest.raises(LedgerError) as err:
         quote_spend_cash(fx("0.5"), fx(1000), fx(10000), fx(-10001))
     assert err.value.code is ErrorCode.RESERVE_EXHAUSTED
+    with pytest.raises(LedgerError) as err:
+        quote_spend_cash(fx("0.5"), fx(1000), ZERO, fx(1))
+    assert err.value.code is ErrorCode.RESERVE_EXHAUSTED
 
 
 def test_full_drain_is_exact():
@@ -300,6 +303,17 @@ def test_convert_cash_gates():
     with pytest.raises(LedgerError) as err:
         driver.convert_cash("E", -20000)
     assert err.value.code is ErrorCode.RESERVE_EXHAUSTED
+
+
+def test_cash_into_an_emptied_reserve_is_rejected_atomically():
+    driver = make_exchange_driver()
+    driver.set_price("A", "0.000001")   # F * P rounds to zero, so C = F * s * P is 0
+    assert driver.ledger.exchange.reserve == ZERO
+    before = driver.ledger.state_json()
+    with pytest.raises(LedgerError) as err:
+        driver.convert_cash("E", 1)
+    assert err.value.code is ErrorCode.RESERVE_EXHAUSTED
+    assert driver.ledger.state_json() == before
 
 
 def test_cash_out_sells_tokens_at_the_margin():

@@ -1,0 +1,111 @@
+"""What each entry point loads: `import carbonmarket` is lazy, the audit
+commands never load PyYAML, the scenario parser, the runner or the journal,
+and the benchmark's traced run still finds every name it wraps."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import carbonmarket
+from carbonmarket.cli import main
+
+from conftest import GOLDEN_SCENARIO
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+
+RUN_ONLY = ("yaml", "carbonmarket.scenario", "carbonmarket.runner", "carbonmarket.journal")
+
+# Runs in a fresh interpreter: after each stage, which of RUN_ONLY are loaded.
+FOOTPRINT = """
+import contextlib, io, json, sys
+RUN_ONLY = {run_only!r}
+loaded = {{}}
+def stage(name):
+    loaded[name] = [module for module in RUN_ONLY if module in sys.modules]
+import carbonmarket
+stage("import carbonmarket")
+from carbonmarket import cli
+stage("import carbonmarket.cli")
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["verify", {log!r}]))
+    stage("verify")
+    codes.append(cli.main(["replay", {log!r}, {genesis!r}]))
+    stage("replay")
+    codes.append(cli.main(["journal", {log!r}]))
+    stage("journal")
+print(json.dumps({{"codes": codes, "loaded": loaded}}))
+"""
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    assert main(["run", str(GOLDEN_SCENARIO), "--out", str(out)]) == 0
+    return out
+
+
+def test_audit_commands_load_no_run_modules(golden_run):
+    script = FOOTPRINT.format(run_only=RUN_ONLY, log=str(golden_run / "chainlog.log"),
+                              genesis=str(golden_run / "genesis.json"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 0, 0]
+    assert report["loaded"] == {
+        "import carbonmarket": [],
+        "import carbonmarket.cli": [],
+        "verify": [],
+        "replay": [],
+        "journal": ["carbonmarket.journal"],
+    }
+
+
+@pytest.mark.parametrize("name", carbonmarket.__all__)
+def test_public_name_is_its_home_modules_object(name):
+    home = import_module(f"carbonmarket.{carbonmarket._HOME[name]}")
+    assert getattr(carbonmarket, name) is getattr(home, name)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from carbonmarket import *", namespace)
+    assert {name: namespace[name] for name in carbonmarket.__all__} == {
+        name: getattr(carbonmarket, name) for name in carbonmarket.__all__}
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(carbonmarket, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        carbonmarket.no_such_name  # noqa: B018
+    assert set(carbonmarket.__all__) <= set(dir(carbonmarket))
+
+
+def _span_names(path: Path) -> set:
+    spans = json.loads(path.read_text(encoding="utf-8"))["spans"]
+    return {span[0] for span in spans}
+
+
+def test_benchmark_traced_run_finds_the_names_it_wraps(tmp_path):
+    """perfbench/traced.py replaces library names in place before it calls
+    the CLI; each wrapped layer must show up as a span."""
+    out, run_spans, audit_spans = tmp_path / "out", tmp_path / "run.json", tmp_path / "audit.json"
+    traced = [sys.executable, str(PERFBENCH / "traced.py")]
+    proc = subprocess.run([*traced, "run", str(GOLDEN_SCENARIO), str(out), str(run_spans)],
+                          cwd=PERFBENCH, env=ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([*traced, "audit", str(out), str(audit_spans)],
+                          cwd=PERFBENCH, env=ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("chain valid\nreplay ok:")
+    assert {"scenario.yaml", "scenario.parse", "runner.run_scenario"} <= _span_names(run_spans)
+    assert {"chainlog.verify_text", "chainlog.from_text",
+            "chainlog.replay"} <= _span_names(audit_spans)
