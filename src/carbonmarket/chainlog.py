@@ -195,6 +195,9 @@ class ChainLog:
         self.genesis_digest = _hash(genesis_json.encode("utf-8"))
         self.genesis_seq = _genesis_seq(genesis_json)
         self.entries: list[ChainEntry] = []
+        # entries as from_text checked them; replay re-checks only a log
+        # whose entries differ from these
+        self._checked: list[ChainEntry] = []
 
     @classmethod
     def for_ledger(cls, genesis: TokenLedger) -> "ChainLog":
@@ -233,6 +236,7 @@ class ChainLog:
         log, problem = _parse_and_check(text)
         if problem is not None:
             raise reject(ErrorCode.CHAIN_INVALID, problem[1])
+        log._checked = log.entries.copy()
         return log
 
     def verify(self) -> VerifyResult:
@@ -292,6 +296,8 @@ def _parse_and_check(text: str) -> tuple[Optional[ChainLog], Optional[tuple[Opti
 def _check_links(log: ChainLog):
     """Walk the in-memory entries and raise ChainInvalid at the first one
     that is not what re-writing it after its predecessor gives."""
+    if log.entries == log._checked:     # compares by identity first
+        return
     prev = GENESIS_PREV
     for expected_seq, entry in enumerate(log.entries, start=log.genesis_seq + 1):
         if entry.seq != expected_seq:
@@ -319,7 +325,8 @@ def replay(log: ChainLog, genesis: Optional[TokenLedger] = None,
 
     `genesis` defaults to the state embedded in the log; a caller-supplied
     genesis must hash to the log's recorded genesis digest.  The entries'
-    sequence and hash links are checked in memory first; each replayed
+    sequence and hash links are checked in memory first, unless they are
+    still the ones `ChainLog.from_text` parsed and checked; each replayed
     transaction must then reproduce the per-entry state digest bit-exactly.
     """
     _check_links(log)

@@ -20,9 +20,9 @@ from .chainlog import ChainLog
 from .domain import Role
 from .errors import ErrorCode, LedgerError
 from .fixed import Fixed
-from .journal import Account, Journal
+from .journal import Journal
 from .ledger import TokenLedger, Transaction, TxKind
-from .scenario import ACTIONS, Expectation, Scenario, Step
+from .scenario import ACCOUNTS, ACTIONS, Expectation, Scenario, Step
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def _check_expectation(exp: Expectation, ledger: TokenLedger,
         return actual == exp.equals, f"{exp.org}.{exp.org_field} = {actual}"
     if exp.account is not None:
         nets = journal.trial_balance()
-        match = next((a for a in Account if a.value == exp.account), None)
+        match = ACCOUNTS.get(exp.account)
         if match is None:
             return False, f"unknown account {exp.account!r}"
         actual = nets[match]

@@ -18,15 +18,149 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
 
 import yaml
+from yaml.composer import ComposerError
+from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
+                         ScalarEvent, SequenceEndEvent, SequenceStartEvent,
+                         StreamEndEvent)
+from yaml.nodes import ScalarNode
 
 from .domain import ROLE_STRINGS
 from .errors import ErrorCode, LedgerError, reject
 from .fixed import Fixed
 from .journal import Account
 
+# Nesting past this many collections is a syntax error.  Scenarios nest about
+# four deep; libyaml's composer recurses in C once per level (40 000 levels end
+# the process), and PyYAML's pure-Python composer takes two frames per level
+# of the interpreter's 1000.
+_MAX_DEPTH = 100
+
+
+class _Fallback(Exception):
+    """An input the event walk leaves to the base loader."""
+
+
+class _TooDeep(ComposerError):
+    """Nesting past _MAX_DEPTH; never handed to the base loader."""
+
+    def __init__(self, mark):
+        super().__init__(None, None, f"nesting deeper than {_MAX_DEPTH} levels", mark)
+
+
+def _event_loader(base: type) -> type:
+    """`base`, a safe PyYAML loader, building the document from its parser's
+    events instead of composing a node tree and then constructing it.
+
+    Composing and constructing the tree was most of a scenario's load time:
+    a node object per value, PyYAML's Python resolver matching regexes
+    against every plain scalar, and its constructor walking the tree a
+    second time.  The walk below keeps an explicit stack of open
+    collections and resolves each distinct plain scalar once, with the base
+    loader's own `resolve` and constructors, so the typing is PyYAML's; a
+    quoted scalar is its text.  What the walk does not build (an anchor, an
+    alias, an explicit tag other than `!`, a `<<` merge or `=` value key, a
+    collection used as a key, a second document) and every YAMLError make
+    it load the text again with `base`, so that the tree or the error is
+    exactly PyYAML's.  The nesting check runs before that hand-off too.
+    """
+
+    class EventLoader(base):
+        def __init__(self, stream):
+            super().__init__(stream)
+            self._text = stream
+
+        def get_single_data(self):
+            frames: list = []
+            try:
+                try:
+                    return self._walk(frames)
+                except _Fallback:
+                    self._skip_rest(len(frames))
+            except _TooDeep:
+                raise
+            except yaml.YAMLError:
+                pass    # the base loader stops at the same event and raises it
+            loader = base(self._text)
+            try:
+                return loader.get_single_data()
+            finally:
+                loader.dispose()
+
+        def _walk(self, frames: list) -> Any:
+            """The document, built from events; `frames` holds the (items,
+            is_mapping) of each collection open around the current event."""
+            get_event = self.get_event
+            plain: dict[str, Any] = {}      # plain scalar text -> its value
+            get_event()                     # stream start
+            if get_event().__class__ is StreamEndEvent:
+                return None                 # no document
+            items, is_map = [], False       # the root node goes in here
+            while True:
+                event = get_event()
+                kind = event.__class__
+                if kind is ScalarEvent:
+                    if event.anchor is not None or event.tag not in (None, "!"):
+                        raise _Fallback
+                    value = event.value
+                    if event.implicit[0]:
+                        try:
+                            value = plain[value]
+                        except KeyError:
+                            value = plain[value] = self._plain(event)
+                    items.append(value)
+                elif kind is MappingStartEvent or kind is SequenceStartEvent:
+                    frames.append((items, is_map))
+                    if len(frames) > _MAX_DEPTH:
+                        raise _TooDeep(event.start_mark)
+                    if (event.anchor is not None or event.tag not in (None, "!")
+                            or is_map and not len(items) & 1):   # a key
+                        raise _Fallback
+                    items, is_map = [], kind is MappingStartEvent
+                elif kind is MappingEndEvent or kind is SequenceEndEvent:
+                    if is_map:
+                        pairs = iter(items)
+                        node = dict(zip(pairs, pairs))
+                    else:
+                        node = items
+                    items, is_map = frames.pop()
+                    items.append(node)
+                elif kind is DocumentEndEvent:
+                    break
+                else:                       # an alias
+                    raise _Fallback
+            if get_event().__class__ is not StreamEndEvent:
+                raise _Fallback             # a second document
+            return items[0]
+
+        def _plain(self, event) -> Any:
+            """A plain scalar's value, typed as the base loader types it."""
+            tag = self.resolve(ScalarNode, event.value, event.implicit)
+            construct = self.yaml_constructors.get(tag)
+            if construct is None:           # `<<` merge, `=` value
+                raise _Fallback
+            return construct(self, ScalarNode(tag, event.value,
+                                              event.start_mark, event.end_mark))
+
+        def _skip_rest(self, depth: int) -> None:
+            """Consume the remaining events, checking only their nesting."""
+            while True:
+                event = self.get_event()
+                kind = event.__class__
+                if kind is MappingStartEvent or kind is SequenceStartEvent:
+                    depth += 1
+                    if depth > _MAX_DEPTH:
+                        raise _TooDeep(event.start_mark)
+                elif kind is MappingEndEvent or kind is SequenceEndEvent:
+                    depth -= 1
+                elif kind is StreamEndEvent:
+                    return
+
+    return EventLoader
+
+
 # libyaml's scanner and parser when PyYAML was built with them; the safe
-# constructor, and so the parsed tree, is the same either way.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# resolver and constructors, and so the parsed tree, are the same either way.
+_YAML_LOADER = _event_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 class Action(NamedTuple):
@@ -55,6 +189,10 @@ ACTIONS = {
 
 EXPECT_FIELDS = ("permit", "emission", "cash", "compliant", "outstanding")
 EXPECT_MARKETS = ("permit", "emission")
+
+# journal accounts by the name an `expect` step gives them
+ACCOUNTS = {account.value: account for account in Account}
+_ERROR_CODES = frozenset(code.value for code in ErrorCode)
 
 
 @dataclass(frozen=True)
@@ -233,7 +371,7 @@ def _parse_expect(where: str, step: dict, declared: set[str]) -> Expectation:
         return Expectation(org=org, org_field=org_field, equals=equals)
     if subject == "account":
         account = _as_str(where, "account", step["account"])
-        if account not in {a.value for a in Account}:
+        if account not in ACCOUNTS:
             raise _schema_error(where, f"unknown journal account {account!r}")
         return Expectation(account=account, equals=_as_amount(where, "equals", equals))
     if subject == "market":
@@ -291,7 +429,7 @@ def _parse_step(index: int, raw: Any, declared: set[str]) -> Step:
         value = raw["expect_fail"]
         if value is True:
             expect_fail = ""
-        elif isinstance(value, str) and value in {c.value for c in ErrorCode}:
+        elif isinstance(value, str) and value in _ERROR_CODES:
             expect_fail = value
         else:
             raise _schema_error(where, "expect_fail must be true or a known error code")
@@ -304,7 +442,7 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:     # ValueError: a date like 2020-13-45
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise reject(ErrorCode.SYNTAX_ERROR, f"bad scenario file{at}: {exc}") from exc

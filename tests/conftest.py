@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +129,15 @@ def driver(market) -> LedgerDriver:
 @pytest.fixture(scope="session")
 def golden_run():
     return run_scenario(load_scenario(str(GOLDEN_SCENARIO)))
+
+
+def load_gen():
+    """`perfbench/gen.py`, the benchmark's workload generator, as a module."""
+    module = sys.modules.get("perfbench_gen")
+    if module is None:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_gen", SCENARIO_DIR.parent / "perfbench" / "gen.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module     # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module

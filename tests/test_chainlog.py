@@ -7,6 +7,7 @@ import types
 
 import pytest
 
+import carbonmarket.chainlog as chainlog_module
 from carbonmarket import ErrorCode, LedgerError, TokenLedger, Transaction, TxKind
 from carbonmarket.chainlog import (GENESIS_PREV, ChainLog, decode_transaction,
                                    encode_transaction, replay, verify_text)
@@ -217,3 +218,29 @@ def test_replay_rejects_broken_in_memory_link():
         replay(log)
     assert err.value.code is ErrorCode.CHAIN_INVALID
     assert "entry 2" in err.value.message
+
+
+def test_replay_of_a_parsed_log_checks_its_links_once(monkeypatch):
+    driver, _, log = logged_driver(n_extra_txs=5)
+    parsed = ChainLog.from_text(log.to_text())
+    rebuilt, entry = [], chainlog_module._entry
+    monkeypatch.setattr(chainlog_module, "_entry",
+                        lambda *args: rebuilt.append(args) or entry(*args))
+    assert replay(parsed).state_json() == driver.ledger.state_json()
+    assert rebuilt == []    # from_text already re-wrote every line
+
+
+def test_replay_rechecks_a_parsed_log_changed_in_memory():
+    _, _, log = logged_driver()
+    parsed = ChainLog.from_text(log.to_text())
+    parsed.entries[1] = dataclasses.replace(parsed.entries[1], prev_hash=bytes(32))
+    with pytest.raises(LedgerError) as err:
+        replay(parsed)
+    assert err.value.code is ErrorCode.CHAIN_INVALID
+    assert "entry 2" in err.value.message
+    parsed = ChainLog.from_text(log.to_text())
+    del parsed.entries[0]
+    with pytest.raises(LedgerError) as err:
+        replay(parsed)
+    assert err.value.code is ErrorCode.CHAIN_INVALID
+    assert "sequence gap" in err.value.message

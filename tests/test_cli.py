@@ -1,7 +1,11 @@
 """Command line behaviour: commands, exit codes, byte-stable outputs."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -418,3 +422,16 @@ def test_price_curve_bad_anchor_or_overflow_is_an_input_error(capsys, argv, code
     assert code == 2
     assert out == ""
     assert code_name in err
+
+
+def test_deeply_nested_scenario_is_a_syntax_error(tmp_path):
+    # libyaml's composer recursed once per level and ended the process
+    scenario = tmp_path / "deep.yaml"
+    scenario.write_text("name: x\nsteps: " + "[" * 40000 + "]" * 40000 + "\n", encoding="utf-8")
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "carbonmarket.cli", "run", str(scenario)],
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: SyntaxError: bad scenario file at line 2, column ")
+    assert "nesting deeper than" in proc.stderr

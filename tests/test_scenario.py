@@ -245,3 +245,11 @@ def test_syntax_error_position_is_the_same_under_both_loaders(monkeypatch, text,
             parse_scenario(text)
         assert err.value.code is ErrorCode.SYNTAX_ERROR
         assert err.value.message.startswith(f"bad scenario file at {position}:")
+
+
+def test_impossible_date_is_a_syntax_error():
+    # PyYAML types a plain 2020-13-45 as a timestamp and datetime refuses it
+    with pytest.raises(LedgerError) as err:
+        parse_scenario(MINIMAL + "description: 2020-13-45\n")
+    assert err.value.code is ErrorCode.SYNTAX_ERROR
+    assert err.value.message == "bad scenario file: month must be in 1..12"
