@@ -59,9 +59,10 @@ def _event_loader(base: type) -> type:
     loader's own `resolve` and constructors, so the typing is PyYAML's; a
     quoted scalar is its text.  What the walk does not build (an anchor, an
     alias, an explicit tag other than `!`, a `<<` merge or `=` value key, a
-    collection used as a key, a second document) and every YAMLError make
-    it load the text again with `base`, so that the tree or the error is
-    exactly PyYAML's.  The nesting check runs before that hand-off too.
+    collection used as a key, a second document), a plain scalar its
+    constructor rejects and every YAMLError make it load the text again
+    with `base`, so that the tree or the error is exactly PyYAML's.  The
+    nesting check runs before that hand-off too.
     """
 
     class EventLoader(base):
@@ -138,8 +139,13 @@ def _event_loader(base: type) -> type:
             construct = self.yaml_constructors.get(tag)
             if construct is None:           # `<<` merge, `=` value
                 raise _Fallback
-            return construct(self, ScalarNode(tag, event.value,
-                                              event.start_mark, event.end_mark))
+            try:
+                return construct(self, ScalarNode(tag, event.value,
+                                                  event.start_mark, event.end_mark))
+            except ValueError:
+                # a date like 2020-13-45: the base loader raises this only
+                # once the rest of the stream has parsed as one document
+                raise _Fallback from None
 
         def _skip_rest(self, depth: int) -> None:
             """Consume the remaining events, checking only their nesting."""

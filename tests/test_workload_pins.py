@@ -7,28 +7,19 @@ checks, and `journal` rebuilt from the log must print `journal.csv`.
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from carbonmarket.cli import main
+from conftest import load_gen
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PINS = json.loads((PERFBENCH / "pins.json").read_text(encoding="utf-8"))
 
 
-def _load_gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module     # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-gen = _load_gen()
+gen = load_gen()
 
 
 @pytest.mark.parametrize("workload", sorted(PINS))

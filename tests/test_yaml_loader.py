@@ -129,6 +129,9 @@ MALFORMED = {
     "tab-indent": "name: x\n\tsteps: []\n",
     "unhashable-key": "? [a]\n: 1\n",
     "value-scalar": "name: =\n",
+    "impossible-date-then-parser-error": "description: 2020-13-45\nsteps: [\n",
+    "impossible-date-then-two-documents": "b: 2020-13-45\n---\nc: 1\n",
+    "impossible-date": "name: x\ndescription: 2020-13-45\n",
 }
 
 
