@@ -20,9 +20,10 @@ _EXPORTS = {
     "fixed": ("ONE", "ZERO", "Fixed", "Money", "Quantity"),
     "journal": ("Account", "AccountClass", "Journal", "JournalEntry", "JournalLine",
                 "Side"),
-    "ledger": ("AppliedEvent", "TokenLedger", "Transaction", "TxKind"),
+    "ledger": ("AppliedEvent", "TokenLedger"),
     "runner": ("RunResult", "StepResult", "build_genesis", "run_scenario"),
     "scenario": ("Scenario", "load_scenario", "parse_scenario"),
+    "txformat": ("Transaction", "TxKind"),
 }
 
 # public name -> the submodule that defines it

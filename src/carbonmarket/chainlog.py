@@ -41,12 +41,14 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import ErrorCode, LedgerError, reject
 from .fixed import Fixed
-from .ledger import TokenLedger, Transaction, TxKind, parse_state
+from .txformat import Transaction, TxKind, parse_state
+
+if TYPE_CHECKING:       # only `replay` loads the state machine
+    from .ledger import TokenLedger
 
 TX_MAGIC = b"CMTX1"
 FORMAT_NAME = "carbonmarket-chainlog"
@@ -126,8 +128,7 @@ def decode_transaction(data: bytes) -> Transaction:
     return tx
 
 
-@dataclass(frozen=True)
-class ChainEntry:
+class ChainEntry(NamedTuple):
     seq: int
     tx: Transaction
     tx_bytes: bytes
@@ -170,8 +171,7 @@ def _mismatch(seq: int, rewritten: str, line: str) -> str:
     return f"entry {seq}: {name} mismatch"
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     valid: bool
     first_bad_seq: Optional[int] = None
     detail: str = ""
@@ -303,7 +303,8 @@ def _check_links(log: ChainLog):
         if entry.seq != expected_seq:
             raise reject(ErrorCode.CHAIN_INVALID,
                          f"sequence gap: entry claims seq {entry.seq}")
-        rebuilt = _entry(prev, entry.tx, entry.tx_bytes, entry.state_digest)
+        # from the transaction, not the stored bytes, which to_line writes
+        rebuilt = _entry(prev, entry.tx, encode_transaction(entry.tx), entry.state_digest)
         if rebuilt != entry:
             raise reject(ErrorCode.CHAIN_INVALID,
                          _mismatch(expected_seq, rebuilt.to_line(), entry.to_line()))
@@ -329,6 +330,7 @@ def replay(log: ChainLog, genesis: Optional[TokenLedger] = None,
     still the ones `ChainLog.from_text` parsed and checked; each replayed
     transaction must then reproduce the per-entry state digest bit-exactly.
     """
+    from .ledger import TokenLedger
     _check_links(log)
     if genesis is None:
         ledger = TokenLedger.from_state_json(log.genesis_json)

@@ -17,12 +17,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import reports
 from .chainlog import ChainLog, VerifyResult, replay as replay_chain, verify_text
 from .errors import ErrorCode, LedgerError
-from .exchange import quote_buy_tokens, quote_spend_cash, validate_fraction
 from .fixed import Fixed
-from .ledger import TokenLedger
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -53,8 +50,9 @@ def _amount(text: str) -> Fixed:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-# Only `run` needs the scenario parser (and PyYAML) and the runner, so they are
-# imported when it calls them; `verify` and `replay` never load them.  These
+# Each command imports the modules it runs when it runs: `verify` reads only
+# the log format and loads no state machine, exchange or reports, and only
+# `run` loads the scenario parser (and PyYAML) and the runner.  These two
 # stay names in this module, looked up when `run` calls them, so a caller can
 # replace them in place.
 def load_scenario(path):
@@ -68,6 +66,7 @@ def run_scenario(scenario):
 
 
 def _cmd_run(args) -> int:
+    from . import reports
     scenario = load_scenario(args.scenario)
     result = run_scenario(scenario)
     out = sys.stdout
@@ -92,6 +91,7 @@ def _cmd_run(args) -> int:
 
 
 def _write_reports(directory: Path, result):
+    from . import reports
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "genesis.json").write_text(result.genesis.state_json() + "\n",
                                             encoding="utf-8")
@@ -124,6 +124,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from . import reports
+    from .ledger import TokenLedger
     log = ChainLog.from_text(_read(args.chainlog, ErrorCode.CHAIN_INVALID))
     genesis = TokenLedger.from_state_json(_read(args.genesis))
     ledger = replay_chain(log, genesis)
@@ -135,6 +137,7 @@ def _cmd_replay(args) -> int:
 
 def _cmd_journal(args) -> int:
     from .journal import Journal
+    from .ledger import TokenLedger
     # from_text checks every link, so a broken log fails before the books open
     log = ChainLog.from_text(_read(args.chainlog, ErrorCode.CHAIN_INVALID))
     genesis = TokenLedger.from_state_json(log.genesis_json)
@@ -145,6 +148,7 @@ def _cmd_journal(args) -> int:
 
 
 def _cmd_quote(args) -> int:
+    from .exchange import quote_buy_tokens, quote_spend_cash, validate_fraction
     fraction = validate_fraction(args.f)
     supply = args.supply if args.supply is not None else args.s0
     reserve = args.reserve if args.reserve is not None else args.c0
@@ -158,6 +162,7 @@ def _cmd_quote(args) -> int:
 
 
 def _cmd_price_curve(args) -> int:
+    from . import reports
     sys.stdout.write(reports.price_curve_csv(args.f, args.s0, args.c0,
                                              args.min, args.max, args.points))
     return EXIT_OK

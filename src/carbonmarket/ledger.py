@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .domain import (ComplianceReport, OrgRecord, Role, validate_org_id)
@@ -47,25 +46,9 @@ from .errors import ErrorCode, LedgerError, reject
 from .exchange import (ExchangeState, Quote, quote_buy_tokens, quote_spend_cash,
                        spot_price, validate_anchor, validate_fraction)
 from .fixed import ZERO, Fixed, Money, Quantity
-
-STATE_FORMAT = "carbonmarket-state-1"
-
-
-def parse_state(text: str) -> tuple[dict, int]:
-    """The JSON object of a state in this format and its `seq`, an int in
-    [0, 2^64) so that a transaction encoding's u64 seq can follow it.  Text
-    that is not JSON (too deep or too long a number included) is a
-    SyntaxError; any other object or seq is a SchemaError."""
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise reject(ErrorCode.SYNTAX_ERROR, f"bad state json: {exc}") from exc
-    if not isinstance(data, dict) or data.get("format") != STATE_FORMAT:
-        raise reject(ErrorCode.SCHEMA_ERROR, "unrecognised state format")
-    seq = data.get("seq")
-    if type(seq) is not int or not 0 <= seq < 2**64:
-        raise reject(ErrorCode.SCHEMA_ERROR, f"bad state seq {repr(seq)[:40]}")
-    return data, seq
+# the log format's types, defined apart so that checking a log loads no
+# state machine; re-exported here, where the state machine uses them
+from .txformat import STATE_FORMAT, Transaction, TxKind, parse_state
 
 
 def _canonical(value) -> str:
@@ -82,42 +65,6 @@ def _org_json(record: OrgRecord) -> str:
         "projects": sorted(record.projects),
         "role": record.role.as_string(),
     })
-
-
-class TxKind(str, Enum):
-    """The logged transaction kinds; each value is a scenario action name."""
-
-    SET_ROLE = "setRole"
-    MINT_PERMIT = "mintPermit"
-    GRANT_PERMIT = "grantPermit"
-    MINT_EMISSION = "mintEmission"
-    TRANSFER_PERMIT = "transferPermit"
-    BURN_TOKEN = "burnToken"
-    TRADE_TOKEN = "tradeToken"
-    CONVERT_CASH = "convertCash"
-    SET_RESERVE_FRACTION = "setReserveFraction"
-    ADJUST_RESERVE = "adjustReserve"
-    SET_PRICE = "setPrice"
-
-
-@dataclass(frozen=True)
-class Transaction:
-    """Canonical form of one requested operation.
-
-    `sender` is the acting identity (the signer for issuance operations);
-    `cosigner` carries the verifier co-signature on emission minting.
-    Signatures are honoured as authenticated identities (simulation mode):
-    the machine enforces *who* must sign, not how.
-    """
-
-    seq: int
-    time: str
-    kind: TxKind
-    sender: str = ""
-    target: str = ""
-    cosigner: str = ""
-    amount: Optional[Fixed] = None
-    payload: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -137,6 +84,7 @@ class TokenLedger:
 
     def __init__(self):
         self.registry: dict[str, OrgRecord] = {}
+        self._owners: dict[str, str] = {}      # project id -> owning org id
         self._fragments: dict[str, str] = {}
         self._stale: set[str] = set()
         self.market_permit: Quantity = ZERO
@@ -154,10 +102,7 @@ class TokenLedger:
         return record
 
     def project_owner(self, project_id: str) -> Optional[str]:
-        for record in self.registry.values():
-            if project_id in record.projects:
-                return record.id
-        return None
+        return self._owners.get(project_id)
 
     def compliance_check(self, org_id: str) -> ComplianceReport:
         record = self.org(org_id)
@@ -174,6 +119,7 @@ class TokenLedger:
     def copy(self) -> "TokenLedger":
         dup = TokenLedger()
         dup.registry = {k: v.copy() for k, v in self.registry.items()}
+        dup._owners = dict(self._owners)
         dup._fragments = dict(self._fragments)
         dup._stale = set(self._stale)
         dup.market_permit = self.market_permit
@@ -209,6 +155,10 @@ class TokenLedger:
 
     @classmethod
     def from_state_json(cls, text: str) -> "TokenLedger":
+        """The state `text` holds, loaded through the genesis setup calls, so
+        that it passes their checks.  Only a genesis state (seq 0) must have
+        every project owned by an enterprise: `setRole` may later change
+        the role of a project's owner."""
         data, seq = parse_state(text)
         try:
             ledger = cls()
@@ -223,7 +173,12 @@ class TokenLedger:
                 record.permit = Fixed(entry["permit"])
                 record.emission = Fixed(entry["emission"])
                 record.cash = Fixed(entry["cash"])
-                record.projects = set(entry["projects"])
+                projects = entry["projects"]
+                if type(projects) is not list:
+                    raise reject(ErrorCode.SCHEMA_ERROR,
+                                 f"projects of {record.id!r} must be a list")
+                for project_id in projects:
+                    ledger._add_project(record, project_id, enterprise_only=seq == 0)
             if data["exchange"] is not None:
                 ex = data["exchange"]
                 ledger.exchange = ExchangeState(
@@ -234,7 +189,7 @@ class TokenLedger:
                 )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise reject(ErrorCode.SCHEMA_ERROR, f"bad state field: {exc}") from exc
-        except LedgerError as exc:  # an empty or repeated org id
+        except LedgerError as exc:  # an org or project the setup calls refuse
             raise reject(ErrorCode.SCHEMA_ERROR, f"bad state org: {exc.message}") from exc
         ledger._check_loaded_invariants()
         return ledger
@@ -269,18 +224,22 @@ class TokenLedger:
         return record
 
     def setup_register_project(self, owner: str, project_id: str) -> OrgRecord:
-        owner_rec = self.org(owner)
+        return self._add_project(self.org(owner), project_id, enterprise_only=True)
+
+    def _add_project(self, owner: OrgRecord, project_id: str, *,
+                     enterprise_only: bool) -> OrgRecord:
         if not isinstance(project_id, str) or not project_id:
             raise reject(ErrorCode.SCHEMA_ERROR, "project id must be a non-empty string")
-        if not owner_rec.role.is_enterprise:
+        if enterprise_only and not owner.role.is_enterprise:
             raise reject(ErrorCode.UNAUTHORIZED, "projects are owned by enterprises")
-        holder = self.project_owner(project_id)
+        holder = self._owners.get(project_id)
         if holder is not None:
             raise reject(ErrorCode.DUPLICATE_ID,
                          f"project {project_id!r} already registered to {holder!r}")
-        self._stale.add(owner)
-        owner_rec.projects.add(project_id)
-        return owner_rec
+        self._stale.add(owner.id)
+        owner.projects.add(project_id)
+        self._owners[project_id] = owner.id
+        return owner
 
     def setup_set_cash(self, org_id: str, amount: Money) -> OrgRecord:
         """Scenario cash faucet; genesis only, never a logged transaction."""

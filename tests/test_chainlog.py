@@ -1,6 +1,5 @@
 """Chain log: canonical encoding, linkage, tamper detection, replay."""
 
-import dataclasses
 import random
 import struct
 import types
@@ -213,7 +212,7 @@ def test_single_bit_corruptions_all_detected():
 
 def test_replay_rejects_broken_in_memory_link():
     _, _, log = logged_driver()
-    log.entries[1] = dataclasses.replace(log.entries[1], prev_hash=bytes(32))
+    log.entries[1] = log.entries[1]._replace(prev_hash=bytes(32))
     with pytest.raises(LedgerError) as err:
         replay(log)
     assert err.value.code is ErrorCode.CHAIN_INVALID
@@ -233,7 +232,7 @@ def test_replay_of_a_parsed_log_checks_its_links_once(monkeypatch):
 def test_replay_rechecks_a_parsed_log_changed_in_memory():
     _, _, log = logged_driver()
     parsed = ChainLog.from_text(log.to_text())
-    parsed.entries[1] = dataclasses.replace(parsed.entries[1], prev_hash=bytes(32))
+    parsed.entries[1] = parsed.entries[1]._replace(prev_hash=bytes(32))
     with pytest.raises(LedgerError) as err:
         replay(parsed)
     assert err.value.code is ErrorCode.CHAIN_INVALID
@@ -244,3 +243,17 @@ def test_replay_rechecks_a_parsed_log_changed_in_memory():
         replay(parsed)
     assert err.value.code is ErrorCode.CHAIN_INVALID
     assert "sequence gap" in err.value.message
+
+
+def test_replay_rejects_an_entry_whose_tx_differs_from_its_bytes():
+    # the line to_text writes holds the stored bytes, so an entry whose
+    # transaction no longer encodes to them must not replay as valid
+    _, _, log = logged_driver(n_extra_txs=2)
+    parsed = ChainLog.from_text(log.to_text())
+    entry = parsed.entries[3]
+    parsed.entries[3] = entry._replace(tx=entry.tx._replace(time="later"))
+    assert parsed.to_text() == log.to_text()
+    with pytest.raises(LedgerError) as err:
+        replay(parsed)
+    assert err.value.code is ErrorCode.CHAIN_INVALID
+    assert err.value.message == "entry 4: tx-hex mismatch"

@@ -1,6 +1,7 @@
 """Command line behaviour: commands, exit codes, byte-stable outputs."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -266,6 +267,35 @@ def test_journal_needs_a_canonical_genesis_line(tmp_path, capsys):
     code, out, err = run_cli(capsys, "journal", str(log))
     assert (code, out) == (1, "")
     assert err.startswith("error: StateMismatch: ")
+
+
+
+@pytest.mark.parametrize("projects, detail", [
+    ({"F": ["p1"]}, "project 'p1' already registered to 'E'"),
+    ({"V": ["p1"]}, "project 'p1' already registered to 'V'"),     # V precedes E
+    ({"E": ["p1", "p1"]}, "project 'p1' already registered to 'E'"),
+    ({"A": ["pA"]}, "projects are owned by enterprises"),
+    ({"E": [""]}, "project id must be a non-empty string"),
+    ({"E": [5]}, "project id must be a non-empty string"),
+    ({"E": "p1"}, "projects of 'E' must be a list"),
+])
+def test_genesis_the_setup_calls_refuse_is_a_schema_error(tmp_path, capsys, projects,
+                                                          detail):
+    # `verify` checks integrity only, so the log is valid; loading its
+    # genesis state runs the checks the scenario path's genesis passes
+    state = json.loads(standard_market().state_json())
+    for org in state["orgs"]:
+        org["projects"] = projects.get(org["id"], org["projects"])
+    line = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(line.encode("utf-8")).hexdigest()
+    log = tmp_path / "chainlog.log"
+    log.write_text(f"carbonmarket-chainlog 1 sha256 {digest}\ngenesis {line}\n",
+                   encoding="utf-8")
+    genesis = tmp_path / "genesis.json"
+    genesis.write_text(line + "\n", encoding="utf-8")
+    assert run_cli(capsys, "verify", str(log)) == (0, "chain valid\n", "")
+    for argv in (["replay", str(log), str(genesis)], ["journal", str(log)]):
+        assert run_cli(capsys, *argv) == (2, "", f"error: SchemaError: bad state org: {detail}\n")
 
 
 APPLIED_EXPECT_FAIL = """

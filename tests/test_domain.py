@@ -58,6 +58,14 @@ def test_register_project_marks_owner(market):
     assert market.project_owner("nope") is None
 
 
+def test_copy_keeps_its_own_project_owners(market):
+    dup = market.copy()
+    dup.setup_register_project("F", "p2")
+    assert dup.project_owner("p2") == "F"
+    assert market.project_owner("p2") is None
+    market.setup_register_project("E", "p2")    # still free in the original
+    assert dup.project_owner("p1") == market.project_owner("p2") == "E"
+
 def test_register_project_gates(market):
     # unknown owner
     with pytest.raises(LedgerError) as err:

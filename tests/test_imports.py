@@ -1,6 +1,7 @@
 """What each entry point loads: `import carbonmarket` is lazy, the audit
 commands never load PyYAML, the scenario parser, the runner or the journal,
-and the benchmark's traced run still finds every name it wraps."""
+`verify` loads no state machine, and the benchmark's traced run still finds
+every name it wraps."""
 
 import json
 import os
@@ -21,14 +22,20 @@ PERFBENCH = ROOT / "perfbench"
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
 
 RUN_ONLY = ("yaml", "carbonmarket.scenario", "carbonmarket.runner", "carbonmarket.journal")
+# what applying transactions and writing reports needs; the log format does not
+STATE_MACHINE = ("carbonmarket.ledger", "carbonmarket.exchange", "carbonmarket.domain",
+                 "carbonmarket.reports", "dataclasses")
 
-# Runs in a fresh interpreter: after each stage, which of RUN_ONLY are loaded.
+# Runs in a fresh interpreter: after each stage, which of RUN_ONLY and of
+# STATE_MACHINE are loaded.
 FOOTPRINT = """
 import contextlib, io, json, sys
 RUN_ONLY = {run_only!r}
-loaded = {{}}
+STATE_MACHINE = {state_machine!r}
+loaded, state = {{}}, {{}}
 def stage(name):
     loaded[name] = [module for module in RUN_ONLY if module in sys.modules]
+    state[name] = [module for module in STATE_MACHINE if module in sys.modules]
 import carbonmarket
 stage("import carbonmarket")
 from carbonmarket import cli
@@ -41,7 +48,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     stage("replay")
     codes.append(cli.main(["journal", {log!r}]))
     stage("journal")
-print(json.dumps({{"codes": codes, "loaded": loaded}}))
+print(json.dumps({{"codes": codes, "loaded": loaded, "state": state}}))
 """
 
 
@@ -52,13 +59,19 @@ def golden_run(tmp_path_factory):
     return out
 
 
-def test_audit_commands_load_no_run_modules(golden_run):
-    script = FOOTPRINT.format(run_only=RUN_ONLY, log=str(golden_run / "chainlog.log"),
+@pytest.fixture(scope="module")
+def footprint(golden_run):
+    script = FOOTPRINT.format(run_only=RUN_ONLY, state_machine=STATE_MACHINE,
+                              log=str(golden_run / "chainlog.log"),
                               genesis=str(golden_run / "genesis.json"))
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=ENV,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_audit_commands_load_no_run_modules(footprint):
+    report = footprint
     assert report["codes"] == [0, 0, 0]
     assert report["loaded"] == {
         "import carbonmarket": [],
@@ -67,6 +80,14 @@ def test_audit_commands_load_no_run_modules(golden_run):
         "replay": [],
         "journal": ["carbonmarket.journal"],
     }
+
+
+def test_verify_loads_no_state_machine(footprint):
+    assert footprint["codes"] == [0, 0, 0]
+    assert footprint["state"]["import carbonmarket"] == []
+    assert footprint["state"]["import carbonmarket.cli"] == []
+    assert footprint["state"]["verify"] == []
+    assert footprint["state"]["replay"] == list(STATE_MACHINE)
 
 
 @pytest.mark.parametrize("name", carbonmarket.__all__)

@@ -477,3 +477,19 @@ def test_state_json_with_bad_org_is_a_schema_error(corrupt):
     with pytest.raises(LedgerError) as err:
         TokenLedger.from_state_json(json.dumps(state))
     assert err.value.code is ErrorCode.SCHEMA_ERROR
+
+
+def test_loaded_state_keeps_a_project_whose_owner_changed_role(driver):
+    # after genesis, setRole may leave a project with an authority; only a
+    # genesis state (seq 0) must have its projects owned by enterprises
+    driver.set_role("A", "E", "authority")
+    state = driver.ledger.state_json()
+    reloaded = TokenLedger.from_state_json(state)
+    assert reloaded.state_json() == state
+    assert reloaded.project_owner("p1") == "E"
+    genesis = json.loads(state)
+    genesis["seq"] = 0
+    with pytest.raises(LedgerError) as err:
+        TokenLedger.from_state_json(json.dumps(genesis))
+    assert err.value.code is ErrorCode.SCHEMA_ERROR
+    assert err.value.message == "bad state org: projects are owned by enterprises"
