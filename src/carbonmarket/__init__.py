@@ -21,7 +21,7 @@ _EXPORTS = {
     "journal": ("Account", "AccountClass", "Journal", "JournalEntry", "JournalLine",
                 "Side"),
     "ledger": ("AppliedEvent", "TokenLedger"),
-    "runner": ("RunResult", "StepResult", "build_genesis", "run_scenario"),
+    "runner": ("RunResult", "StepResult", "run_scenario"),
     "scenario": ("Scenario", "load_scenario", "parse_scenario"),
     "txformat": ("Transaction", "TxKind"),
 }

@@ -18,8 +18,10 @@ of ``pow`` as 2100.0000000000018 and get conservatively rounded to
 from __future__ import annotations
 
 import math
-from decimal import Decimal, InvalidOperation
-from typing import Union
+from typing import TYPE_CHECKING, Union
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 SCALE = 10**6
 
@@ -30,8 +32,6 @@ _LIMIT = 2**63
 # magnitude above double-precision noise, six below the grid itself.
 _SNAP_REL = 1e-12
 _SNAP_ABS = 1e-6
-
-ParseInput = Union[str, int, Decimal]
 
 
 def _half_even(num: int, den: int) -> int:
@@ -61,7 +61,7 @@ class Fixed:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def parse(cls, value: ParseInput) -> "Fixed":
+    def parse(cls, value: Union[str, int, Decimal, "Fixed"]) -> "Fixed":
         """Parse an exact decimal literal; finer than 1e-6 is an error."""
         if isinstance(value, bool):
             raise ValueError("booleans are not amounts")
@@ -69,6 +69,9 @@ class Fixed:
             return cls(value * SCALE)
         if isinstance(value, Fixed):
             return value
+        # imported here: checking a chain log makes every amount from its
+        # micro-units and never parses text
+        from decimal import Decimal, InvalidOperation
         try:
             scaled = Decimal(str(value)).scaleb(6)
         except InvalidOperation as exc:

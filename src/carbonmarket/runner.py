@@ -1,9 +1,10 @@
-"""Scenario execution: genesis construction and step-by-step replay.
+"""Scenario execution: the parsed steps, applied to the genesis ledger.
 
-The runner is the single writer: it turns each scenario step into a
-transaction, applies it to the ledger, appends the applied transaction to
-the chain log, and feeds the event to the journal.  Inline expectations are
-evaluated against the live state.  The run stops at the first failure
+The parsed scenario holds the genesis ledger and each step's transaction.
+The runner is the single writer: it gives each transaction the next seq,
+applies it to a copy of the genesis ledger, appends the applied transaction
+to the chain log, and feeds the event to the journal.  Inline expectations
+are evaluated against the live state.  The run stops at the first failure
 (unexpected rejection, failed expectation, a step that was marked
 expect_fail but succeeded, or an applied transaction the journal cannot
 book); everything before the failure remains valid.  A transaction the
@@ -17,12 +18,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .chainlog import ChainLog
-from .domain import Role
 from .errors import ErrorCode, LedgerError
-from .fixed import Fixed
 from .journal import Journal
-from .ledger import TokenLedger, Transaction, TxKind
-from .scenario import ACCOUNTS, ACTIONS, Expectation, Scenario, Step
+from .ledger import TokenLedger
+from .scenario import Expectation, Scenario, Step
 
 
 @dataclass(frozen=True)
@@ -48,34 +47,6 @@ class RunResult:
     failure: Optional[StepResult] = None
 
 
-def build_genesis(scenario: Scenario) -> TokenLedger:
-    """Materialise the genesis state; nothing here enters the chain log."""
-    ledger = TokenLedger()
-    for org in scenario.genesis.orgs:
-        ledger.setup_register_org(org.id, Role.from_string(org.role))
-        if not org.cash.is_zero:
-            ledger.setup_set_cash(org.id, org.cash)
-    for project in scenario.genesis.projects:
-        ledger.setup_register_project(project.owner, project.project)
-    if scenario.genesis.exchange is not None:
-        init = scenario.genesis.exchange
-        ledger.setup_init_exchange(init.fraction, init.supply, init.reserve)
-    return ledger
-
-
-def _build_tx(step: Step, seq: int) -> Transaction:
-    spec = ACTIONS[step.action]
-    orgs = {tx_field: step.fields[key] for key, tx_field in spec.orgs.items()}
-    value = step.fields[spec.value]
-    if spec.in_payload:
-        amount = None
-        payload = {spec.value: value.micro if isinstance(value, Fixed) else value}
-    else:
-        amount, payload = value, {}
-    return Transaction(seq=seq, time=step.time, kind=TxKind(step.action),
-                       amount=amount, payload=payload, **orgs)
-
-
 def _check_expectation(exp: Expectation, ledger: TokenLedger,
                        journal: Journal) -> tuple[bool, str]:
     if exp.org is not None:
@@ -89,12 +60,8 @@ def _check_expectation(exp: Expectation, ledger: TokenLedger,
             actual = getattr(record, exp.org_field)
         return actual == exp.equals, f"{exp.org}.{exp.org_field} = {actual}"
     if exp.account is not None:
-        nets = journal.trial_balance()
-        match = ACCOUNTS.get(exp.account)
-        if match is None:
-            return False, f"unknown account {exp.account!r}"
-        actual = nets[match]
-        return actual == exp.equals, f"account {exp.account!r} nets {actual}"
+        actual = journal.trial_balance()[exp.account]
+        return actual == exp.equals, f"account {exp.account.value!r} nets {actual}"
     if exp.market is not None:
         actual = ledger.market_permit if exp.market == "permit" else ledger.market_emission
         return actual == exp.equals, f"market {exp.market} = {actual}"
@@ -103,7 +70,7 @@ def _check_expectation(exp: Expectation, ledger: TokenLedger,
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
-    genesis = build_genesis(scenario)
+    genesis = scenario.genesis
     chainlog = ChainLog.for_ledger(genesis)
     ledger = genesis.copy()     # copied once genesis is encoded: a warm cache
     journal = Journal(genesis)
@@ -131,7 +98,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
             continue
 
         seq = ledger.seq + 1
-        tx = _build_tx(step, seq)
+        tx = step.tx._replace(seq=seq)
         try:
             event = ledger.apply(tx)
         except LedgerError as exc:

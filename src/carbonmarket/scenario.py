@@ -1,4 +1,4 @@
-"""Declarative scenario files: schema and validation.
+"""Declarative scenario files: schema, validation, and what the runner runs.
 
 A scenario is a YAML document with a genesis block (organisations, projects,
 cash endowments, optional exchange bootstrap) and an ordered list of steps.
@@ -7,6 +7,13 @@ order correctly) and either one ledger action or an inline `expect`
 assertion.  Amounts must be integers or quoted decimal strings; bare YAML
 floats are rejected because they do not round-trip exactly.
 
+Parsing builds what the runner executes.  The genesis block becomes the
+genesis `TokenLedger` through the ledger's `setup_*` calls, the same calls
+that load a state from JSON; this module checks only the block's shape, and
+an organisation or project those calls refuse is a SchemaError at its path
+(`genesis.projects[0]: ...`).  Each action step becomes its `Transaction`,
+built once here at seq 0; the runner gives it the next seq.
+
 Any transaction step may carry `expect_fail: <ErrorCode>` (or `true`) to
 assert that the ledger rejects it; such steps leave no trace in the chain
 log or journal.
@@ -14,7 +21,7 @@ log or journal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional
 
 import yaml
@@ -24,10 +31,12 @@ from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
                          StreamEndEvent)
 from yaml.nodes import ScalarNode
 
-from .domain import ROLE_STRINGS
+from .domain import ROLE_STRINGS, Role
 from .errors import ErrorCode, LedgerError, reject
 from .fixed import Fixed
 from .journal import Account
+from .ledger import TokenLedger
+from .txformat import Transaction, TxKind
 
 # Nesting past this many collections is a syntax error.  Scenarios nest about
 # four deep; libyaml's composer recurses in C once per level (40 000 levels end
@@ -170,7 +179,7 @@ _YAML_LOADER = _event_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 class Action(NamedTuple):
-    """How one ledger action's step fields become a transaction."""
+    """How one ledger action's step fields become its transaction."""
 
     orgs: dict[str, str]    # org-reference step field -> transaction field it fills
     value: str              # the one value step field
@@ -178,7 +187,7 @@ class Action(NamedTuple):
 
 
 # The ledger actions, in the order error messages list them; each name is
-# also the value of the `TxKind` the runner builds from it.
+# also the value of the `TxKind` of the transaction its steps become.
 ACTIONS = {
     "setRole": Action({"sender": "sender", "target": "target"}, "role", True),
     "mintPermit": Action({"signer": "sender", "target": "target"}, "amount", False),
@@ -197,35 +206,8 @@ EXPECT_FIELDS = ("permit", "emission", "cash", "compliant", "outstanding")
 EXPECT_MARKETS = ("permit", "emission")
 
 # journal accounts by the name an `expect` step gives them
-ACCOUNTS = {account.value: account for account in Account}
+_ACCOUNTS = {account.value: account for account in Account}
 _ERROR_CODES = frozenset(code.value for code in ErrorCode)
-
-
-@dataclass(frozen=True)
-class GenesisOrg:
-    id: str
-    role: str
-    cash: Fixed
-
-
-@dataclass(frozen=True)
-class GenesisProject:
-    owner: str
-    project: str
-
-
-@dataclass(frozen=True)
-class ExchangeInit:
-    fraction: Fixed
-    supply: Fixed
-    reserve: Fixed
-
-
-@dataclass(frozen=True)
-class Genesis:
-    orgs: tuple[GenesisOrg, ...]
-    projects: tuple[GenesisProject, ...] = ()
-    exchange: Optional[ExchangeInit] = None
 
 
 @dataclass(frozen=True)
@@ -234,7 +216,7 @@ class Expectation:
 
     org: Optional[str] = None
     org_field: Optional[str] = None     # permit | emission | cash | compliant | outstanding
-    account: Optional[str] = None       # journal account name, net Dr - Cr
+    account: Optional[Account] = None   # journal account, net Dr - Cr
     market: Optional[str] = None        # permit | emission market total
     price: bool = False                 # prevailing market price
     equals: Any = None
@@ -245,7 +227,7 @@ class Step:
     index: int
     time: str
     action: str
-    fields: dict = field(default_factory=dict)
+    tx: Optional[Transaction] = None    # at seq 0; the runner gives it the next seq
     expect: Optional[Expectation] = None
     expect_fail: Optional[str] = None   # error code name, or "" for any
 
@@ -254,7 +236,7 @@ class Step:
 class Scenario:
     name: str
     description: str
-    genesis: Genesis
+    genesis: TokenLedger                # the state before the first step
     steps: tuple[Step, ...]
 
 
@@ -278,7 +260,19 @@ def _as_str(where: str, key: str, value: Any) -> str:
     return value
 
 
-def _parse_genesis(raw: Any) -> Genesis:
+def _setup(where: str, call, *args) -> None:
+    """`call(*args)`, a ledger setup call; its refusal is a SchemaError at
+    `where`."""
+    try:
+        call(*args)
+    except LedgerError as exc:
+        raise _schema_error(where, exc.message) from exc
+
+
+def _parse_genesis(raw: Any) -> TokenLedger:
+    """The genesis ledger, built by the setup calls that also load a state
+    (`TokenLedger.from_state_json`), so both pass the same checks.  An
+    exchange anchor they refuse keeps its error code."""
     where = "genesis"
     if not isinstance(raw, dict):
         raise _schema_error(where, "must be a mapping")
@@ -288,9 +282,11 @@ def _parse_genesis(raw: Any) -> Genesis:
     orgs_raw = raw.get("orgs")
     if not isinstance(orgs_raw, list) or not orgs_raw:
         raise _schema_error(where, "orgs must be a non-empty list")
+    projects_raw = raw.get("projects") or []
+    if not isinstance(projects_raw, list):
+        raise _schema_error(where, "projects must be a list")
 
-    orgs: list[GenesisOrg] = []
-    seen: set[str] = set()
+    ledger = TokenLedger()
     for i, entry in enumerate(orgs_raw):
         w = f"genesis.orgs[{i}]"
         if not isinstance(entry, dict):
@@ -302,17 +298,11 @@ def _parse_genesis(raw: Any) -> Genesis:
         role = _as_str(w, "role", entry.get("role"))
         if role not in ROLE_STRINGS:
             raise _schema_error(w, f"role must be one of {ROLE_STRINGS}, got {role!r}")
-        if org_id in seen:
-            raise _schema_error(w, f"duplicate organisation id {org_id!r}")
-        seen.add(org_id)
+        _setup(w, ledger.setup_register_org, org_id, Role.from_string(role))
         cash = _as_amount(w, "cash", entry.get("cash", 0))
-        if cash.is_negative:
-            raise _schema_error(w, "cash endowment cannot be negative")
-        orgs.append(GenesisOrg(id=org_id, role=role, cash=cash))
+        _setup(w, ledger.setup_set_cash, org_id, cash)
 
-    projects: list[GenesisProject] = []
-    seen_projects: set[str] = set()
-    for i, entry in enumerate(raw.get("projects") or []):
+    for i, entry in enumerate(projects_raw):
         w = f"genesis.projects[{i}]"
         if not isinstance(entry, dict):
             raise _schema_error(w, "must be a mapping")
@@ -321,15 +311,11 @@ def _parse_genesis(raw: Any) -> Genesis:
             raise _schema_error(w, f"unknown fields {sorted(unknown)}")
         owner = _as_str(w, "owner", entry.get("owner"))
         project = _as_str(w, "project", entry.get("project"))
-        if owner not in seen:
+        if owner not in ledger.registry:
             raise reject(ErrorCode.REFERENCE_ERROR,
                          f"{w}: owner {owner!r} is not declared in genesis.orgs")
-        if project in seen_projects:
-            raise _schema_error(w, f"duplicate project id {project!r}")
-        seen_projects.add(project)
-        projects.append(GenesisProject(owner=owner, project=project))
+        _setup(w, ledger.setup_register_project, owner, project)
 
-    exchange = None
     if raw.get("exchange") is not None:
         entry = raw["exchange"]
         w = "genesis.exchange"
@@ -338,16 +324,13 @@ def _parse_genesis(raw: Any) -> Genesis:
         unknown = set(entry) - {"fraction", "supply", "reserve"}
         if unknown:
             raise _schema_error(w, f"unknown fields {sorted(unknown)}")
-        exchange = ExchangeInit(
-            fraction=_as_amount(w, "fraction", entry.get("fraction")),
-            supply=_as_amount(w, "supply", entry.get("supply")),
-            reserve=_as_amount(w, "reserve", entry.get("reserve")),
-        )
-
-    return Genesis(orgs=tuple(orgs), projects=tuple(projects), exchange=exchange)
+        ledger.setup_init_exchange(_as_amount(w, "fraction", entry.get("fraction")),
+                                   _as_amount(w, "supply", entry.get("supply")),
+                                   _as_amount(w, "reserve", entry.get("reserve")))
+    return ledger
 
 
-def _parse_expect(where: str, step: dict, declared: set[str]) -> Expectation:
+def _parse_expect(where: str, step: dict, declared: dict) -> Expectation:
     if "equals" not in step:
         raise _schema_error(where, "expect needs an `equals` value")
     equals = step["equals"]
@@ -376,9 +359,10 @@ def _parse_expect(where: str, step: dict, declared: set[str]) -> Expectation:
             equals = _as_amount(where, "equals", equals)
         return Expectation(org=org, org_field=org_field, equals=equals)
     if subject == "account":
-        account = _as_str(where, "account", step["account"])
-        if account not in ACCOUNTS:
-            raise _schema_error(where, f"unknown journal account {account!r}")
+        name = _as_str(where, "account", step["account"])
+        account = _ACCOUNTS.get(name)
+        if account is None:
+            raise _schema_error(where, f"unknown journal account {name!r}")
         return Expectation(account=account, equals=_as_amount(where, "equals", equals))
     if subject == "market":
         market = _as_str(where, "market", step["market"])
@@ -391,7 +375,7 @@ def _parse_expect(where: str, step: dict, declared: set[str]) -> Expectation:
     return Expectation(price=True, equals=_as_amount(where, "equals", equals))
 
 
-def _parse_step(index: int, raw: Any, declared: set[str]) -> Step:
+def _parse_step(index: int, raw: Any, declared: dict) -> Step:
     where = f"steps[{index}]"
     if not isinstance(raw, dict):
         raise _schema_error(where, "must be a mapping")
@@ -415,20 +399,24 @@ def _parse_step(index: int, raw: Any, declared: set[str]) -> Step:
     if unknown:
         raise _schema_error(where, f"unknown fields {sorted(unknown)} for {action}")
 
-    fields: dict[str, Any] = {}
-    for key in spec.orgs:
+    parties: dict[str, str] = {}
+    for key, tx_field in spec.orgs.items():
         org = _as_str(where, key, raw.get(key))
         if org not in declared:
             raise reject(ErrorCode.REFERENCE_ERROR,
                          f"{where}: {key} {org!r} is not declared in genesis")
-        fields[key] = org
+        parties[tx_field] = org
     if spec.value == "role":
-        role = _as_str(where, "role", raw.get("role"))
-        if role not in ROLE_STRINGS:
+        value = _as_str(where, "role", raw.get("role"))
+        if value not in ROLE_STRINGS:
             raise _schema_error(where, f"role must be one of {ROLE_STRINGS}")
-        fields["role"] = role
     else:
-        fields[spec.value] = _as_amount(where, spec.value, raw.get(spec.value))
+        value = _as_amount(where, spec.value, raw.get(spec.value))
+    if spec.in_payload:
+        payload = {spec.value: value.micro if isinstance(value, Fixed) else value}
+        tx = Transaction(0, time, TxKind(action), payload=payload, **parties)
+    else:
+        tx = Transaction(0, time, TxKind(action), amount=value, **parties)
 
     expect_fail: Optional[str] = None
     if "expect_fail" in raw:
@@ -440,8 +428,7 @@ def _parse_step(index: int, raw: Any, declared: set[str]) -> Step:
         else:
             raise _schema_error(where, "expect_fail must be true or a known error code")
 
-    return Step(index=index, time=time, action=action, fields=fields,
-                expect_fail=expect_fail)
+    return Step(index=index, time=time, action=action, tx=tx, expect_fail=expect_fail)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -463,7 +450,7 @@ def parse_scenario(text: str) -> Scenario:
         raise _schema_error("document", "description must be a string")
 
     genesis = _parse_genesis(raw.get("genesis"))
-    declared = {org.id for org in genesis.orgs}
+    declared = genesis.registry
 
     steps_raw = raw.get("steps")
     if steps_raw is None:

@@ -342,6 +342,22 @@ def test_schema_error_returns_two(tmp_path, capsys):
     assert "SchemaError" in err
 
 
+def test_genesis_project_of_an_authority_returns_two(tmp_path, capsys):
+    # the genesis setup calls refuse it while the scenario is parsed: an
+    # input error, not a rejected transaction
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("""
+name: x
+genesis:
+  orgs:
+    - {id: A, role: authority}
+  projects:
+    - {owner: A, project: p1}
+""", encoding="utf-8")
+    assert run_cli(capsys, "run", str(bad)) == (
+        2, "", "error: SchemaError: genesis.projects[0]: projects are owned by enterprises\n")
+
+
 def test_missing_file_returns_two(capsys):
     code, _, err = run_cli(capsys, "run", "no-such-file.yaml")
     assert code == 2

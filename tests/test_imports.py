@@ -1,7 +1,7 @@
 """What each entry point loads: `import carbonmarket` is lazy, the audit
 commands never load PyYAML, the scenario parser, the runner or the journal,
-`verify` loads no state machine, and the benchmark's traced run still finds
-every name it wraps."""
+`verify` loads no state machine and no decimal parser, and the benchmark's
+traced run still finds every name it wraps."""
 
 import json
 import os
@@ -25,17 +25,21 @@ RUN_ONLY = ("yaml", "carbonmarket.scenario", "carbonmarket.runner", "carbonmarke
 # what applying transactions and writing reports needs; the log format does not
 STATE_MACHINE = ("carbonmarket.ledger", "carbonmarket.exchange", "carbonmarket.domain",
                  "carbonmarket.reports", "dataclasses")
+# what only parsing an amount from text needs; a log holds micro-units
+TEXT_AMOUNTS = ("decimal",)
 
-# Runs in a fresh interpreter: after each stage, which of RUN_ONLY and of
-# STATE_MACHINE are loaded.
+# Runs in a fresh interpreter: after each stage, which of RUN_ONLY, of
+# STATE_MACHINE and of TEXT_AMOUNTS are loaded.
 FOOTPRINT = """
 import contextlib, io, json, sys
 RUN_ONLY = {run_only!r}
 STATE_MACHINE = {state_machine!r}
-loaded, state = {{}}, {{}}
+TEXT_AMOUNTS = {text_amounts!r}
+loaded, state, text = {{}}, {{}}, {{}}
 def stage(name):
     loaded[name] = [module for module in RUN_ONLY if module in sys.modules]
     state[name] = [module for module in STATE_MACHINE if module in sys.modules]
+    text[name] = [module for module in TEXT_AMOUNTS if module in sys.modules]
 import carbonmarket
 stage("import carbonmarket")
 from carbonmarket import cli
@@ -48,7 +52,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     stage("replay")
     codes.append(cli.main(["journal", {log!r}]))
     stage("journal")
-print(json.dumps({{"codes": codes, "loaded": loaded, "state": state}}))
+print(json.dumps({{"codes": codes, "loaded": loaded, "state": state, "text": text}}))
 """
 
 
@@ -62,6 +66,7 @@ def golden_run(tmp_path_factory):
 @pytest.fixture(scope="module")
 def footprint(golden_run):
     script = FOOTPRINT.format(run_only=RUN_ONLY, state_machine=STATE_MACHINE,
+                              text_amounts=TEXT_AMOUNTS,
                               log=str(golden_run / "chainlog.log"),
                               genesis=str(golden_run / "genesis.json"))
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=ENV,
@@ -88,6 +93,12 @@ def test_verify_loads_no_state_machine(footprint):
     assert footprint["state"]["import carbonmarket.cli"] == []
     assert footprint["state"]["verify"] == []
     assert footprint["state"]["replay"] == list(STATE_MACHINE)
+
+
+def test_verify_loads_no_decimal_parser(footprint):
+    assert footprint["codes"] == [0, 0, 0]
+    for stage in ("import carbonmarket", "import carbonmarket.cli", "verify"):
+        assert footprint["text"][stage] == [], stage
 
 
 @pytest.mark.parametrize("name", carbonmarket.__all__)

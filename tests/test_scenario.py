@@ -1,12 +1,15 @@
 """Scenario parsing, validation, and runner semantics."""
 
+import json
 from collections import Counter
 
 import pytest
 import yaml
+from hypothesis import Phase, given, settings, strategies as st
 
 import carbonmarket.scenario as scenario_module
-from carbonmarket import ErrorCode, LedgerError, TxKind, parse_scenario, run_scenario
+from carbonmarket import (AUTHORITY, ENTERPRISE, Account, ErrorCode, LedgerError,
+                          TokenLedger, Transaction, TxKind, parse_scenario, run_scenario)
 from carbonmarket.scenario import ACTIONS
 from conftest import JOURNAL_OVERFLOW, SCENARIO_DIR, fx
 
@@ -43,6 +46,16 @@ def test_empty_steps_is_identity():
     assert result.final.state_json() == result.genesis.state_json()
     assert result.chainlog.entries == []
     assert result.journal.entries == []
+
+
+def test_a_parsed_scenario_runs_again_alike(golden_run):
+    # every run of a scenario starts from its one genesis ledger, which no
+    # run may change
+    genesis = golden_run.scenario.genesis.state_json()
+    again = run_scenario(golden_run.scenario)
+    assert again.genesis.state_json() == genesis
+    assert again.chainlog.to_text() == golden_run.chainlog.to_text()
+    assert again.final.state_json() == golden_run.final.state_json()
 
 
 def test_undeclared_org_is_a_reference_error():
@@ -97,7 +110,71 @@ def test_quoted_decimal_amounts_accepted():
   - {time: "t1", action: mintPermit, signer: A, target: E, amount: "0.100000"}
 """)
     scenario = parse_scenario(text)
-    assert scenario.steps[0].fields["amount"] == fx("0.1")
+    assert scenario.steps[0].tx.amount == fx("0.1")
+
+
+def test_each_step_carries_its_transaction():
+    text = MINIMAL.replace("- {id: E, role: enterprise}", """- {id: E, role: enterprise}
+    - {id: V, role: verifier}""").replace("steps: []", """steps:
+  - {time: "t1", action: setRole, sender: A, target: E, role: verifier}
+  - {time: "t2", action: mintEmission, sender: E, signer: V, amount: 3}
+  - {time: "t3", action: setPrice, authority: A, price: "2.5"}
+  - {time: "t4", action: expect, account: Income, equals: 0}
+""")
+    steps = parse_scenario(text).steps
+    assert [step.tx for step in steps] == [
+        Transaction(0, "t1", TxKind.SET_ROLE, sender="A", target="E",
+                    payload={"role": "verifier"}),
+        Transaction(0, "t2", TxKind.MINT_EMISSION, sender="E", cosigner="V", amount=fx(3)),
+        Transaction(0, "t3", TxKind.SET_PRICE, sender="A", payload={"price": 2_500_000}),
+        None]
+    assert steps[3].expect.account is Account.INCOME
+
+
+def test_genesis_is_the_ledger_the_setup_calls_build():
+    text = """
+name: g
+genesis:
+  orgs:
+    - {id: A, role: authority}
+    - {id: E, role: enterprise, cash: "12.5"}
+  projects:
+    - {owner: E, project: p1}
+  exchange: {fraction: "0.5", supply: 100, reserve: 2000}
+"""
+    ledger = TokenLedger()
+    ledger.setup_register_org("A", AUTHORITY)
+    ledger.setup_register_org("E", ENTERPRISE)
+    ledger.setup_set_cash("E", fx("12.5"))
+    ledger.setup_register_project("E", "p1")
+    ledger.setup_init_exchange(fx("0.5"), fx(100), fx(2000))
+    assert parse_scenario(text).genesis.state_json() == ledger.state_json()
+
+
+@pytest.mark.parametrize("genesis, code, message", [
+    ("{orgs: [{id: A, role: authority}, {id: A, role: enterprise}]}",
+     ErrorCode.SCHEMA_ERROR, "genesis.orgs[1]: organisation 'A' already registered"),
+    ("{orgs: [{id: A, role: authority, cash: -1}]}",
+     ErrorCode.SCHEMA_ERROR, "genesis.orgs[0]: cash balances cannot be negative"),
+    ("{orgs: [{id: A, role: authority}], projects: [{owner: A, project: p1}]}",
+     ErrorCode.SCHEMA_ERROR, "genesis.projects[0]: projects are owned by enterprises"),
+    ("{orgs: [{id: E, role: enterprise}], "
+     "projects: [{owner: E, project: p1}, {owner: E, project: p1}]}",
+     ErrorCode.SCHEMA_ERROR, "genesis.projects[1]: project 'p1' already registered to 'E'"),
+    ("{orgs: [{id: E, role: enterprise}], projects: [{owner: Z, project: p1}]}",
+     ErrorCode.REFERENCE_ERROR,
+     "genesis.projects[0]: owner 'Z' is not declared in genesis.orgs"),
+    ("{orgs: [{id: E, role: enterprise}], projects: 5}",
+     ErrorCode.SCHEMA_ERROR, "genesis: projects must be a list"),
+    ("{orgs: [{id: E, role: enterprise}], exchange: {fraction: 2, supply: 1, reserve: 1}}",
+     ErrorCode.INVALID_FRACTION, "reserve fraction must lie in (0, 1], got 2.000000"),
+    ("{orgs: [{id: E, role: enterprise}], exchange: {fraction: 1, supply: 0, reserve: 1}}",
+     ErrorCode.INVALID_SUPPLY, "baseline supply must be positive"),
+])
+def test_genesis_the_setup_calls_refuse(genesis, code, message):
+    with pytest.raises(LedgerError) as err:
+        parse_scenario(f"name: g\ngenesis: {genesis}\n")
+    assert (err.value.code, err.value.message) == (code, message)
 
 
 def test_non_monotone_timestamps_rejected():
@@ -229,7 +306,10 @@ def test_corpus_parses_identically_under_both_loaders(monkeypatch, name):
     parsed = {}
     for loader in (yaml.CSafeLoader, yaml.SafeLoader):
         monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
-        parsed[loader] = parse_scenario(text)
+        scenario = parse_scenario(text)
+        # the genesis is a ledger, which compares by identity
+        parsed[loader] = (scenario.name, scenario.description, scenario.steps,
+                          scenario.genesis.state_json())
     assert parsed[yaml.CSafeLoader] == parsed[yaml.SafeLoader]
 
 
@@ -253,3 +333,77 @@ def test_impossible_date_is_a_syntax_error():
         parse_scenario(MINIMAL + "description: 2020-13-45\n")
     assert err.value.code is ErrorCode.SYNTAX_ERROR
     assert err.value.message == "bad scenario file: month must be in 1..12"
+
+
+# The property below draws a genesis block the setup calls accept, then
+# perhaps adds one fault they, or the parser, must refuse.
+org_ids = st.one_of(st.integers(0, 10**6).map(lambda n: f"org{n}"),
+                    st.sampled_from(("é", 'q"', "yes")))
+genesis_orgs = st.fixed_dictionaries(
+    {"id": org_ids, "role": st.sampled_from(("authority", "enterprise", "verifier"))},
+    optional={"cash": st.one_of(st.integers(0, 10**9), st.just("0.5"))})
+
+ENT, AUTH = {"id": "Ent", "role": "enterprise"}, {"id": "Auth", "role": "authority"}
+# what each fault adds to a block: orgs and projects after the drawn ones,
+# or the exchange in place of the drawn one
+FAULTS = {
+    "duplicate org": {"orgs": [ENT, ENT]},
+    "empty org id": {"orgs": [dict(ENT, id="")]},
+    "negative cash": {"orgs": [dict(ENT, cash="-0.000001")]},
+    "cash overflow": {"orgs": [dict(ENT, cash=2**62)]},
+    "authority owner": {"orgs": [AUTH], "projects": [{"owner": "Auth", "project": "pa"}]},
+    "undeclared owner": {"projects": [{"owner": "Nobody", "project": "pn"}]},
+    "duplicate project": {"orgs": [ENT], "projects": [{"owner": "Ent", "project": "pd"}] * 2},
+    "empty project id": {"orgs": [ENT], "projects": [{"owner": "Ent", "project": ""}]},
+    "bad fraction": {"exchange": {"fraction": 2, "supply": 1, "reserve": 1}},
+    "zero supply": {"exchange": {"fraction": 1, "supply": 0, "reserve": 1}},
+    "zero reserve": {"exchange": {"fraction": 1, "supply": 1, "reserve": 0}},
+    "unpriceable anchor": {"exchange": {"fraction": "0.000001", "supply": 1,
+                                        "reserve": 10**12}},
+}
+GENESIS_REFUSALS = {ErrorCode.SCHEMA_ERROR, ErrorCode.REFERENCE_ERROR,
+                    ErrorCode.INVALID_FRACTION, ErrorCode.INVALID_SUPPLY,
+                    ErrorCode.INVALID_AMOUNT}
+
+
+@st.composite
+def genesis_blocks(draw) -> dict:
+    orgs = draw(st.lists(genesis_orgs, min_size=1, max_size=30,
+                         unique_by=lambda org: org["id"]))
+    block = {"orgs": orgs, "projects": []}
+    enterprises = [org["id"] for org in orgs if org["role"] != "authority"]
+    if enterprises:
+        projects = draw(st.lists(st.integers(0, 99), max_size=4, unique=True))
+        block["projects"] = [{"owner": draw(st.sampled_from(enterprises)),
+                              "project": f"p{n}"} for n in projects]
+    if draw(st.booleans()):
+        block["exchange"] = draw(st.fixed_dictionaries(
+            {"fraction": st.sampled_from((1, "0.5", "0.25")),
+             "supply": st.sampled_from((1, 1000, 10**6)),
+             "reserve": st.sampled_from(("0.5", 1000, 10**6))}))
+    return block
+
+
+# no shrinking, as in the journal property: the unshrunk example is reported
+# in seconds
+@settings(max_examples=150, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(genesis_blocks(), st.one_of(st.none(), st.sampled_from(sorted(FAULTS))))
+def test_parsed_genesis_reloads_from_its_state(block, fault):
+    """A genesis the setup calls accept parses, and reloads from its state
+    JSON to the same state; one with a fault is a typed input error."""
+    if fault is not None:
+        added = FAULTS[fault]
+        block["orgs"] += added.get("orgs", [])
+        block["projects"] += added.get("projects", [])
+        block["exchange"] = added.get("exchange", block.get("exchange"))
+    text = json.dumps({"name": "g", "genesis": block})
+    if fault is not None:
+        with pytest.raises(LedgerError) as err:
+            parse_scenario(text)
+        assert err.value.code in GENESIS_REFUSALS, err.value
+        return
+    genesis = parse_scenario(text).genesis
+    assert list(genesis.registry) == [org["id"] for org in block["orgs"]]
+    state = genesis.state_json()
+    assert TokenLedger.from_state_json(state).state_json() == state
