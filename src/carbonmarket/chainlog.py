@@ -48,6 +48,7 @@ from .fixed import Fixed
 from .txformat import Transaction, TxKind, parse_state
 
 if TYPE_CHECKING:       # only `replay` loads the state machine
+    from .journal import Journal
     from .ledger import TokenLedger
 
 TX_MAGIC = b"CMTX1"
@@ -320,15 +321,32 @@ def verify_text(text: str) -> VerifyResult:
     return VerifyResult(valid=False, first_bad_seq=bad_seq, detail=detail)
 
 
+def advance(ledger: TokenLedger, tx: Transaction, log: ChainLog,
+            journal: Optional[Journal] = None):
+    """Commit `tx` for `run`, `replay` and `journal`: apply it, append the
+    state digest past the log's head or else check it against the logged
+    one, then book the event; `ledger.seq` moves only if the ledger applied it."""
+    event = ledger.apply(tx)
+    digest = ledger.state_digest()
+    if tx.seq > log.head_seq:
+        log.append(tx, digest)
+    elif digest != log.entries[tx.seq - log.genesis_seq - 1].state_digest:
+        raise reject(ErrorCode.STATE_MISMATCH,
+                     f"entry {tx.seq}: replayed state digest diverges")
+    if journal is not None:
+        journal.on_event(event)
+
+
 def replay(log: ChainLog, genesis: Optional[TokenLedger] = None,
-           on_event=None) -> TokenLedger:
+           journal: Optional[Journal] = None) -> TokenLedger:
     """Re-apply every logged transaction and check the recorded digests.
 
     `genesis` defaults to the state embedded in the log; a caller-supplied
     genesis must hash to the log's recorded genesis digest.  The entries'
     sequence and hash links are checked in memory first, unless they are
     still the ones `ChainLog.from_text` parsed and checked; each replayed
-    transaction must then reproduce the per-entry state digest bit-exactly.
+    transaction must then reproduce the per-entry state digest bit-exactly,
+    and is booked in `journal` if one is given.
     """
     from .ledger import TokenLedger
     _check_links(log)
@@ -342,13 +360,10 @@ def replay(log: ChainLog, genesis: Optional[TokenLedger] = None,
         ledger = genesis.copy()
     for entry in log.entries:
         try:
-            event = ledger.apply(entry.tx)
+            advance(ledger, entry.tx, log, journal)
         except LedgerError as exc:
+            if ledger.seq == entry.seq:     # applied: refused by its digest or books
+                raise
             raise reject(ErrorCode.STATE_MISMATCH,
                          f"entry {entry.seq} rejected on replay: {exc}") from exc
-        if ledger.state_digest() != entry.state_digest:
-            raise reject(ErrorCode.STATE_MISMATCH,
-                         f"entry {entry.seq}: replayed state digest diverges")
-        if on_event is not None:
-            on_event(event)
     return ledger

@@ -67,18 +67,15 @@ def run_scenario(scenario):
 
 def _cmd_run(args) -> int:
     from . import reports
-    scenario = load_scenario(args.scenario)
-    result = run_scenario(scenario)
-    out = sys.stdout
-    out.write(reports.run_report_csv(result))
-    out.write("\n")
-    out.write(reports.balances_csv(result.final))
-    out.write("\n")
-    out.write(reports.compliance_csv(result.final))
-    out.write(f"\nstate-digest {result.final.state_digest().hex()}\n")
+    result = run_scenario(load_scenario(args.scenario))
+    run_csv = reports.run_report_csv(result)
+    balances = reports.balances_csv(result.final)
+    compliance = reports.compliance_csv(result.final)
+    sys.stdout.write(f"{run_csv}\n{balances}\n{compliance}"
+                     f"\nstate-digest {result.final.state_digest().hex()}\n")
     if args.out:
         try:
-            _write_reports(Path(args.out), result)
+            _write_reports(Path(args.out), result, run_csv, balances, compliance)
         except OSError as exc:
             raise LedgerError(ErrorCode.SYNTAX_ERROR,
                               f"cannot write {args.out!r}: {exc}") from exc
@@ -90,22 +87,22 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _write_reports(directory: Path, result):
+def _write_reports(directory: Path, result, run_csv: str, balances: str, compliance: str):
+    """The `--out` files, reusing the three reports `run` already printed."""
     from . import reports
+
+    def write(name: str, text: str):
+        (directory / name).write_text(text, encoding="utf-8")
+
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "genesis.json").write_text(result.genesis.state_json() + "\n",
-                                            encoding="utf-8")
-    (directory / "chainlog.log").write_text(result.chainlog.to_text(), encoding="utf-8")
-    (directory / "journal.csv").write_text(result.journal.export_csv(), encoding="utf-8")
-    (directory / "trial_balance.csv").write_text(
-        reports.trial_balance_csv(result.journal), encoding="utf-8")
-    (directory / "balances.csv").write_text(reports.balances_csv(result.final),
-                                            encoding="utf-8")
-    (directory / "compliance.csv").write_text(reports.compliance_csv(result.final),
-                                              encoding="utf-8")
-    (directory / "market.csv").write_text(reports.market_csv(result.final),
-                                          encoding="utf-8")
-    (directory / "run.csv").write_text(reports.run_report_csv(result), encoding="utf-8")
+    write("genesis.json", result.chainlog.genesis_json + "\n")
+    write("chainlog.log", result.chainlog.to_text())
+    write("journal.csv", result.journal.export_csv())
+    write("trial_balance.csv", reports.trial_balance_csv(result.journal))
+    write("balances.csv", balances)
+    write("compliance.csv", compliance)
+    write("market.csv", reports.market_csv(result.final))
+    write("run.csv", run_csv)
 
 
 def _cmd_verify(args) -> int:
@@ -142,7 +139,7 @@ def _cmd_journal(args) -> int:
     log = ChainLog.from_text(_read(args.chainlog, ErrorCode.CHAIN_INVALID))
     genesis = TokenLedger.from_state_json(log.genesis_json)
     journal = Journal(genesis)
-    replay_chain(log, genesis, on_event=journal.on_event)
+    replay_chain(log, genesis, journal)
     sys.stdout.write(journal.export_csv())
     return EXIT_OK
 

@@ -73,12 +73,21 @@ class Fixed:
         # micro-units and never parses text
         from decimal import Decimal, InvalidOperation
         try:
-            scaled = Decimal(str(value)).scaleb(6)
+            number = Decimal(str(value))
         except InvalidOperation as exc:
             raise ValueError(f"not a decimal amount: {value!r}") from exc
-        if scaled != scaled.to_integral_value():
-            raise ValueError(f"amount {value!r} is finer than the 1e-6 resolution")
-        return cls(int(scaled))
+        if not number.is_finite():
+            raise ValueError(f"not a finite amount: {value!r}")
+        # magnitude first: the exact ratio has as many digits as the exponent
+        magnitude = number.adjusted() if number else 0
+        if magnitude > 12:          # 1e13 and up: past 2**63 micro-units
+            raise OverflowError("amount exceeds the representable range")
+        if magnitude >= -6:
+            num, den = number.as_integer_ratio()
+            micro, rest = divmod(num * SCALE, den)
+            if not rest:
+                return cls(micro)
+        raise ValueError(f"amount {value!r} is finer than the 1e-6 resolution")
 
     @classmethod
     def from_float(cls, value: float, rounding: str = "nearest") -> "Fixed":

@@ -137,9 +137,6 @@ class JournalEntry(NamedTuple):
     org: str
     lines: tuple[JournalLine, ...]
 
-    def total(self, side: Side) -> Money:
-        return Fixed(sum(line.amount.micro for line in self.lines if line.side is side))
-
 
 # the records built straight from a tuple, skipping the Python-level __new__
 _line = partial(tuple.__new__, JournalLine)

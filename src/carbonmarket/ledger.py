@@ -103,20 +103,11 @@ class TokenLedger:
             raise reject(ErrorCode.UNKNOWN_ORG, f"organisation {org_id!r} is not registered")
         return record
 
-    def project_owner(self, project_id: str) -> Optional[str]:
-        return self._owners.get(project_id)
-
     def compliance_check(self, org_id: str) -> ComplianceReport:
         record = self.org(org_id)
         return ComplianceReport(org=record.id,
                                 outstanding_emissions=record.emission,
                                 compliant=record.emission.is_zero)
-
-    def spot_price(self) -> Money:
-        """Current exchange spot price at the outstanding supply."""
-        if self.exchange is None:
-            raise reject(ErrorCode.EXCHANGE_INACTIVE, "exchange has not been initialised")
-        return spot_price(self.exchange, self.market_permit)
 
     def copy(self) -> "TokenLedger":
         dup = TokenLedger()

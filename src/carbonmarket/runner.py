@@ -1,9 +1,9 @@
 """Scenario execution: the parsed steps, applied to the genesis ledger.
 
 The parsed scenario holds the genesis ledger and each step's transaction.
-The runner is the single writer: it gives each transaction the next seq,
-applies it to a copy of the genesis ledger, appends the applied transaction
-to the chain log, and feeds the event to the journal.  Inline expectations
+The runner is the single writer: it gives each transaction the next seq and
+commits it to a copy of the genesis ledger, the chain log and the journal
+with `chainlog.advance`, the step `replay` repeats.  Inline expectations
 are evaluated against the live state.  The run stops at the first failure
 (unexpected rejection, failed expectation, a step that was marked
 expect_fail but succeeded, or an applied transaction the journal cannot
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .chainlog import ChainLog
+from .chainlog import ChainLog, advance
 from .errors import ErrorCode, LedgerError
 from .journal import Journal
 from .ledger import TokenLedger
@@ -77,53 +77,43 @@ def run_scenario(scenario: Scenario) -> RunResult:
     result = RunResult(scenario=scenario, genesis=genesis, final=ledger,
                        chainlog=chainlog, journal=journal)
 
+    def record(step: Step, status: str, **fields) -> StepResult:
+        entry = StepResult(index=step.index, time=step.time, action=step.action,
+                           status=status, **fields)
+        result.steps.append(entry)
+        return entry
+
     def fail(step: Step, code: ErrorCode, detail: str, seq: Optional[int] = None):
-        record = StepResult(index=step.index, time=step.time, action=step.action,
-                            status="failed", seq=seq, error=code.value, detail=detail)
-        result.steps.append(record)
         result.ok = False
-        result.failure = record
+        result.failure = record(step, "failed", seq=seq, error=code.value, detail=detail)
 
     for step in scenario.steps:
         if step.action == "expect":
             ok, detail = _check_expectation(step.expect, ledger, journal)
-            if ok:
-                result.steps.append(StepResult(index=step.index, time=step.time,
-                                               action="expect", status="assert-ok",
-                                               detail=detail))
-            else:
+            if not ok:
                 fail(step, ErrorCode.ASSERTION_FAILED,
                      f"expected {step.expect.equals}, got {detail}")
                 break
+            record(step, "assert-ok", detail=detail)
             continue
 
         seq = ledger.seq + 1
-        tx = step.tx._replace(seq=seq)
         try:
-            event = ledger.apply(tx)
+            advance(ledger, step.tx._replace(seq=seq), chainlog, journal)
         except LedgerError as exc:
-            if step.expect_fail is not None and step.expect_fail in ("", exc.code.value):
-                result.steps.append(StepResult(index=step.index, time=step.time,
-                                               action=step.action, status="rejected",
-                                               seq=seq, error=exc.code.value,
-                                               detail=exc.message))
+            if ledger.seq == seq:       # applied and logged, but not booked
+                fail(step, exc.code, exc.message, seq=seq)
+            elif step.expect_fail in ("", exc.code.value):
+                record(step, "rejected", seq=seq, error=exc.code.value, detail=exc.message)
                 continue
-            fail(step, ErrorCode.TRANSACTION_REJECTED,
-                 f"seq {seq} ({step.action}) rejected: {exc}", seq=seq)
-            break
-        chainlog.append(tx, ledger.state_digest())
-        try:
-            journal.on_event(event)
-        except LedgerError as exc:
-            fail(step, exc.code, exc.message, seq=seq)
+            else:
+                fail(step, ErrorCode.TRANSACTION_REJECTED,
+                     f"seq {seq} ({step.action}) rejected: {exc}", seq=seq)
             break
         if step.expect_fail is not None:
             fail(step, ErrorCode.ASSERTION_FAILED,
                  f"step was expected to fail with "
                  f"{step.expect_fail or 'any error'} but was applied", seq=seq)
             break
-        result.steps.append(StepResult(index=step.index, time=step.time,
-                                       action=step.action, status="applied", seq=seq))
-
-    result.final = ledger
+        record(step, "applied", seq=seq)
     return result

@@ -26,7 +26,7 @@ from carbonmarket.reports import price_curve_rows
 
 from conftest import LedgerDriver, fx, standard_market
 from test_ledger import (CALLERS, ROLE_GATED, _invoke, assert_conservation,
-                         random_walk)
+                         random_walk, spot)
 
 import pytest
 
@@ -246,15 +246,15 @@ def test_criterion_7_adjustment_levers_exact():
     driver = LedgerDriver(standard_market())
     driver.mint_permit("A", "E", 1000)
     driver.init_exchange("0.5", 1000, 10000)
-    assert driver.ledger.spot_price() == fx(20)
+    assert spot(driver.ledger) == fx(20)
     driver.set_reserve_fraction("A", "0.25")
-    assert driver.ledger.spot_price() == fx(40)
+    assert spot(driver.ledger) == fx(40)
 
     driver = LedgerDriver(standard_market())
     driver.mint_permit("A", "E", 1000)
     driver.init_exchange("0.5", 1000, 10000)
     driver.adjust_reserve("A", 10000)
-    assert driver.ledger.spot_price() == fx(40)
+    assert spot(driver.ledger) == fx(40)
     ok(7, "halving F doubles the spot price 20 -> 40; doubling the reserve "
           "does the same, exact at 1e-6")
 

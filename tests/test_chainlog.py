@@ -193,7 +193,7 @@ def test_corpus_scenarios_replay_deterministically(name):
     # a fresh parse of the serialized log must reproduce state and journal
     log = ChainLog.from_text(result.chainlog.to_text())
     journal = Journal(result.genesis)
-    ledger = replay(log, on_event=journal.on_event)
+    ledger = replay(log, journal=journal)
     assert ledger.state_digest() == result.final.state_digest()
     assert journal.export_csv() == result.journal.export_csv()
 

@@ -158,6 +158,29 @@ def write_log(path, genesis, *steps):
     return str(path)
 
 
+@pytest.mark.parametrize("sender, digest, detail", [
+    # the ledger refuses the entry: only an authority mints permits
+    ("E", None, "entry 1 rejected on replay: Unauthorized: 'E' must hold the authority role"),
+    # the ledger applies the entry, but the log recorded another state
+    ("A", bytes(32), "entry 1: replayed state digest diverges"),
+])
+def test_replay_divergence_is_a_state_mismatch(tmp_path, capsys, sender, digest, detail):
+    # both logs are hash-correct, so `verify` passes them; `replay` and
+    # `journal` re-run the entry and find it does not give the logged state
+    genesis = standard_market()
+    chain = ChainLog.for_ledger(genesis)
+    chain.append(Transaction(seq=1, time="t", kind=TxKind.MINT_PERMIT, sender=sender,
+                             target="E", amount=fx(10)),
+                 genesis.state_digest() if digest is None else digest)
+    log = tmp_path / "chainlog.log"
+    log.write_text(chain.to_text(), encoding="utf-8")
+    state = tmp_path / "genesis.json"
+    state.write_text(genesis.state_json() + "\n", encoding="utf-8")
+    assert run_cli(capsys, "verify", str(log)) == (0, "chain valid\n", "")
+    for argv in (["replay", str(log), str(state)], ["journal", str(log)]):
+        assert run_cli(capsys, *argv) == (1, "", f"error: StateMismatch: {detail}\n")
+
+
 def test_journal_opens_from_genesis_balances(tmp_path, capsys):
     # genesis permits are one opening lot and genesis emissions an opening
     # liability at the genesis price (20), neither booked
@@ -356,6 +379,46 @@ genesis:
 """, encoding="utf-8")
     assert run_cli(capsys, "run", str(bad)) == (
         2, "", "error: SchemaError: genesis.projects[0]: projects are owned by enterprises\n")
+
+
+EXTREME_AMOUNTS = """
+name: extreme-amounts
+genesis:
+  orgs:
+    - {{id: A, role: authority}}
+    - {{id: E, role: enterprise, cash: "{cash}"}}
+steps:
+  - {{time: "t1", action: mintPermit, signer: A, target: E, amount: "{amount}"}}
+  - {{time: "t1", action: expect, org: E, field: permit, equals: "{equals}"}}
+"""
+
+
+@pytest.mark.parametrize("field, value, detail", [
+    ("amount", "1e400000000",
+     "steps[0]: field 'amount': amount exceeds the representable range"),
+    ("cash", "1e-400000000", "genesis.orgs[1]: field 'cash': amount '1e-400000000' "
+                             "is finer than the 1e-6 resolution"),
+    ("equals", "1e400000000",
+     "steps[1]: field 'equals': amount exceeds the representable range"),
+    ("equals", "nan", "steps[1]: field 'equals': not a finite amount: 'nan'"),
+])
+def test_extreme_amount_in_a_scenario_returns_two(tmp_path, capsys, field, value, detail):
+    fields = {"cash": "1", "amount": "1", "equals": "1", field: value}
+    scenario = tmp_path / "extreme.yaml"
+    scenario.write_text(EXTREME_AMOUNTS.format(**fields), encoding="utf-8")
+    assert run_cli(capsys, "run", str(scenario)) == (2, "", f"error: SchemaError: {detail}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("quote", "--f", "0.5", "--s0", "1000", "--c0", "10000", "--buy-tokens", "1e400000000"),
+    ("quote", "--f", "0.5", "--s0", "1000", "--c0", "10000", "--spend-cash", "1e-400000000"),
+    ("price-curve", "--f", "0.5", "--s0", "1e400000000", "--c0", "1", "--min", "1",
+     "--max", "2"),
+])
+def test_extreme_amount_argument_returns_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error: argument" in err
 
 
 def test_missing_file_returns_two(capsys):

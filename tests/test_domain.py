@@ -54,17 +54,24 @@ def test_register_org_requires_nonempty_id():
 def test_register_project_marks_owner(market):
     assert market.org("E").projects == {"p1"}
     assert not market.org("F").projects
-    assert market.project_owner("p1") == "E"
-    assert market.project_owner("nope") is None
+    with pytest.raises(LedgerError) as err:     # E's, so no one else's
+        market.setup_register_project("F", "p1")
+    assert err.value.code is ErrorCode.DUPLICATE_ID
+    assert err.value.message == "project 'p1' already registered to 'E'"
 
 
 def test_copy_keeps_its_own_project_owners(market):
     dup = market.copy()
     dup.setup_register_project("F", "p2")
-    assert dup.project_owner("p2") == "F"
-    assert market.project_owner("p2") is None
+    assert dup.org("F").projects == {"p2"}
+    assert not market.org("F").projects
     market.setup_register_project("E", "p2")    # still free in the original
-    assert dup.project_owner("p1") == market.project_owner("p2") == "E"
+    assert market.org("E").projects == {"p1", "p2"}
+    assert dup.org("E").projects == {"p1"}
+    with pytest.raises(LedgerError) as err:     # and still F's in the copy
+        dup.setup_register_project("E", "p2")
+    assert err.value.code is ErrorCode.DUPLICATE_ID
+    assert err.value.message == "project 'p2' already registered to 'F'"
 
 def test_register_project_gates(market):
     # unknown owner

@@ -27,6 +27,30 @@ def test_parse_rejects_sub_resolution_and_junk():
         Fixed.parse(True)
 
 
+@pytest.mark.parametrize("text, error, message", [
+    # past the 64-bit range however large the exponent, not a decimal trap
+    ("1e400000000", OverflowError, "amount exceeds the representable range"),
+    ("-1e400000000", OverflowError, "amount exceeds the representable range"),
+    ("9223372036854.775808", OverflowError, "amount exceeds the representable range"),
+    # below the grid however small, not rounded to zero
+    ("1e-400000000", ValueError, "is finer than the 1e-6 resolution"),
+    ("1e-7", ValueError, "is finer than the 1e-6 resolution"),
+    # more digits than a 28-digit decimal context keeps
+    ("1000000000000.00000000000000001", ValueError, "is finer than the 1e-6 resolution"),
+    ("nan", ValueError, "not a finite amount"),
+    ("-Infinity", ValueError, "not a finite amount"),
+])
+def test_parse_extreme_exponents_and_non_finite(text, error, message):
+    with pytest.raises(error, match=message):
+        Fixed.parse(text)
+
+
+def test_parse_keeps_exact_values_at_the_edges():
+    assert Fixed.parse("9223372036854.775807").micro == 2**63 - 1
+    assert Fixed.parse("-0.000001000").micro == -1
+    assert Fixed.parse("0e400000000") == Fixed.parse("0e-400000000") == ZERO
+
+
 def test_arithmetic_and_comparison():
     a, b = Fixed.parse("2.5"), Fixed.parse("0.75")
     assert a + b == Fixed.parse("3.25")

@@ -126,9 +126,18 @@ def _span_names(path: Path) -> set:
     return {span[0] for span in spans}
 
 
+def _step_span_names(path: Path) -> set:
+    """Names of the spans directly inside `runner.run_scenario`, without a
+    per-kind suffix such as `/mintPermit`."""
+    spans = json.loads(path.read_text(encoding="utf-8"))["spans"]
+    return {name.split("/")[0] for name, _, _, up, _ in spans
+            if up >= 0 and spans[up][0] == "runner.run_scenario"}
+
+
 def test_benchmark_traced_run_finds_the_names_it_wraps(tmp_path):
     """perfbench/traced.py replaces library names in place before it calls
-    the CLI; each wrapped layer must show up as a span."""
+    the CLI; each wrapped layer must show up as a span, and each per-step
+    layer as one the run's steps make."""
     out, run_spans, audit_spans = tmp_path / "out", tmp_path / "run.json", tmp_path / "audit.json"
     traced = [sys.executable, str(PERFBENCH / "traced.py")]
     proc = subprocess.run([*traced, "run", str(GOLDEN_SCENARIO), str(out), str(run_spans)],
@@ -139,5 +148,7 @@ def test_benchmark_traced_run_finds_the_names_it_wraps(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("chain valid\nreplay ok:")
     assert {"scenario.yaml", "scenario.parse", "runner.run_scenario"} <= _span_names(run_spans)
+    assert {"ledger.apply", "ledger.digest", "chainlog.append",
+            "journal.on_event"} <= _step_span_names(run_spans)
     assert {"chainlog.verify_text", "chainlog.from_text",
             "chainlog.replay"} <= _span_names(audit_spans)

@@ -7,9 +7,15 @@ import pytest
 
 from carbonmarket import (ErrorCode, Fixed, LedgerError, TokenLedger,
                           Transaction, TxKind)
+from carbonmarket.exchange import spot_price
 from carbonmarket.fixed import ZERO
 
 from conftest import LedgerDriver, fx, standard_market
+
+
+def spot(ledger: TokenLedger) -> Fixed:
+    """The exchange's spot price at the outstanding permit supply."""
+    return spot_price(ledger.exchange, ledger.market_permit)
 
 
 def reject_code(driver, *args, **kwargs) -> ErrorCode:
@@ -386,9 +392,9 @@ def test_ungated_operations_open_to_every_role():
 def test_set_reserve_fraction_rebases_and_reprices(driver):
     driver.mint_permit("A", "E", 1000)
     driver.init_exchange("0.5", 1000, 10000)
-    assert driver.ledger.spot_price() == fx(20)
+    assert spot(driver.ledger) == fx(20)
     driver.set_reserve_fraction("A", "0.25")
-    assert driver.ledger.spot_price() == fx(40)
+    assert spot(driver.ledger) == fx(40)
     ex = driver.ledger.exchange
     assert ex.baseline_supply == fx(1000)
     assert ex.baseline_reserve == fx(10000)
@@ -398,7 +404,7 @@ def test_set_reserve_fraction_identity(driver):
     driver.mint_permit("A", "E", 1000)
     driver.init_exchange("0.5", 1000, 10000)
     driver.set_reserve_fraction("A", "0.5")
-    assert driver.ledger.spot_price() == fx(20)
+    assert spot(driver.ledger) == fx(20)
 
 
 def test_set_reserve_fraction_bounds(driver):
@@ -413,7 +419,7 @@ def test_adjust_reserve_scales_price(driver):
     driver.mint_permit("A", "E", 1000)
     driver.init_exchange("0.5", 1000, 10000)
     driver.adjust_reserve("A", 10000)
-    assert driver.ledger.spot_price() == fx(40)
+    assert spot(driver.ledger) == fx(40)
 
 
 def test_adjust_reserve_zero_is_identity(driver):
@@ -450,7 +456,7 @@ def test_set_price_reanchors_exchange(driver):
     driver.set_price("A", 24)
     assert driver.ledger.market_price == fx(24)
     assert driver.ledger.exchange.reserve == fx(24 * 140)
-    assert driver.ledger.spot_price() == fx(24)
+    assert spot(driver.ledger) == fx(24)
     with pytest.raises(LedgerError) as err:
         driver.set_price("A", 0)
     assert err.value.code is ErrorCode.INVALID_PRICE
@@ -486,7 +492,10 @@ def test_loaded_state_keeps_a_project_whose_owner_changed_role(driver):
     state = driver.ledger.state_json()
     reloaded = TokenLedger.from_state_json(state)
     assert reloaded.state_json() == state
-    assert reloaded.project_owner("p1") == "E"
+    assert reloaded.org("E").projects == {"p1"}
+    with pytest.raises(LedgerError) as err:     # still E's after the reload
+        reloaded.setup_register_project("F", "p1")
+    assert err.value.code is ErrorCode.DUPLICATE_ID
     genesis = json.loads(state)
     genesis["seq"] = 0
     with pytest.raises(LedgerError) as err:
