@@ -1,69 +1,50 @@
 """Core identifiers, roles, and the organisation registry.
 
-Three effective roles exist: authorities, plain enterprises, and enterprises
-holding verifier status.  Verifier is a status flag on an enterprise, not a
-third role kind, so an authority can never be a verifier.
+Three roles exist: the authority mints allowances, a verifier grants credits
+and co-signs emissions, and an enterprise trades and surrenders.  A verifier
+is an enterprise too, and an authority is never a verifier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Union
 
 from .errors import ErrorCode, reject
 from .fixed import ZERO, Money, Quantity
 
 
-class RoleKind(Enum):
+class Role(str, Enum):
+    """Role of a registered organisation; its value is how it is written."""
+
     AUTHORITY = "authority"
     ENTERPRISE = "enterprise"
-
-
-ROLE_STRINGS = ("authority", "enterprise", "verifier")
-
-
-@dataclass(frozen=True)
-class Role:
-    """Role of a registered organisation; verifier implies enterprise."""
-
-    kind: RoleKind
-    verifier: bool = False
-
-    def __post_init__(self):
-        if self.kind is RoleKind.AUTHORITY and self.verifier:
-            raise ValueError("verifier is a status awarded to an enterprise")
+    VERIFIER = "verifier"
 
     @property
     def is_authority(self) -> bool:
-        return self.kind is RoleKind.AUTHORITY
+        return self is Role.AUTHORITY
 
     @property
     def is_enterprise(self) -> bool:
-        return self.kind is RoleKind.ENTERPRISE
+        return self is not Role.AUTHORITY
 
     @property
     def is_verifier(self) -> bool:
-        return self.kind is RoleKind.ENTERPRISE and self.verifier
-
-    def as_string(self) -> str:
-        if self.is_authority:
-            return "authority"
-        return "verifier" if self.verifier else "enterprise"
-
-    @classmethod
-    def from_string(cls, text: str) -> "Role":
-        if text == "authority":
-            return cls(RoleKind.AUTHORITY)
-        if text == "enterprise":
-            return cls(RoleKind.ENTERPRISE)
-        if text == "verifier":
-            return cls(RoleKind.ENTERPRISE, verifier=True)
-        raise ValueError(f"unknown role {text!r}; expected one of {ROLE_STRINGS}")
+        return self is Role.VERIFIER
 
 
-AUTHORITY = Role(RoleKind.AUTHORITY)
-ENTERPRISE = Role(RoleKind.ENTERPRISE)
-VERIFIER = Role(RoleKind.ENTERPRISE, verifier=True)
+ROLE_STRINGS = tuple(role.value for role in Role)
+
+
+def parse_role(name: Union[Role, str]) -> Role:
+    """The role `name` names; any other value is a SchemaError."""
+    try:
+        return Role(name)
+    except ValueError:
+        raise reject(ErrorCode.SCHEMA_ERROR,
+                     f"unknown role {name!r}; expected one of {ROLE_STRINGS}") from None
 
 
 @dataclass

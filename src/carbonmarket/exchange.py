@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import ErrorCode, reject
-from .fixed import ZERO, Fixed, Money, Quantity
+from .fixed import ONE, ZERO, Fixed, Money, Quantity
 
 
 @dataclass
@@ -60,7 +60,7 @@ class Quote:
 
 
 def validate_fraction(fraction: Fixed) -> Fixed:
-    if not ZERO < fraction <= Fixed.parse(1):
+    if not ZERO < fraction <= ONE:
         raise reject(ErrorCode.INVALID_FRACTION,
                      f"reserve fraction must lie in (0, 1], got {fraction}")
     return fraction

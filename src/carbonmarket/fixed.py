@@ -18,6 +18,7 @@ of ``pow`` as 2100.0000000000018 and get conservatively rounded to
 from __future__ import annotations
 
 import math
+import re
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
@@ -32,6 +33,10 @@ _LIMIT = 2**63
 # magnitude above double-precision noise, six below the grid itself.
 _SNAP_REL = 1e-12
 _SNAP_ABS = 1e-6
+
+# How an amount is written.  Decimal also reads "1_000", " 2 " and digits
+# outside ASCII, which are no amounts.
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def _half_even(num: int, den: int) -> int:
@@ -72,12 +77,15 @@ class Fixed:
         # imported here: checking a chain log makes every amount from its
         # micro-units and never parses text
         from decimal import Decimal, InvalidOperation
+        text = str(value)
         try:
-            number = Decimal(str(value))
+            number = Decimal(text)
         except InvalidOperation as exc:
             raise ValueError(f"not a decimal amount: {value!r}") from exc
         if not number.is_finite():
             raise ValueError(f"not a finite amount: {value!r}")
+        if not _DECIMAL.fullmatch(text):
+            raise ValueError(f"not a decimal amount: {value!r}")
         # magnitude first: the exact ratio has as many digits as the exponent
         magnitude = number.adjusted() if number else 0
         if magnitude > 12:          # 1e13 and up: past 2**63 micro-units

@@ -41,9 +41,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
-from .domain import (ComplianceReport, OrgRecord, Role, validate_org_id)
+from .domain import ComplianceReport, OrgRecord, Role, parse_role, validate_org_id
 from .errors import ErrorCode, LedgerError, reject
 from .exchange import (ExchangeState, Quote, quote_buy_tokens, quote_spend_cash,
                        spot_price, validate_anchor, validate_fraction)
@@ -65,7 +65,7 @@ def _org_json(record: OrgRecord) -> str:
         "id": record.id,
         "permit": record.permit.micro,
         "projects": sorted(record.projects),
-        "role": record.role.as_string(),
+        "role": record.role.value,
     })
 
 
@@ -161,8 +161,7 @@ class TokenLedger:
             ledger.market_emission = Fixed(market["emission"])
             ledger.market_price = Fixed(market["price"])
             for entry in data["orgs"]:
-                record = ledger.setup_register_org(entry["id"],
-                                                   Role.from_string(entry["role"]))
+                record = ledger.setup_register_org(entry["id"], entry["role"])
                 record.permit = Fixed(entry["permit"])
                 record.emission = Fixed(entry["emission"])
                 record.cash = Fixed(entry["cash"])
@@ -206,8 +205,9 @@ class TokenLedger:
 
     # -- genesis setup (declarative, before the first transaction) --------
 
-    def setup_register_org(self, org_id: str, role: Role) -> OrgRecord:
+    def setup_register_org(self, org_id: str, role: Union[Role, str]) -> OrgRecord:
         validate_org_id(org_id)
+        role = parse_role(role)
         if org_id in self.registry:
             raise reject(ErrorCode.DUPLICATE_ID, f"organisation {org_id!r} already registered")
         record = OrgRecord(id=org_id, role=role)
@@ -326,15 +326,11 @@ class TokenLedger:
 
     def _apply_set_role(self, tx: Transaction) -> AppliedEvent:
         target = self.org(tx.target)
-        new_role = self._payload_str(tx, "role")
-        try:
-            role = Role.from_string(new_role)
-        except ValueError as exc:
-            raise reject(ErrorCode.SCHEMA_ERROR, str(exc)) from exc
+        role = parse_role(self._payload_str(tx, "role"))
         self._authority(tx.sender)
-        if target.role.as_string() == new_role:
+        if target.role is role:
             raise reject(ErrorCode.NO_CHANGE,
-                         f"{tx.target!r} already holds role {new_role!r}")
+                         f"{tx.target!r} already holds role {role.value!r}")
         target.role = role
         return self._event(tx)
 

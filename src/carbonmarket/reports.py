@@ -29,7 +29,7 @@ def _csv(rows: list[list[str]], header: list[str]) -> str:
 
 
 def balances_csv(ledger: TokenLedger) -> str:
-    rows = [[rec.id, rec.role.as_string(), str(rec.permit), str(rec.emission),
+    rows = [[rec.id, rec.role.value, str(rec.permit), str(rec.emission),
              str(rec.cash), ";".join(sorted(rec.projects))]
             for rec in ledger.registry.values()]
     return _csv(rows, ["org", "role", "permit", "emission", "cash", "projects"])

@@ -43,8 +43,11 @@ class RunResult:
     chainlog: ChainLog
     journal: Journal
     steps: list[StepResult] = field(default_factory=list)
-    ok: bool = True
     failure: Optional[StepResult] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
 
 def _check_expectation(exp: Expectation, ledger: TokenLedger,
@@ -84,7 +87,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
         return entry
 
     def fail(step: Step, code: ErrorCode, detail: str, seq: Optional[int] = None):
-        result.ok = False
         result.failure = record(step, "failed", seq=seq, error=code.value, detail=detail)
 
     for step in scenario.steps:

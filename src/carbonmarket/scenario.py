@@ -31,7 +31,7 @@ from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
                          StreamEndEvent)
 from yaml.nodes import ScalarNode
 
-from .domain import ROLE_STRINGS, Role
+from .domain import ROLE_STRINGS
 from .errors import ErrorCode, LedgerError, reject
 from .fixed import Fixed
 from .journal import Account
@@ -202,6 +202,14 @@ ACTIONS = {
     "setPrice": Action({"authority": "sender"}, "price", True),
 }
 
+# the fields each step may carry, by action; an expect step's `expect_fail`
+# is refused with a message of its own
+_STEP_FIELDS = {
+    name: {"time", "action", "expect_fail", *spec.orgs, spec.value}
+    for name, spec in ACTIONS.items()}
+_STEP_FIELDS["expect"] = {"time", "action", "expect_fail", "equals", "org", "field",
+                          "account", "market", "price"}
+
 EXPECT_FIELDS = ("permit", "emission", "cash", "compliant", "outstanding")
 EXPECT_MARKETS = ("permit", "emission")
 
@@ -244,6 +252,15 @@ def _schema_error(where: str, message: str) -> LedgerError:
     return reject(ErrorCode.SCHEMA_ERROR, f"{where}: {message}")
 
 
+def _fields(where: str, raw: Any, allowed) -> None:
+    """Refuse `raw` unless it is a mapping holding no field outside `allowed`."""
+    if not isinstance(raw, dict):
+        raise _schema_error(where, "must be a mapping")
+    unknown = set(raw).difference(allowed)
+    if unknown:
+        raise _schema_error(where, f"unknown fields {sorted(unknown)}")
+
+
 def _as_amount(where: str, key: str, value: Any) -> Fixed:
     if isinstance(value, float):
         raise _schema_error(where, f"field {key!r}: use an integer or a quoted "
@@ -271,62 +288,42 @@ def _setup(where: str, call, *args) -> None:
 
 def _parse_genesis(raw: Any) -> TokenLedger:
     """The genesis ledger, built by the setup calls that also load a state
-    (`TokenLedger.from_state_json`), so both pass the same checks.  An
-    exchange anchor they refuse keeps its error code."""
-    where = "genesis"
-    if not isinstance(raw, dict):
-        raise _schema_error(where, "must be a mapping")
-    unknown = set(raw) - {"orgs", "projects", "exchange"}
-    if unknown:
-        raise _schema_error(where, f"unknown fields {sorted(unknown)}")
+    (`TokenLedger.from_state_json`), so both pass the same checks: they
+    refuse a bad org id, role or project id.  An exchange anchor they refuse
+    keeps its error code."""
+    _fields("genesis", raw, ("orgs", "projects", "exchange"))
     orgs_raw = raw.get("orgs")
     if not isinstance(orgs_raw, list) or not orgs_raw:
-        raise _schema_error(where, "orgs must be a non-empty list")
+        raise _schema_error("genesis", "orgs must be a non-empty list")
     projects_raw = raw.get("projects") or []
     if not isinstance(projects_raw, list):
-        raise _schema_error(where, "projects must be a list")
+        raise _schema_error("genesis", "projects must be a list")
 
     ledger = TokenLedger()
     for i, entry in enumerate(orgs_raw):
-        w = f"genesis.orgs[{i}]"
-        if not isinstance(entry, dict):
-            raise _schema_error(w, "must be a mapping")
-        unknown = set(entry) - {"id", "role", "cash"}
-        if unknown:
-            raise _schema_error(w, f"unknown fields {sorted(unknown)}")
-        org_id = _as_str(w, "id", entry.get("id"))
-        role = _as_str(w, "role", entry.get("role"))
-        if role not in ROLE_STRINGS:
-            raise _schema_error(w, f"role must be one of {ROLE_STRINGS}, got {role!r}")
-        _setup(w, ledger.setup_register_org, org_id, Role.from_string(role))
-        cash = _as_amount(w, "cash", entry.get("cash", 0))
-        _setup(w, ledger.setup_set_cash, org_id, cash)
+        where = f"genesis.orgs[{i}]"
+        _fields(where, entry, ("id", "role", "cash"))
+        org_id = entry.get("id")
+        _setup(where, ledger.setup_register_org, org_id, entry.get("role"))
+        cash = _as_amount(where, "cash", entry.get("cash", 0))
+        _setup(where, ledger.setup_set_cash, org_id, cash)
 
     for i, entry in enumerate(projects_raw):
-        w = f"genesis.projects[{i}]"
-        if not isinstance(entry, dict):
-            raise _schema_error(w, "must be a mapping")
-        unknown = set(entry) - {"owner", "project"}
-        if unknown:
-            raise _schema_error(w, f"unknown fields {sorted(unknown)}")
-        owner = _as_str(w, "owner", entry.get("owner"))
-        project = _as_str(w, "project", entry.get("project"))
+        where = f"genesis.projects[{i}]"
+        _fields(where, entry, ("owner", "project"))
+        owner = _as_str(where, "owner", entry.get("owner"))
         if owner not in ledger.registry:
             raise reject(ErrorCode.REFERENCE_ERROR,
-                         f"{w}: owner {owner!r} is not declared in genesis.orgs")
-        _setup(w, ledger.setup_register_project, owner, project)
+                         f"{where}: owner {owner!r} is not declared in genesis.orgs")
+        _setup(where, ledger.setup_register_project, owner, entry.get("project"))
 
-    if raw.get("exchange") is not None:
-        entry = raw["exchange"]
-        w = "genesis.exchange"
-        if not isinstance(entry, dict):
-            raise _schema_error(w, "must be a mapping")
-        unknown = set(entry) - {"fraction", "supply", "reserve"}
-        if unknown:
-            raise _schema_error(w, f"unknown fields {sorted(unknown)}")
-        ledger.setup_init_exchange(_as_amount(w, "fraction", entry.get("fraction")),
-                                   _as_amount(w, "supply", entry.get("supply")),
-                                   _as_amount(w, "reserve", entry.get("reserve")))
+    entry = raw.get("exchange")
+    if entry is not None:
+        where = "genesis.exchange"
+        _fields(where, entry, ("fraction", "supply", "reserve"))
+        ledger.setup_init_exchange(_as_amount(where, "fraction", entry.get("fraction")),
+                                   _as_amount(where, "supply", entry.get("supply")),
+                                   _as_amount(where, "reserve", entry.get("reserve")))
     return ledger
 
 
@@ -339,10 +336,6 @@ def _parse_expect(where: str, step: dict, declared: dict) -> Expectation:
         raise _schema_error(where, "expect needs exactly one subject: "
                                    "org+field, account, market, or price")
     subject = subjects[0]
-    extra = set(step) - {"time", "action", "equals", "org", "field", "account",
-                         "market", "price"}
-    if extra:
-        raise _schema_error(where, f"unknown fields {sorted(extra)}")
 
     if subject == "org":
         org = _as_str(where, "org", step["org"])
@@ -377,28 +370,24 @@ def _parse_expect(where: str, step: dict, declared: dict) -> Expectation:
 
 def _parse_step(index: int, raw: Any, declared: dict) -> Step:
     where = f"steps[{index}]"
-    if not isinstance(raw, dict):
-        raise _schema_error(where, "must be a mapping")
+    action = raw.get("action") if isinstance(raw, dict) else None
+    # an unhashable YAML value (a list or a mapping) is no action either
+    fields = _STEP_FIELDS.get(action) if isinstance(action, str) else None
+    if fields is None and isinstance(raw, dict):
+        raise _schema_error(where, f"unknown action {action!r}; "
+                                   f"expected one of {(*ACTIONS, 'expect')}")
+    _fields(where, raw, fields)
     time = raw.get("time")
     if time is None:
         raise _schema_error(where, "missing `time`")
     time = str(time)
-    action = raw.get("action")
     if action == "expect":
         if "expect_fail" in raw:
             raise _schema_error(where, "expect steps cannot carry expect_fail")
         return Step(index=index, time=time, action=action,
                     expect=_parse_expect(where, raw, declared))
-    # an unhashable YAML value (a list or a mapping) is no action either
-    spec = ACTIONS.get(action) if isinstance(action, str) else None
-    if spec is None:
-        raise _schema_error(where, f"unknown action {action!r}; "
-                                   f"expected one of {(*ACTIONS, 'expect')}")
 
-    unknown = set(raw) - {"time", "action", "expect_fail", *spec.orgs, spec.value}
-    if unknown:
-        raise _schema_error(where, f"unknown fields {sorted(unknown)} for {action}")
-
+    spec = ACTIONS[action]
     parties: dict[str, str] = {}
     for key, tx_field in spec.orgs.items():
         org = _as_str(where, key, raw.get(key))
@@ -439,11 +428,7 @@ def parse_scenario(text: str) -> Scenario:
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise reject(ErrorCode.SYNTAX_ERROR, f"bad scenario file{at}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise _schema_error("document", "top level must be a mapping")
-    unknown = set(raw) - {"name", "description", "genesis", "steps"}
-    if unknown:
-        raise _schema_error("document", f"unknown fields {sorted(unknown)}")
+    _fields("document", raw, ("name", "description", "genesis", "steps"))
     name = _as_str("document", "name", raw.get("name"))
     description = raw.get("description") or ""
     if not isinstance(description, str):

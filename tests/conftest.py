@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from carbonmarket import (AUTHORITY, ENTERPRISE, VERIFIER, Fixed, TokenLedger,
-                          Transaction, TxKind, load_scenario, run_scenario)
+from carbonmarket import (Fixed, Role, TokenLedger, Transaction, TxKind, load_scenario,
+                          run_scenario)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_SCENARIO = SCENARIO_DIR / "app-rec-2020.yaml"
@@ -92,10 +92,10 @@ class LedgerDriver:
 def standard_market(cash="100000") -> TokenLedger:
     """A, V, E, F registered; E owns project p1; enterprises hold cash."""
     ledger = TokenLedger()
-    ledger.setup_register_org("A", AUTHORITY)
-    ledger.setup_register_org("V", VERIFIER)
-    ledger.setup_register_org("E", ENTERPRISE)
-    ledger.setup_register_org("F", ENTERPRISE)
+    ledger.setup_register_org("A", Role.AUTHORITY)
+    ledger.setup_register_org("V", Role.VERIFIER)
+    ledger.setup_register_org("E", Role.ENTERPRISE)
+    ledger.setup_register_org("F", Role.ENTERPRISE)
     ledger.setup_register_project("E", "p1")
     ledger.setup_set_cash("E", fx(cash))
     ledger.setup_set_cash("F", fx(cash))

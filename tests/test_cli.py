@@ -401,6 +401,11 @@ steps:
     ("equals", "1e400000000",
      "steps[1]: field 'equals': amount exceeds the representable range"),
     ("equals", "nan", "steps[1]: field 'equals': not a finite amount: 'nan'"),
+    # spellings Decimal reads but an amount is not written in
+    ("amount", "1_000", "steps[0]: field 'amount': not a decimal amount: '1_000'"),
+    ("cash", " 2 ", "genesis.orgs[1]: field 'cash': not a decimal amount: ' 2 '"),
+    ("equals", "\u0661\u0662",
+     "steps[1]: field 'equals': not a decimal amount: '\u0661\u0662'"),
 ])
 def test_extreme_amount_in_a_scenario_returns_two(tmp_path, capsys, field, value, detail):
     fields = {"cash": "1", "amount": "1", "equals": "1", field: value}
@@ -414,6 +419,9 @@ def test_extreme_amount_in_a_scenario_returns_two(tmp_path, capsys, field, value
     ("quote", "--f", "0.5", "--s0", "1000", "--c0", "10000", "--spend-cash", "1e-400000000"),
     ("price-curve", "--f", "0.5", "--s0", "1e400000000", "--c0", "1", "--min", "1",
      "--max", "2"),
+    ("quote", "--f", "0.5", "--s0", "1000", "--c0", "10000", "--buy-tokens", "1_000"),
+    ("quote", "--f", "0.5", "--s0", "1000", "--c0", "10000", "--buy-tokens", " 2 "),
+    ("quote", "--f", "0.5", "--s0", "1_000", "--c0", "10000", "--buy-tokens", "1"),
 ])
 def test_extreme_amount_argument_returns_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -424,6 +432,77 @@ def test_extreme_amount_argument_returns_two(capsys, argv):
 def test_missing_file_returns_two(capsys):
     code, _, err = run_cli(capsys, "run", "no-such-file.yaml")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_missing_file_is_a_syntax_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "no-such-file")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: SyntaxError: cannot read ")
+
+
+@pytest.mark.parametrize("corrupt, detail", [
+    (lambda state: state["orgs"][2].update(permit=-1) or state["market"].update(permit=-1),
+     "negative balance on 'E'"),
+    (lambda state: state["market"].update(permit=5),
+     "market totals do not match the balance sums"),
+    (lambda state: state.update(exchange={"baseline_reserve": 1, "baseline_supply": 1,
+                                          "fraction": TOKEN, "reserve": -1}),
+     "negative exchange reserve"),
+])
+def test_replay_refuses_an_inconsistent_genesis_file(tmp_path, capsys, corrupt, detail):
+    genesis = standard_market()
+    log = write_log(tmp_path / "chainlog.log", genesis)
+    state = json.loads(genesis.state_json())
+    corrupt(state)
+    path = tmp_path / "genesis.json"
+    path.write_text(json.dumps(state, sort_keys=True, separators=(",", ":")) + "\n",
+                    encoding="utf-8")
+    assert run_cli(capsys, "replay", log, str(path)) == (
+        2, "", f"error: SchemaError: {detail}\n")
+
+
+@pytest.mark.parametrize("damage, detail", [
+    (lambda text: text.split("\n")[0] + "\n", "missing header or genesis line"),
+    (lambda text: text.replace(" sha256 ", " md5 ", 1), "unsupported hash function 'md5'"),
+    (lambda text: text.replace("\ngenesis ", "\ngenesys ", 1),
+     "second line must carry the genesis state"),
+])
+def test_verify_refuses_a_malformed_log(tmp_path, capsys, damage, detail):
+    text = ChainLog.for_ledger(standard_market()).to_text()
+    log = tmp_path / "chainlog.log"
+    log.write_text(damage(text), encoding="utf-8")
+    assert run_cli(capsys, "verify", str(log)) == (1, "", f"chain INVALID at seq ?: {detail}\n")
+
+
+def test_verify_refuses_a_short_state_digest(tmp_path, capsys):
+    chain = ChainLog.for_ledger(standard_market())
+    chain.append(Transaction(seq=1, time="t", kind=TxKind.MINT_PERMIT, sender="A",
+                             target="E", amount=fx(10)), bytes(31))
+    log = tmp_path / "chainlog.log"
+    log.write_text(chain.to_text(), encoding="utf-8")
+    assert run_cli(capsys, "verify", str(log)) == (
+        1, "", "chain INVALID at seq 1: entry 1: state digest is not 32 bytes\n")
+
+
+def test_set_price_with_no_permits_outstanding_rebases_at_the_baseline(tmp_path, capsys):
+    # C = F * s * P at the baseline supply: 0.5 * 100 * 20
+    scenario = tmp_path / "reprice.yaml"
+    scenario.write_text("""
+name: reprice
+genesis:
+  orgs:
+    - {id: A, role: authority}
+  exchange: {fraction: "0.5", supply: 100, reserve: 50}
+steps:
+  - {time: "t1", action: setPrice, authority: A, price: 20}
+""", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert run_cli(capsys, "run", str(scenario), "--out", str(out_dir))[0] == 0
+    assert (out_dir / "market.csv").read_text(encoding="utf-8").splitlines() == [
+        "quantity,value", "permit,0.000000", "emission,0.000000", "price,20.000000",
+        "reserve,1000.000000", "fraction,0.500000", "baseline_supply,100.000000",
+        "baseline_reserve,1000.000000"]
 
 
 @pytest.mark.parametrize("command, bad, code, message", [

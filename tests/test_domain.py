@@ -1,27 +1,41 @@
 import pytest
 
-from carbonmarket import (AUTHORITY, ENTERPRISE, ErrorCode, LedgerError,
-                          Role, RoleKind, TokenLedger)
+from carbonmarket import ErrorCode, LedgerError, Role, TokenLedger
+from carbonmarket.domain import parse_role
 from carbonmarket.fixed import ZERO
 
 from conftest import LedgerDriver, fx
 
 
-def test_authority_never_carries_verifier_status():
-    with pytest.raises(ValueError):
-        Role(RoleKind.AUTHORITY, verifier=True)
-
-
 def test_role_string_round_trip():
     for text in ("authority", "enterprise", "verifier"):
-        assert Role.from_string(text).as_string() == text
-    with pytest.raises(ValueError):
-        Role.from_string("installation")
+        assert parse_role(text).value == text
+        assert parse_role(parse_role(text)) is parse_role(text)
+    with pytest.raises(LedgerError) as err:
+        parse_role("installation")
+    assert (err.value.code, err.value.message) == (
+        ErrorCode.SCHEMA_ERROR, "unknown role 'installation'; "
+                                "expected one of ('authority', 'enterprise', 'verifier')")
+
+
+def test_a_verifier_is_an_enterprise_and_an_authority_is_neither():
+    assert [(role.is_authority, role.is_enterprise, role.is_verifier) for role in Role] == [
+        (True, False, False), (False, True, False), (False, True, True)]
+
+
+def test_register_org_takes_a_role_or_its_name():
+    ledger = TokenLedger()
+    assert ledger.setup_register_org("A", Role.AUTHORITY).role is Role.AUTHORITY
+    assert ledger.setup_register_org("V", "verifier").role is Role.VERIFIER
+    with pytest.raises(LedgerError) as err:
+        ledger.setup_register_org("X", "installation")
+    assert err.value.code is ErrorCode.SCHEMA_ERROR
+    assert list(ledger.registry) == ["A", "V"]
 
 
 def test_register_org_zero_initialised():
     ledger = TokenLedger()
-    record = ledger.setup_register_org("A", AUTHORITY)
+    record = ledger.setup_register_org("A", Role.AUTHORITY)
     assert record.permit == ZERO
     assert record.emission == ZERO
     assert record.cash == ZERO
@@ -32,22 +46,22 @@ def test_register_org_zero_initialised():
 
 def test_register_org_enterprise_role():
     ledger = TokenLedger()
-    record = ledger.setup_register_org("E", ENTERPRISE)
+    record = ledger.setup_register_org("E", Role.ENTERPRISE)
     assert record.role.is_enterprise and not record.role.is_verifier
 
 
 def test_register_duplicate_rejected():
     ledger = TokenLedger()
-    ledger.setup_register_org("A", AUTHORITY)
+    ledger.setup_register_org("A", Role.AUTHORITY)
     with pytest.raises(LedgerError) as err:
-        ledger.setup_register_org("A", AUTHORITY)
+        ledger.setup_register_org("A", Role.AUTHORITY)
     assert err.value.code is ErrorCode.DUPLICATE_ID
 
 
 def test_register_org_requires_nonempty_id():
     ledger = TokenLedger()
     with pytest.raises(LedgerError) as err:
-        ledger.setup_register_org("", AUTHORITY)
+        ledger.setup_register_org("", Role.AUTHORITY)
     assert err.value.code is ErrorCode.SCHEMA_ERROR
 
 

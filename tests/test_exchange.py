@@ -273,6 +273,17 @@ def test_trade_token_gates():
     assert err.value.code is ErrorCode.INSUFFICIENT_BALANCE
 
 
+def test_trade_with_no_permits_outstanding_is_refused():
+    # the curve has no supply to price against until permits circulate
+    driver = LedgerDriver(standard_market())
+    driver.init_exchange("0.5", 100, 1000)
+    before = driver.ledger.state_json()
+    with pytest.raises(LedgerError) as err:
+        driver.trade_token("E", 1)
+    assert err.value.code is ErrorCode.INVALID_SUPPLY
+    assert driver.ledger.state_json() == before
+
+
 def test_buy_sell_round_trip_within_two_ulp():
     driver = make_exchange_driver(fraction="0.37", supply=977, reserve=10061)
     cash_before = driver.ledger.org("E").cash

@@ -45,6 +45,22 @@ def test_parse_extreme_exponents_and_non_finite(text, error, message):
         Fixed.parse(text)
 
 
+@pytest.mark.parametrize("text, micro", [
+    ("5", 5 * SCALE), ("+5", 5 * SCALE), ("-5.25", -5_250_000), (".5", 500_000),
+    ("5.", 5 * SCALE), ("1e3", 1000 * SCALE), ("1E+3", 1000 * SCALE), ("25e-6", 25),
+])
+def test_parse_accepts_plain_ascii_decimals(text, micro):
+    assert Fixed.parse(text).micro == micro
+
+
+# spellings Decimal reads but an amount is not written in
+@pytest.mark.parametrize("text", ["1_000", " 2 ", "2\n", "\u0661\u0662", "\uff15",
+                                  "1e", "e3", ".", "", "+-1", "0x10"])
+def test_parse_refuses_other_spellings(text):
+    with pytest.raises(ValueError, match="not a decimal amount"):
+        Fixed.parse(text)
+
+
 def test_parse_keeps_exact_values_at_the_edges():
     assert Fixed.parse("9223372036854.775807").micro == 2**63 - 1
     assert Fixed.parse("-0.000001000").micro == -1

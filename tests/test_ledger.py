@@ -485,6 +485,16 @@ def test_state_json_with_bad_org_is_a_schema_error(corrupt):
     assert err.value.code is ErrorCode.SCHEMA_ERROR
 
 
+def test_state_json_with_unknown_role_is_a_schema_error():
+    state = json.loads(standard_market().state_json())
+    state["orgs"][0]["role"] = "emperor"
+    with pytest.raises(LedgerError) as err:
+        TokenLedger.from_state_json(json.dumps(state))
+    assert (err.value.code, err.value.message) == (
+        ErrorCode.SCHEMA_ERROR, "bad state org: unknown role 'emperor'; "
+                                "expected one of ('authority', 'enterprise', 'verifier')")
+
+
 def test_loaded_state_keeps_a_project_whose_owner_changed_role(driver):
     # after genesis, setRole may leave a project with an authority; only a
     # genesis state (seq 0) must have its projects owned by enterprises

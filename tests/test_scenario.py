@@ -8,8 +8,8 @@ import yaml
 from hypothesis import Phase, given, settings, strategies as st
 
 import carbonmarket.scenario as scenario_module
-from carbonmarket import (AUTHORITY, ENTERPRISE, Account, ErrorCode, LedgerError,
-                          TokenLedger, Transaction, TxKind, parse_scenario, run_scenario)
+from carbonmarket import (Account, ErrorCode, LedgerError, Role, TokenLedger, Transaction,
+                          TxKind, parse_scenario, run_scenario)
 from carbonmarket.scenario import ACTIONS
 from conftest import JOURNAL_OVERFLOW, SCENARIO_DIR, fx
 
@@ -143,8 +143,8 @@ genesis:
   exchange: {fraction: "0.5", supply: 100, reserve: 2000}
 """
     ledger = TokenLedger()
-    ledger.setup_register_org("A", AUTHORITY)
-    ledger.setup_register_org("E", ENTERPRISE)
+    ledger.setup_register_org("A", Role.AUTHORITY)
+    ledger.setup_register_org("E", "enterprise")
     ledger.setup_set_cash("E", fx("12.5"))
     ledger.setup_register_project("E", "p1")
     ledger.setup_init_exchange(fx("0.5"), fx(100), fx(2000))
@@ -174,6 +174,121 @@ genesis:
 def test_genesis_the_setup_calls_refuse(genesis, code, message):
     with pytest.raises(LedgerError) as err:
         parse_scenario(f"name: g\ngenesis: {genesis}\n")
+    assert (err.value.code, err.value.message) == (code, message)
+
+
+ROLE_NAMES = "('authority', 'enterprise', 'verifier')"
+
+
+def with_genesis(genesis: str) -> str:
+    return f"name: g\ngenesis: {genesis}\n"
+
+
+def with_steps(*steps: str) -> str:
+    return MINIMAL.replace("steps: []", f"steps: [{', '.join(steps)}]")
+
+
+# every refusal of a malformed scenario document, with its path
+@pytest.mark.parametrize("text, code, message", [
+    pytest.param("- 1\n", ErrorCode.SCHEMA_ERROR, "document: must be a mapping",
+                 id="document-not-a-mapping"),
+    pytest.param(MINIMAL + "extra: 1\n", ErrorCode.SCHEMA_ERROR,
+                 "document: unknown fields ['extra']", id="document-unknown-field"),
+    pytest.param(MINIMAL + "description: 5\n", ErrorCode.SCHEMA_ERROR,
+                 "document: description must be a string", id="description-not-a-string"),
+    pytest.param(MINIMAL.replace("steps: []", "steps: 5"), ErrorCode.SCHEMA_ERROR,
+                 "steps: must be a list", id="steps-not-a-list"),
+    pytest.param(with_genesis("[]"), ErrorCode.SCHEMA_ERROR, "genesis: must be a mapping",
+                 id="genesis-not-a-mapping"),
+    pytest.param(with_genesis("{orgs: [{id: A, role: authority}], x: 1}"),
+                 ErrorCode.SCHEMA_ERROR, "genesis: unknown fields ['x']",
+                 id="genesis-unknown-field"),
+    pytest.param(with_genesis("{orgs: []}"), ErrorCode.SCHEMA_ERROR,
+                 "genesis: orgs must be a non-empty list", id="no-orgs"),
+    pytest.param(with_genesis("{orgs: [5]}"), ErrorCode.SCHEMA_ERROR,
+                 "genesis.orgs[0]: must be a mapping", id="org-not-a-mapping"),
+    pytest.param(with_genesis("{orgs: [{id: A, role: authority, x: 1}]}"),
+                 ErrorCode.SCHEMA_ERROR, "genesis.orgs[0]: unknown fields ['x']",
+                 id="org-unknown-field"),
+    pytest.param(with_genesis("{orgs: [{id: '', role: authority}]}"), ErrorCode.SCHEMA_ERROR,
+                 "genesis.orgs[0]: organisation id must be a non-empty string",
+                 id="org-empty-id"),
+    pytest.param(with_genesis("{orgs: [{id: 5, role: authority}]}"), ErrorCode.SCHEMA_ERROR,
+                 "genesis.orgs[0]: organisation id must be a non-empty string",
+                 id="org-integer-id"),
+    pytest.param(with_genesis("{orgs: [{id: A, role: emperor}]}"), ErrorCode.SCHEMA_ERROR,
+                 f"genesis.orgs[0]: unknown role 'emperor'; expected one of {ROLE_NAMES}",
+                 id="org-unknown-role"),
+    pytest.param(with_genesis("{orgs: [{id: A}]}"), ErrorCode.SCHEMA_ERROR,
+                 f"genesis.orgs[0]: unknown role None; expected one of {ROLE_NAMES}",
+                 id="org-without-role"),
+    pytest.param(with_genesis("{orgs: [{id: E, role: enterprise}], projects: [5]}"),
+                 ErrorCode.SCHEMA_ERROR, "genesis.projects[0]: must be a mapping",
+                 id="project-not-a-mapping"),
+    pytest.param(with_genesis("{orgs: [{id: E, role: enterprise}], "
+                              "projects: [{owner: E, project: p1, x: 1}]}"),
+                 ErrorCode.SCHEMA_ERROR, "genesis.projects[0]: unknown fields ['x']",
+                 id="project-unknown-field"),
+    pytest.param(with_genesis("{orgs: [{id: E, role: enterprise}], "
+                              "projects: [{owner: E, project: ''}]}"),
+                 ErrorCode.SCHEMA_ERROR,
+                 "genesis.projects[0]: project id must be a non-empty string",
+                 id="project-empty-id"),
+    pytest.param(with_genesis("{orgs: [{id: E, role: enterprise}], exchange: 5}"),
+                 ErrorCode.SCHEMA_ERROR, "genesis.exchange: must be a mapping",
+                 id="exchange-not-a-mapping"),
+    pytest.param(with_genesis("{orgs: [{id: E, role: enterprise}], "
+                              "exchange: {fraction: 1, supply: 1, reserve: 1, x: 1}}"),
+                 ErrorCode.SCHEMA_ERROR, "genesis.exchange: unknown fields ['x']",
+                 id="exchange-unknown-field"),
+    pytest.param(with_steps("5"), ErrorCode.SCHEMA_ERROR, "steps[0]: must be a mapping",
+                 id="step-not-a-mapping"),
+    pytest.param(with_steps("{action: burnToken, sender: E, amount: 1}"),
+                 ErrorCode.SCHEMA_ERROR, "steps[0]: missing `time`", id="step-without-time"),
+    pytest.param(with_steps("{time: t1, action: burnToken, sender: E, amount: 1, x: 1}"),
+                 ErrorCode.SCHEMA_ERROR, "steps[0]: unknown fields ['x']",
+                 id="step-unknown-field"),
+    pytest.param(with_steps("{time: t1, action: setRole, sender: A, target: E, role: emperor}"),
+                 ErrorCode.SCHEMA_ERROR, f"steps[0]: role must be one of {ROLE_NAMES}",
+                 id="set-role-unknown-role"),
+    pytest.param(with_steps("{time: t1, action: burnToken, sender: E, amount: 1, "
+                            "expect_fail: 5}"),
+                 ErrorCode.SCHEMA_ERROR,
+                 "steps[0]: expect_fail must be true or a known error code",
+                 id="bad-expect-fail"),
+    pytest.param(with_steps("{time: t1, action: expect, org: E, field: permit}"),
+                 ErrorCode.SCHEMA_ERROR, "steps[0]: expect needs an `equals` value",
+                 id="expect-without-equals"),
+    pytest.param(with_steps("{time: t1, action: expect, org: E, field: permit, equals: 0, "
+                            "expect_fail: true}"),
+                 ErrorCode.SCHEMA_ERROR, "steps[0]: expect steps cannot carry expect_fail",
+                 id="expect-with-expect-fail"),
+    pytest.param(with_steps("{time: t1, action: expect, org: E, field: permit, equals: 0, "
+                            "x: 1}"),
+                 ErrorCode.SCHEMA_ERROR, "steps[0]: unknown fields ['x']",
+                 id="expect-unknown-field"),
+    pytest.param(with_steps("{time: t1, action: expect, org: Z, field: permit, equals: 0}"),
+                 ErrorCode.REFERENCE_ERROR, "steps[0]: org 'Z' is not declared in genesis",
+                 id="expect-undeclared-org"),
+    pytest.param(with_steps("{time: t1, action: expect, org: E, field: role, equals: 0}"),
+                 ErrorCode.SCHEMA_ERROR, "steps[0]: field must be one of ('permit', "
+                 "'emission', 'cash', 'compliant', 'outstanding')", id="expect-bad-field"),
+    pytest.param(with_steps("{time: t1, action: expect, org: E, field: compliant, "
+                            "equals: 1}"),
+                 ErrorCode.SCHEMA_ERROR, "steps[0]: compliant expects true/false",
+                 id="expect-compliant-not-a-bool"),
+    pytest.param(with_steps("{time: t1, action: expect, market: cash, equals: 0}"),
+                 ErrorCode.SCHEMA_ERROR,
+                 "steps[0]: market must be one of ('permit', 'emission')",
+                 id="expect-bad-market"),
+    pytest.param(with_steps("{time: t1, action: expect, price: false, equals: 0}"),
+                 ErrorCode.SCHEMA_ERROR,
+                 "steps[0]: price expectation is written `price: true`",
+                 id="expect-price-false"),
+])
+def test_malformed_scenario_is_refused_at_its_path(text, code, message):
+    with pytest.raises(LedgerError) as err:
+        parse_scenario(text)
     assert (err.value.code, err.value.message) == (code, message)
 
 

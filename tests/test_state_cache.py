@@ -12,7 +12,7 @@ import json
 
 from hypothesis import example, given, settings, strategies as st
 
-from carbonmarket import LedgerError, Role, TokenLedger, Transaction, TxKind
+from carbonmarket import LedgerError, TokenLedger, Transaction, TxKind
 from carbonmarket.fixed import Fixed
 from carbonmarket.ledger import STATE_FORMAT
 
@@ -44,7 +44,7 @@ def oracle_json(ledger: TokenLedger) -> str:
         },
         "orgs": [{
             "id": rec.id,
-            "role": rec.role.as_string(),
+            "role": rec.role.value,
             "permit": rec.permit.micro,
             "emission": rec.emission.micro,
             "cash": rec.cash.micro,
@@ -110,7 +110,7 @@ def _run(ledger: TokenLedger, action: tuple):
                                  amount=None if amount is None else Fixed(amount),
                                  payload=payload))
     elif name == "register_org":
-        ledger.setup_register_org(action[1], Role.from_string(action[2]))
+        ledger.setup_register_org(action[1], action[2])
     elif name == "register_project":
         ledger.setup_register_project(action[1], action[2])
     elif name == "set_cash":
