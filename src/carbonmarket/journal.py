@@ -39,7 +39,7 @@ The handlers compute on the amounts' integer micro-units, rounding
 products as `Fixed.mul` does, and build a `Fixed` only for a value the
 journal keeps: a line amount, a lot's quantity, an org's holdings and its
 liability.  Each of those keeps `Fixed`'s 64-bit range check.  Every handler
-books through `Journal._post`, which drops zero-amount lines, checks that
+books through `Journal._post`, which drops non-positive lines, checks that
 the entry balances exactly, and carries each line into a running net per
 account; `trial_balance()` returns those nets.  An event whose booking
 leaves the 64-bit amount range (a line, an entry's total or an account's
@@ -321,25 +321,21 @@ class Journal:
             balance = books.liability_balance.micro
             if not (held or owed or balance):
                 continue        # nothing to revalue or re-mark
-            lines = []
             asset_delta = _half_even(held * delta, SCALE)
-            if asset_delta > 0:
-                lines += ((Account.EMISSION_PERMIT, DR, asset_delta),
-                          (Account.GAIN_ON_REVALUATION, CR, asset_delta))
-            elif asset_delta < 0:
-                lines += ((Account.LOSS_ON_REVALUATION, DR, -asset_delta),
-                          (Account.EMISSION_PERMIT, CR, -asset_delta))
             remeasured = _half_even(owed * new, SCALE)
             liability_delta = remeasured - balance
-            if liability_delta > 0:
-                lines += ((Account.LOSS_ON_REVALUATION, DR, liability_delta),
-                          (Account.PERMIT_SURRENDERABLE, CR, liability_delta))
-            elif liability_delta < 0:
-                lines += ((Account.PERMIT_SURRENDERABLE, DR, -liability_delta),
-                          (Account.GAIN_ON_REVALUATION, CR, -liability_delta))
             if liability_delta:
                 books.liability_balance = Fixed(remeasured)
-            self._post(event, org, *lines)
+            # _post drops non-positive lines: each second pair books a fall
+            self._post(event, org,
+                       (Account.EMISSION_PERMIT, DR, asset_delta),
+                       (Account.GAIN_ON_REVALUATION, CR, asset_delta),
+                       (Account.LOSS_ON_REVALUATION, DR, -asset_delta),
+                       (Account.EMISSION_PERMIT, CR, -asset_delta),
+                       (Account.LOSS_ON_REVALUATION, DR, liability_delta),
+                       (Account.PERMIT_SURRENDERABLE, CR, liability_delta),
+                       (Account.PERMIT_SURRENDERABLE, DR, -liability_delta),
+                       (Account.GAIN_ON_REVALUATION, CR, -liability_delta))
 
     # -- lot mechanics -------------------------------------------------------------
 

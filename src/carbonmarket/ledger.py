@@ -19,10 +19,7 @@ Organisations, projects, cash and the exchange come into being only through
 the `setup_*` genesis calls, which never pass through `apply` and never
 enter the chain log.  The scenario parser builds a scenario's genesis with
 them and `from_state_json` loads a state through them, so a genesis passes
-the same checks whichever way it arrives.  The `registerOrg`,
-`registerProject` and `initExchange` transaction kinds that once duplicated
-them are gone; no writer in this package ever logged them, so a hand-built
-v1 log holding one fails verification with `ChainInvalid`.
+the same checks whichever way it arrives.
 
 The canonical state JSON is kept incrementally: the ledger caches each org's
 encoded fragment in a dict keyed by org id and re-encodes only the orgs

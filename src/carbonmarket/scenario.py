@@ -31,7 +31,7 @@ from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
                          StreamEndEvent)
 from yaml.nodes import ScalarNode
 
-from .domain import ROLE_STRINGS
+from .domain import parse_role
 from .errors import ErrorCode, LedgerError, reject
 from .fixed import Fixed
 from .journal import Account
@@ -277,11 +277,11 @@ def _as_str(where: str, key: str, value: Any) -> str:
     return value
 
 
-def _setup(where: str, call, *args) -> None:
-    """`call(*args)`, a ledger setup call; its refusal is a SchemaError at
-    `where`."""
+def _setup(where: str, call, *args):
+    """`call(*args)`, a ledger setup call or `parse_role`; its refusal is a
+    SchemaError at `where`."""
     try:
-        call(*args)
+        return call(*args)
     except LedgerError as exc:
         raise _schema_error(where, exc.message) from exc
 
@@ -396,9 +396,7 @@ def _parse_step(index: int, raw: Any, declared: dict) -> Step:
                          f"{where}: {key} {org!r} is not declared in genesis")
         parties[tx_field] = org
     if spec.value == "role":
-        value = _as_str(where, "role", raw.get("role"))
-        if value not in ROLE_STRINGS:
-            raise _schema_error(where, f"role must be one of {ROLE_STRINGS}")
+        value = _setup(where, parse_role, raw.get("role")).value
     else:
         value = _as_amount(where, spec.value, raw.get(spec.value))
     if spec.in_payload:

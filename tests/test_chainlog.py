@@ -1,5 +1,6 @@
 """Chain log: canonical encoding, linkage, tamper detection, replay."""
 
+import hashlib
 import random
 import struct
 import types
@@ -8,7 +9,7 @@ import pytest
 
 import carbonmarket.chainlog as chainlog_module
 from carbonmarket import ErrorCode, LedgerError, TokenLedger, Transaction, TxKind
-from carbonmarket.chainlog import (GENESIS_PREV, ChainLog, decode_transaction,
+from carbonmarket.chainlog import (GENESIS_PREV, ChainLog, advance, decode_transaction,
                                    encode_transaction, replay, verify_text)
 from conftest import LedgerDriver, fx, standard_market
 
@@ -16,18 +17,15 @@ from conftest import LedgerDriver, fx, standard_market
 def logged_driver(n_extra_txs=0):
     ledger = standard_market()
     genesis = ledger.copy()
-    driver = LedgerDriver(ledger)
     log = ChainLog.for_ledger(genesis)
-    driver.mint_permit("A", "E", 100)
-    log.append(driver.events[-1].tx, ledger.state_digest())
-    driver.transfer_permit("E", "F", 10)
-    log.append(driver.events[-1].tx, ledger.state_digest())
-    driver.burn_token("E", 5)
-    log.append(driver.events[-1].tx, ledger.state_digest())
-    for i in range(n_extra_txs):
-        driver.mint_permit("A", "F", 1 + (i % 7))
-        log.append(driver.events[-1].tx, ledger.state_digest())
-    return driver, genesis, log
+    steps = [(TxKind.MINT_PERMIT, "A", "E", 100), (TxKind.TRANSFER_PERMIT, "E", "F", 10),
+             (TxKind.BURN_TOKEN, "E", "", 5)]
+    steps += [(TxKind.MINT_PERMIT, "A", "F", 1 + (i % 7)) for i in range(n_extra_txs)]
+    for kind, sender, target, amount in steps:
+        tx = Transaction(seq=ledger.seq + 1, time="t0", kind=kind, sender=sender,
+                         target=target, amount=fx(amount))
+        advance(ledger, tx, log)
+    return LedgerDriver(ledger), genesis, log
 
 
 def test_encode_decode_round_trip():
@@ -242,7 +240,33 @@ def test_replay_rechecks_a_parsed_log_changed_in_memory():
     with pytest.raises(LedgerError) as err:
         replay(parsed)
     assert err.value.code is ErrorCode.CHAIN_INVALID
-    assert "sequence gap" in err.value.message
+    assert err.value.message == "entry 1: embedded transaction claims seq 2"
+
+
+@pytest.mark.parametrize("digest", [
+    lambda digest: bytes([digest[0] ^ 1]) + digest[1:],
+    lambda digest: digest[:31],
+], ids=["flipped", "short"])
+def test_replay_checks_an_in_memory_log_as_its_text(digest):
+    _, _, log = logged_driver()
+    log.entries[1] = log.entries[1]._replace(state_digest=digest(log.entries[1].state_digest))
+    check = verify_text(log.to_text())
+    assert (check.valid, check.first_bad_seq) == (False, 2)
+    with pytest.raises(LedgerError) as err:
+        replay(log)
+    assert (err.value.code, err.value.message) == (ErrorCode.CHAIN_INVALID, check.detail)
+
+
+def test_replay_refuses_a_non_canonical_genesis_line():
+    # the line hashes to the header, but the state it holds re-encodes to
+    # another digest, so the log does not replay from it
+    line = standard_market().state_json().replace(",", ", ")
+    digest = hashlib.sha256(line.encode("utf-8")).hexdigest()
+    log = ChainLog.from_text(f"carbonmarket-chainlog 1 sha256 {digest}\ngenesis {line}\n")
+    with pytest.raises(LedgerError) as err:
+        replay(log)
+    assert (err.value.code, err.value.message) == (
+        ErrorCode.STATE_MISMATCH, "supplied genesis state does not match the recorded digest")
 
 
 def test_replay_rejects_an_entry_whose_tx_differs_from_its_bytes():

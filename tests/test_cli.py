@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 from carbonmarket import ChainLog, Transaction, TxKind
+from carbonmarket.chainlog import advance, encode_transaction
 from carbonmarket.cli import main
 
-from conftest import (GOLDEN_SCENARIO, JOURNAL_OVERFLOW, SCENARIO_DIR, endowed_genesis,
-                      fx, standard_market)
+from conftest import (GOLDEN_SCENARIO, JOURNAL_OVERFLOW, SCENARIO_DIR, LedgerDriver,
+                      endowed_genesis, fx, standard_market)
 
 TOKEN = 10**6   # micro-units per token
 
@@ -278,6 +279,70 @@ def test_minimum_amount_is_an_invalid_chain(tmp_path, capsys):
         assert err.startswith("error: ChainInvalid: ")
 
 
+def test_log_anchored_at_a_later_genesis(tmp_path, capsys):
+    # the log starts from a state at seq 3, so its first entry is seq 4
+    ledger = standard_market()
+    driver = LedgerDriver(ledger)
+    driver.mint_permit("A", "E", 100)
+    driver.transfer_permit("E", "F", 10)
+    driver.set_price("A", 20)
+    genesis = ledger.copy()
+    chain = ChainLog.for_ledger(genesis)
+    advance(ledger, Transaction(seq=4, time="t", kind=TxKind.MINT_PERMIT, sender="A",
+                                target="F", amount=fx(5)), chain)
+    advance(ledger, Transaction(seq=5, time="t", kind=TxKind.SET_PRICE, sender="A",
+                                payload={"price": 25 * TOKEN}), chain)
+    log = tmp_path / "chainlog.log"
+    log.write_text(chain.to_text(), encoding="utf-8")
+    state = tmp_path / "genesis.json"
+    state.write_text(genesis.state_json() + "\n", encoding="utf-8")
+    assert run_cli(capsys, "verify", str(log)) == (0, "chain valid\n", "")
+    code, out, err = run_cli(capsys, "replay", str(log), str(state))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == (f"replay ok: 2 transactions, "
+                                   f"state-digest {ledger.state_digest().hex()}")
+    assert run_cli(capsys, "journal", str(log)) == (0, (
+        "event,account,class,side,amount\n"
+        "4,Emission permit-Allowances,Asset,Dr,100.000000\n"     # 5 t at 20
+        "4,Deferred income,Liability,Cr,100.000000\n"
+        "5,Emission permit,Asset,Dr,450.000000\n"               # E's 90 t, 20 to 25
+        "5,Emission permit,Asset,Dr,75.000000\n"                # F's 15 t
+        "5,Gain on revaluation,Equity,Cr,450.000000\n"
+        "5,Gain on revaluation,Equity,Cr,75.000000\n"), "")
+
+    first = chain.entries[0]
+    chain.entries[0] = first._replace(tx_bytes=encode_transaction(first.tx._replace(seq=1)))
+    log.write_text(chain.to_text(), encoding="utf-8")
+    assert run_cli(capsys, "verify", str(log)) == (
+        1, "", "chain INVALID at seq 4: entry 4: embedded transaction claims seq 1\n")
+
+
+@pytest.mark.parametrize("kind, payload, detail", [
+    (TxKind.SET_PRICE, {"price": "20"},
+     "setPrice payload field 'price' must be integer micro-units"),
+    (TxKind.SET_ROLE, {"role": 5}, "setRole payload field 'role' must be a non-empty string"),
+    (TxKind.SET_RESERVE_FRACTION, {"fraction": True},
+     "setReserveFraction payload field 'fraction' must be integer micro-units"),
+])
+def test_payload_field_of_the_wrong_type_is_refused_on_replay(tmp_path, capsys, kind,
+                                                               payload, detail):
+    # the hash links are correct, so only re-applying the entry finds it
+    genesis = standard_market()
+    genesis.setup_init_exchange(fx("0.5"), fx(1000), fx(10000))
+    chain = ChainLog.for_ledger(genesis)
+    chain.append(Transaction(seq=1, time="t", kind=kind, sender="A",
+                             target="E" if kind is TxKind.SET_ROLE else "", payload=payload),
+                 genesis.state_digest())
+    log = tmp_path / "chainlog.log"
+    log.write_text(chain.to_text(), encoding="utf-8")
+    state = tmp_path / "genesis.json"
+    state.write_text(genesis.state_json() + "\n", encoding="utf-8")
+    assert run_cli(capsys, "verify", str(log)) == (0, "chain valid\n", "")
+    for argv in (["replay", str(log), str(state)], ["journal", str(log)]):
+        assert run_cli(capsys, *argv) == (
+            1, "", f"error: StateMismatch: entry 1 rejected on replay: SchemaError: {detail}\n")
+
+
 def test_journal_needs_a_canonical_genesis_line(tmp_path, capsys):
     # `journal` replays from the genesis it loaded, which must re-encode to
     # the recorded digest, as a genesis file given to `replay` must
@@ -379,6 +444,19 @@ genesis:
 """, encoding="utf-8")
     assert run_cli(capsys, "run", str(bad)) == (
         2, "", "error: SchemaError: genesis.projects[0]: projects are owned by enterprises\n")
+
+
+def test_genesis_exchange_without_reserve_returns_two(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("""
+name: x
+genesis:
+  orgs:
+    - {id: A, role: authority}
+  exchange: {fraction: "0.5", supply: 1000, reserve: 0}
+""", encoding="utf-8")
+    assert run_cli(capsys, "run", str(bad)) == (
+        2, "", "error: InvalidAmount: baseline reserve must be positive\n")
 
 
 EXTREME_AMOUNTS = """
@@ -573,6 +651,18 @@ def test_price_curve_invalid_range(capsys):
                            "--c0", "20000", "--min", "1500", "--max", "500")
     assert code == 2
     assert "InvalidRange" in err
+
+
+def test_price_curve_of_one_point_is_an_input_error(capsys):
+    assert run_cli(capsys, "price-curve", "--f", "1", "--s0", "1000", "--c0", "20000",
+                   "--min", "500", "--max", "1500", "--points", "1") == (
+        2, "", "error: InvalidRange: need at least 2 points\n")
+
+
+def test_quote_at_zero_supply_is_an_input_error(capsys):
+    assert run_cli(capsys, "quote", "--f", "0.5", "--s0", "1000", "--c0", "10000",
+                   "--supply", "0", "--spend-cash", "10") == (
+        2, "", "error: InvalidSupply: exchange has no outstanding supply\n")
 
 
 def test_market_steering_scenario_runs(capsys):

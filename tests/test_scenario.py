@@ -249,8 +249,13 @@ def with_steps(*steps: str) -> str:
                  ErrorCode.SCHEMA_ERROR, "steps[0]: unknown fields ['x']",
                  id="step-unknown-field"),
     pytest.param(with_steps("{time: t1, action: setRole, sender: A, target: E, role: emperor}"),
-                 ErrorCode.SCHEMA_ERROR, f"steps[0]: role must be one of {ROLE_NAMES}",
+                 ErrorCode.SCHEMA_ERROR,
+                 f"steps[0]: unknown role 'emperor'; expected one of {ROLE_NAMES}",
                  id="set-role-unknown-role"),
+    pytest.param(with_steps("{time: t1, action: setRole, sender: A, target: E}"),
+                 ErrorCode.SCHEMA_ERROR,
+                 f"steps[0]: unknown role None; expected one of {ROLE_NAMES}",
+                 id="set-role-without-role"),
     pytest.param(with_steps("{time: t1, action: burnToken, sender: E, amount: 1, "
                             "expect_fail: 5}"),
                  ErrorCode.SCHEMA_ERROR,
