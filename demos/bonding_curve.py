@@ -33,8 +33,8 @@ def show_quotes():
     f = Fixed.parse("0.5")
     print("quotes against the curve at F=0.5, supply 1000, reserve 10000")
     buy = quote_buy_tokens(f, S0, C0, Fixed.parse(100))
-    print(f"  buying 100 tokens costs {buy.cash_delta}  "
-          f"(spot afterwards {buy.price_after})")
+    after = spot_price(ExchangeState(f, C0, S0, C0), S0 + buy.tokens_delta)
+    print(f"  buying 100 tokens costs {buy.cash_delta}  (spot afterwards {after})")
     sell = quote_buy_tokens(f, S0 + buy.tokens_delta, C0 + buy.cash_delta,
                             Fixed.parse(-100))
     print(f"  selling them straight back returns {-sell.cash_delta}")

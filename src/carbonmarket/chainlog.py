@@ -234,9 +234,10 @@ class ChainLog:
     def from_text(cls, text: str) -> "ChainLog":
         """Strict parse; any structural or cryptographic defect raises
         ChainInvalid.  Use verify_text for a non-raising report."""
-        log, problem = _parse_and_check(text)
-        if problem is not None:
-            raise reject(ErrorCode.CHAIN_INVALID, problem[1])
+        try:
+            log = _parse_and_check(text)
+        except _Defect as defect:
+            raise reject(ErrorCode.CHAIN_INVALID, defect.args[1]) from None
         log._checked = log.entries.copy()
         return log
 
@@ -244,54 +245,59 @@ class ChainLog:
         return verify_text(self.to_text())
 
 
-def _parse_and_check(text: str) -> tuple[Optional[ChainLog], Optional[tuple[Optional[int], str]]]:
-    """Returns (log, None) on success or (partial-or-None, (bad_seq, why))."""
+class _Defect(Exception):
+    """The first defect of a log's text; its args are the seq of the entry
+    it lies in (None for the header and genesis lines) and what is wrong."""
+
+
+def _parse_and_check(text: str) -> ChainLog:
+    """The log `text` holds, every line checked; else raises `_Defect`."""
     # split strictly on "\n": splitlines() would also split on \v, \f, and
     # unicode separators, letting a one-bit newline corruption go unnoticed
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if len(lines) < 2:
-        return None, (None, "missing header or genesis line")
+        raise _Defect(None, "missing header or genesis line")
     header = lines[0].split(" ")
     if len(header) != 4 or header[0] != FORMAT_NAME or header[1] != FORMAT_VERSION:
-        return None, (None, f"bad header line: {lines[0]!r}")
+        raise _Defect(None, f"bad header line: {lines[0]!r}")
     if header[2] != HASH_NAME:
-        return None, (None, f"unsupported hash function {header[2]!r}")
+        raise _Defect(None, f"unsupported hash function {header[2]!r}")
     if not lines[1].startswith("genesis "):
-        return None, (None, "second line must carry the genesis state")
+        raise _Defect(None, "second line must carry the genesis state")
     genesis_json = lines[1][len("genesis "):]
     try:
         log = ChainLog(genesis_json)
     except LedgerError as exc:
-        return None, (None, exc.message)
+        raise _Defect(None, exc.message) from exc
     if header[3] != log.genesis_digest.hex():
-        return None, (None, "genesis state does not match the header digest")
+        raise _Defect(None, "genesis state does not match the header digest")
 
     prev = GENESIS_PREV
     for seq, line in enumerate(lines[2:], start=log.genesis_seq + 1):
         fields = line.split(" ")
         if len(fields) != 6:
-            return log, (seq, f"entry line has {len(fields)} fields, expected 6")
+            raise _Defect(seq, f"entry line has {len(fields)} fields, expected 6")
         try:
             tx_bytes = bytes.fromhex(fields[1])
             state_digest = bytes.fromhex(fields[4])
         except ValueError as exc:
-            return log, (seq, f"unparseable entry fields: {exc}")
+            raise _Defect(seq, f"unparseable entry fields: {exc}") from exc
         if len(state_digest) != 32:
-            return log, (seq, f"entry {seq}: state digest is not 32 bytes")
+            raise _Defect(seq, f"entry {seq}: state digest is not 32 bytes")
         try:
             tx = decode_transaction(tx_bytes)
         except LedgerError as exc:
-            return log, (seq, f"entry {seq}: {exc.message}")
+            raise _Defect(seq, f"entry {seq}: {exc.message}") from exc
         if tx.seq != seq:
-            return log, (seq, f"entry {seq}: embedded transaction claims seq {tx.seq}")
+            raise _Defect(seq, f"entry {seq}: embedded transaction claims seq {tx.seq}")
         entry = _entry(prev, tx, tx_bytes, state_digest)
         if entry.to_line() != line:
-            return log, (seq, _mismatch(seq, entry.to_line(), line))
+            raise _Defect(seq, _mismatch(seq, entry.to_line(), line))
         log.entries.append(entry)
         prev = entry.entry_hash
-    return log, None
+    return log
 
 
 def _check_links(log: ChainLog):
@@ -307,11 +313,12 @@ def _check_links(log: ChainLog):
 
 def verify_text(text: str) -> VerifyResult:
     """Check structure, digests, and linkage of a serialized chain log."""
-    _, problem = _parse_and_check(text)
-    if problem is None:
-        return VerifyResult(valid=True)
-    bad_seq, detail = problem
-    return VerifyResult(valid=False, first_bad_seq=bad_seq, detail=detail)
+    try:
+        _parse_and_check(text)
+    except _Defect as defect:
+        bad_seq, detail = defect.args
+        return VerifyResult(valid=False, first_bad_seq=bad_seq, detail=detail)
+    return VerifyResult(valid=True)
 
 
 def advance(ledger: TokenLedger, tx: Transaction, log: ChainLog,

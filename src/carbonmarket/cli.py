@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .chainlog import ChainLog, VerifyResult, replay as replay_chain, verify_text
 from .errors import ErrorCode, LedgerError
-from .fixed import Fixed
+from .fixed import ZERO, Fixed
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -145,7 +145,8 @@ def _cmd_journal(args) -> int:
 
 
 def _cmd_quote(args) -> int:
-    from .exchange import quote_buy_tokens, quote_spend_cash, validate_fraction
+    from .exchange import (ExchangeState, quote_buy_tokens, quote_spend_cash,
+                           spot_price, validate_fraction)
     fraction = validate_fraction(args.f)
     supply = args.supply if args.supply is not None else args.s0
     reserve = args.reserve if args.reserve is not None else args.c0
@@ -153,8 +154,17 @@ def _cmd_quote(args) -> int:
         quote = quote_buy_tokens(fraction, supply, reserve, args.buy_tokens)
     else:
         quote = quote_spend_cash(fraction, supply, reserve, args.spend_cash)
+    # the spot price after the trade, on the curve anchored where it starts;
+    # a sale of the whole supply leaves no price
+    try:
+        after = supply + quote.tokens_delta
+    except OverflowError as exc:
+        raise LedgerError(ErrorCode.INVALID_AMOUNT,
+                          f"the supply after the trade cannot be priced: {exc}") from exc
+    price_after = ZERO if after <= ZERO else spot_price(
+        ExchangeState(fraction, reserve, supply, reserve), after)
     print("tokens_delta,cash_delta,price_after")
-    print(f"{quote.tokens_delta},{quote.cash_delta},{quote.price_after}")
+    print(f"{quote.tokens_delta},{quote.cash_delta},{price_after}")
     return EXIT_OK
 
 

@@ -50,13 +50,15 @@ class ExchangeState:
 
 @dataclass(frozen=True)
 class Quote:
-    """One priced trade: token leg, cash leg, and the post-trade spot price.
+    """One priced trade: its token leg and its cash leg, nothing else.
 
-    Both deltas are nonzero and share the same sign (buy: both positive)."""
+    Both deltas are nonzero and share the same sign (buy: both positive).
+    A quote carries no post-trade price: a trade is refused only for its own
+    legs, and the spot price after it, when wanted, is `spot_price` anchored
+    at the pre-trade supply and reserve, taken at the new supply."""
 
     tokens_delta: Quantity
     cash_delta: Money
-    price_after: Money
 
 
 def validate_fraction(fraction: Fixed) -> Fixed:
@@ -126,16 +128,6 @@ def spot_price(state: ExchangeState, supply: Quantity) -> Money:
         return Fixed.from_float(raw, "nearest")
 
 
-def _price_after(fraction: Fixed, supply: Quantity, reserve: Money,
-                 tokens: Quantity) -> Money:
-    post = supply + tokens
-    if post <= ZERO:
-        return ZERO
-    raw = spot_price_raw(fraction.to_float(), supply.to_float(),
-                         reserve.to_float(), post.to_float())
-    return Fixed.from_float(raw, "nearest")
-
-
 @contextmanager
 def _priced(what: str):
     """Turn an overflow or a non-finite result of the curve math, or of
@@ -144,6 +136,16 @@ def _priced(what: str):
         yield
     except (OverflowError, ValueError) as exc:
         raise reject(ErrorCode.INVALID_AMOUNT, f"{what} cannot be priced: {exc}") from exc
+
+
+def _check_live(supply: Quantity, reserve: Money):
+    """The curve prices a trade only from a positive supply and reserve: it
+    divides by both.  A loaded state, or a `setPrice` whose F * s * P rounds
+    to zero, can leave the reserve empty with tokens out."""
+    if supply <= ZERO:
+        raise reject(ErrorCode.INVALID_SUPPLY, "exchange has no outstanding supply")
+    if reserve <= ZERO:
+        raise reject(ErrorCode.RESERVE_EXHAUSTED, "the exchange reserve is empty")
 
 
 def quote_buy_tokens(fraction: Fixed, supply: Quantity, reserve: Money,
@@ -156,8 +158,7 @@ def quote_buy_tokens(fraction: Fixed, supply: Quantity, reserve: Money,
     """
     if tokens.is_zero:
         raise reject(ErrorCode.INVALID_AMOUNT, "token amount must be nonzero")
-    if supply <= ZERO:
-        raise reject(ErrorCode.INVALID_SUPPLY, "exchange has no outstanding supply")
+    _check_live(supply, reserve)
     if tokens.is_negative and -tokens > supply:
         raise reject(ErrorCode.INVALID_AMOUNT,
                      f"cannot sell {-tokens} tokens against a supply of {supply}")
@@ -167,8 +168,7 @@ def quote_buy_tokens(fraction: Fixed, supply: Quantity, reserve: Money,
         cash = Fixed.from_float(raw, "ceil")
         if cash.is_zero:
             raise reject(ErrorCode.INVALID_AMOUNT, "trade too small to price")
-        price_after = _price_after(fraction, supply, reserve, tokens)
-    return Quote(tokens, cash, price_after)
+    return Quote(tokens, cash)
 
 
 def quote_spend_cash(fraction: Fixed, supply: Quantity, reserve: Money,
@@ -180,20 +180,14 @@ def quote_spend_cash(fraction: Fixed, supply: Quantity, reserve: Money,
     """
     if cash.is_zero:
         raise reject(ErrorCode.INVALID_AMOUNT, "cash amount must be nonzero")
-    if supply <= ZERO:
-        raise reject(ErrorCode.INVALID_SUPPLY, "exchange has no outstanding supply")
+    _check_live(supply, reserve)
     if cash.is_negative and -cash > reserve:
         raise reject(ErrorCode.RESERVE_EXHAUSTED,
                      f"cannot withdraw {-cash} from a reserve of {reserve}")
-    if not reserve.is_positive:
-        # the curve divides by the reserve; a setPrice whose F * s * P rounds
-        # to zero, or a loaded state, can leave it empty with tokens out
-        raise reject(ErrorCode.RESERVE_EXHAUSTED, "the exchange reserve is empty")
     with _priced(f"a trade of {cash} cash"):
         raw = tokens_for_cash_raw(fraction.to_float(), supply.to_float(),
                                   reserve.to_float(), cash.to_float())
         tokens = Fixed.from_float(raw, "floor")
         if tokens.is_zero:
             raise reject(ErrorCode.INVALID_AMOUNT, "trade too small to price")
-        price_after = _price_after(fraction, supply, reserve, tokens)
-    return Quote(tokens, cash, price_after)
+    return Quote(tokens, cash)

@@ -42,7 +42,7 @@ from typing import Callable, Optional, Union
 
 from .domain import ComplianceReport, OrgRecord, Role, parse_role, validate_org_id
 from .errors import ErrorCode, LedgerError, reject
-from .exchange import (ExchangeState, Quote, quote_buy_tokens, quote_spend_cash,
+from .exchange import (ExchangeState, quote_buy_tokens, quote_spend_cash,
                        spot_price, validate_anchor, validate_fraction)
 from .fixed import ZERO, Fixed, Money, Quantity
 # the log format's types, defined apart so that checking a log loads no
@@ -387,47 +387,29 @@ class TokenLedger:
         self.market_emission -= retired
         return self._event(tx, retired=retired)
 
-    def _trade(self, tx: Transaction, quote: Quote) -> AppliedEvent:
-        sender = self.registry[tx.sender]
-        exchange = self.exchange
-        permit = sender.permit + quote.tokens_delta
-        market = self.market_permit + quote.tokens_delta
-        cash = sender.cash - quote.cash_delta
-        reserve = exchange.reserve + quote.cash_delta
-        sender.permit, self.market_permit, sender.cash, exchange.reserve = \
-            permit, market, cash, reserve
-        return self._event(tx, token_delta=quote.tokens_delta,
-                           cash_delta=quote.cash_delta)
-
-    def _apply_trade_token(self, tx: Transaction) -> AppliedEvent:
+    def _apply_trade(self, tx: Transaction) -> AppliedEvent:
+        """`tradeToken` (a signed token amount) or `convertCash` (a signed
+        cash amount) against the exchange.  The kind picks the quote; the
+        trade is then refused only for its own two legs: the sender must
+        hold the cash it pays and the permits it sells.  The sender's permit
+        and cash, the market permit total and the reserve move by the legs."""
         sender = self.org(tx.sender)
         amount = self._signed_amount(tx)
         exchange = self._active_exchange()
-        quote = quote_buy_tokens(exchange.fraction, self.market_permit,
-                                 exchange.reserve, amount)
-        if amount.is_positive:
-            if quote.cash_delta > sender.cash:
-                raise reject(ErrorCode.INSUFFICIENT_CASH,
-                             f"buy needs {quote.cash_delta}, {tx.sender!r} holds {sender.cash}")
-        elif -amount > sender.permit:
-            raise reject(ErrorCode.INSUFFICIENT_BALANCE,
-                         f"{tx.sender!r} holds {sender.permit} permits, cannot sell {-amount}")
-        return self._trade(tx, quote)
-
-    def _apply_convert_cash(self, tx: Transaction) -> AppliedEvent:
-        sender = self.org(tx.sender)
-        amount = self._signed_amount(tx)
-        exchange = self._active_exchange()
-        if amount.is_positive and amount > sender.cash:
+        quote = quote_buy_tokens if tx.kind is TxKind.TRADE_TOKEN else quote_spend_cash
+        legs = quote(exchange.fraction, self.market_permit, exchange.reserve, amount)
+        tokens, cash = legs.tokens_delta, legs.cash_delta
+        if cash > sender.cash:
             raise reject(ErrorCode.INSUFFICIENT_CASH,
-                         f"spend of {amount} exceeds {tx.sender!r} cash {sender.cash}")
-        quote = quote_spend_cash(exchange.fraction, self.market_permit,
-                                 exchange.reserve, amount)
-        if quote.tokens_delta.is_negative and -quote.tokens_delta > sender.permit:
+                         f"buy needs {cash}, {tx.sender!r} holds {sender.cash}")
+        if -tokens > sender.permit:
             raise reject(ErrorCode.INSUFFICIENT_BALANCE,
-                         f"cash-out implies selling {-quote.tokens_delta} permits, "
-                         f"{tx.sender!r} holds {sender.permit}")
-        return self._trade(tx, quote)
+                         f"{tx.sender!r} holds {sender.permit} permits, cannot sell {-tokens}")
+        permit, market = sender.permit + tokens, self.market_permit + tokens
+        balance, reserve = sender.cash - cash, exchange.reserve + cash
+        sender.permit, self.market_permit, sender.cash, exchange.reserve = \
+            permit, market, balance, reserve
+        return self._event(tx, token_delta=tokens, cash_delta=cash)
 
     def _rebase_supply(self) -> Quantity:
         # Anchor market adjustments at the live supply; fall back to the old
@@ -486,8 +468,8 @@ _HANDLERS: dict[TxKind, Callable[[TokenLedger, Transaction], AppliedEvent]] = {
     TxKind.MINT_EMISSION: TokenLedger._apply_mint_emission,
     TxKind.TRANSFER_PERMIT: TokenLedger._apply_transfer_permit,
     TxKind.BURN_TOKEN: TokenLedger._apply_burn_token,
-    TxKind.TRADE_TOKEN: TokenLedger._apply_trade_token,
-    TxKind.CONVERT_CASH: TokenLedger._apply_convert_cash,
+    TxKind.TRADE_TOKEN: TokenLedger._apply_trade,
+    TxKind.CONVERT_CASH: TokenLedger._apply_trade,
     TxKind.SET_RESERVE_FRACTION: TokenLedger._apply_set_reserve_fraction,
     TxKind.ADJUST_RESERVE: TokenLedger._apply_adjust_reserve,
     TxKind.SET_PRICE: TokenLedger._apply_set_price,

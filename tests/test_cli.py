@@ -1,6 +1,8 @@
 """Command line behaviour: commands, exit codes, byte-stable outputs."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,10 +11,12 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from carbonmarket import ChainLog, Transaction, TxKind
 from carbonmarket.chainlog import advance, encode_transaction
 from carbonmarket.cli import main
+from carbonmarket.fixed import Fixed
 
 from conftest import (GOLDEN_SCENARIO, JOURNAL_OVERFLOW, SCENARIO_DIR, LedgerDriver,
                       endowed_genesis, fx, standard_market)
@@ -663,6 +667,137 @@ def test_quote_at_zero_supply_is_an_input_error(capsys):
     assert run_cli(capsys, "quote", "--f", "0.5", "--s0", "1000", "--c0", "10000",
                    "--supply", "0", "--spend-cash", "10") == (
         2, "", "error: InvalidSupply: exchange has no outstanding supply\n")
+
+
+def test_quote_of_a_sale_of_the_whole_supply_leaves_no_price(capsys):
+    assert run_cli(capsys, "quote", "--f", "0.5", "--s0", "1000", "--c0", "10000",
+                   "--buy-tokens", "-1000") == (
+        0, "tokens_delta,cash_delta,price_after\n-1000.000000,-10000.000000,0.000000\n", "")
+
+
+@pytest.mark.parametrize("reserve", ["-5", "0"])
+@pytest.mark.parametrize("trade", [("--buy-tokens", "10"), ("--spend-cash", "10")])
+def test_quote_on_a_reserve_that_is_not_positive_is_an_input_error(capsys, reserve, trade):
+    # the curve divides by the reserve: on a negative one a buy would pay the buyer
+    assert run_cli(capsys, "quote", "--f", "0.5", "--s0", "1000", "--c0", "10000",
+                   "--reserve", reserve, *trade) == (
+        2, "", "error: ReserveExhausted: the exchange reserve is empty\n")
+
+
+@pytest.mark.parametrize("argv, detail", [
+    # the legs fit (0.2 tokens for 1.76e12 cash); the spot price after does not
+    (("--f", "0.5", "--s0", "1", "--c0", "4000000000000", "--buy-tokens", "0.2"),
+     "the spot price at supply 1.200000 cannot be priced"),
+    (("--f", "1", "--s0", "9000000000000", "--c0", "1", "--buy-tokens", "9000000000000"),
+     "the supply after the trade cannot be priced"),
+])
+def test_quote_whose_price_after_is_beyond_the_range_is_an_input_error(capsys, argv, detail):
+    assert run_cli(capsys, "quote", *argv) == (
+        2, "", f"error: InvalidAmount: {detail}: amount exceeds the representable range\n")
+
+
+# each of --supply, --reserve and the amount: negative, zero, one micro-unit,
+# ordinary, or 1e12
+QUOTE_AMOUNTS = st.one_of(st.integers(-10**6, -1).map(str), st.just("0"), st.just("0.000001"),
+                          st.integers(1, 10**6).map(str), st.just("1000000000000"))
+
+
+# no shrinking, as in test_journal_mirrors_ledger_from_genesis: the unshrunk
+# argument vector is reported at once
+@settings(max_examples=100, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(st.sampled_from(("0.1", "0.5", "1")), QUOTE_AMOUNTS, QUOTE_AMOUNTS,
+       st.sampled_from(("--buy-tokens", "--spend-cash")), QUOTE_AMOUNTS)
+@example("0.5", "1000", "-5", "--buy-tokens", "10")   # a buy that would pay the buyer
+def test_quote_prints_two_legs_of_one_sign_or_refuses(fraction, supply, reserve, kind, amount):
+    argv = ["quote", "--f", fraction, "--s0", "1000", "--c0", "10000",
+            "--supply", supply, "--reserve", reserve, kind, amount]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), argv
+    if code == 0:
+        tokens, cash, price_after = map(Fixed.parse, out.getvalue().splitlines()[1].split(","))
+        assert not tokens.is_zero and not cash.is_zero, argv
+        assert tokens.is_positive == cash.is_positive, argv
+        assert price_after >= Fixed(0), argv
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv
+
+
+THIN_CURVE = """
+name: thin-curve
+genesis:
+  orgs:
+    - {{id: A, role: authority}}
+    - {{id: E, role: enterprise, cash: 3000000000000}}
+  exchange: {{fraction: "0.5", supply: 1, reserve: 4000000000000}}
+steps:
+  - {{time: "t1", action: mintPermit, signer: A, target: E, amount: 1}}
+  - {{time: "t2", action: {action}, sender: E, amount: "{amount}"}}
+  - {{time: "t2", action: expect, org: E, field: permit, equals: "1.2"}}
+"""
+
+
+@pytest.mark.parametrize("action, amount", [
+    ("tradeToken", "0.2"),
+    ("convertCash", "1760000000000"),   # costs exactly 0.2 tokens
+])
+def test_trade_is_refused_only_for_its_own_legs(tmp_path, capsys, action, amount):
+    # 0.2 tokens on this curve cost 1.76e12 of E's 3e12 cash; the spot price
+    # after the trade (~9.6e12) is beyond the representable range, but a
+    # trade does not move the market price, so it has no bearing
+    scenario = tmp_path / "thin.yaml"
+    scenario.write_text(THIN_CURVE.format(action=action, amount=amount), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, "run", str(scenario), "--out", str(out_dir))
+    assert code == 0
+    assert "\nE,enterprise,1.200000,0.000000,1240000000000.000000,\n" in out
+    digest = out.split("\nstate-digest ")[1].strip()
+    log, genesis = str(out_dir / "chainlog.log"), str(out_dir / "genesis.json")
+    assert run_cli(capsys, "verify", log) == (0, "chain valid\n", "")
+    code, out, _ = run_cli(capsys, "replay", log, genesis)
+    assert code == 0
+    assert out.splitlines()[0] == f"replay ok: 2 transactions, state-digest {digest}"
+    code, out, _ = run_cli(capsys, "journal", log)
+    assert code == 0
+    assert out == (out_dir / "journal.csv").read_text(encoding="utf-8")
+
+
+PRICED_FIRST = """
+name: priced-first
+genesis:
+  orgs:
+    - {{id: A, role: authority}}
+    - {{id: E, role: enterprise}}
+  exchange: {{fraction: "{fraction}", supply: 100, reserve: {reserve}}}
+steps:
+  - {{time: "t1", action: mintPermit, signer: A, target: E, amount: 100}}
+{setup}  - {{time: "t2", action: {action}, sender: E, amount: "{amount}", expect_fail: {code}}}
+"""
+
+
+@pytest.mark.parametrize("curve, trade, detail", [
+    # a setPrice whose F * s * P rounds to zero empties the reserve
+    (("0.5", 1000, '  - {time: "t1", action: setPrice, authority: A, price: "0.000001"}\n'),
+     ("convertCash", "5", "ReserveExhausted"), "the exchange reserve is empty"),
+    (("0.5", 1000, '  - {time: "t1", action: setPrice, authority: A, price: "0.000001"}\n'),
+     ("tradeToken", "1", "ReserveExhausted"), "the exchange reserve is empty"),
+    # one micro-unit of cash buys less than one micro-token
+    (("1", 10000000, ""), ("convertCash", "0.000001", "InvalidAmount"),
+     "trade too small to price"),
+])
+def test_trade_is_priced_before_the_sender_pays(tmp_path, capsys, curve, trade, detail):
+    # E holds no cash: a quote refusal wins over InsufficientCash
+    (fraction, reserve, setup), (action, amount, code) = curve, trade
+    scenario = tmp_path / "priced-first.yaml"
+    scenario.write_text(PRICED_FIRST.format(fraction=fraction, reserve=reserve, setup=setup,
+                                            action=action, amount=amount, code=code),
+                        encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert run_cli(capsys, "run", str(scenario), "--out", str(out_dir))[0] == 0
+    row = (out_dir / "run.csv").read_text(encoding="utf-8").splitlines()[-1].split(",")
+    assert row[2:4] + row[5:] == [action, "rejected", code, detail]
 
 
 def test_market_steering_scenario_runs(capsys):

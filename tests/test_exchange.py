@@ -102,7 +102,8 @@ def test_buy_cash_matches_integrated_price():
     assert integral == pytest.approx(2100.0, rel=1e-10)
     quote = quote_buy_tokens(fx("0.5"), fx(1000), fx(10000), fx(100))
     assert quote.cash_delta == fx(2100)
-    assert quote.price_after == fx(22)
+    # the spot price after the trade, on the curve anchored where it starts
+    assert spot_price(state("0.5", 1000, 10000), fx(1000) + quote.tokens_delta) == fx(22)
 
 
 def test_sell_after_buy_round_trip_is_symmetric():
@@ -314,6 +315,42 @@ def test_convert_cash_gates():
     with pytest.raises(LedgerError) as err:
         driver.convert_cash("E", -20000)
     assert err.value.code is ErrorCode.RESERVE_EXHAUSTED
+
+
+@pytest.mark.parametrize("kind, sender, amount, code, message", [
+    ("trade_token", "E", 100, ErrorCode.INSUFFICIENT_CASH,
+     "buy needs 2100.000000, 'E' holds 10.000000"),
+    ("convert_cash", "E", 1000, ErrorCode.INSUFFICIENT_CASH,
+     "buy needs 1000.000000, 'E' holds 10.000000"),
+    ("trade_token", "F", -1, ErrorCode.INSUFFICIENT_BALANCE,
+     "'F' holds 0.000000 permits, cannot sell 1.000000"),
+    ("convert_cash", "F", -500, ErrorCode.INSUFFICIENT_BALANCE,
+     "'F' holds 0.000000 permits, cannot sell 25.320566"),
+])
+def test_both_trade_kinds_refuse_a_leg_the_sender_cannot_cover(kind, sender, amount, code,
+                                                               message):
+    # one rule for both kinds: the priced cash leg against the sender's
+    # cash, the priced token leg against its permits
+    driver = make_exchange_driver(cash="10")
+    before = driver.ledger.state_json()
+    with pytest.raises(LedgerError) as err:
+        getattr(driver, kind)(sender, amount)
+    assert (err.value.code, err.value.message) == (code, message)
+    assert driver.ledger.state_json() == before
+
+
+@pytest.mark.parametrize("quote", [quote_buy_tokens, quote_spend_cash])
+@pytest.mark.parametrize("supply, reserve, code", [
+    (0, 10000, ErrorCode.INVALID_SUPPLY),
+    (-5, 10000, ErrorCode.INVALID_SUPPLY),
+    (1000, 0, ErrorCode.RESERVE_EXHAUSTED),
+    (1000, -5, ErrorCode.RESERVE_EXHAUSTED),
+])
+def test_both_quotes_need_a_live_curve(quote, supply, reserve, code):
+    for amount in (10, -10):
+        with pytest.raises(LedgerError) as err:
+            quote(fx("0.5"), fx(supply), fx(reserve), fx(amount))
+        assert err.value.code is code
 
 
 def test_cash_into_an_emptied_reserve_is_rejected_atomically():
