@@ -2,10 +2,11 @@
 
 A scenario is a YAML document with a genesis block (organisations, projects,
 cash endowments, optional exchange bootstrap) and an ordered list of steps.
-Each step carries a logical timestamp (compared as strings, so ISO dates
-order correctly) and either one ledger action or an inline `expect`
-assertion.  Amounts must be integers or quoted decimal strings; bare YAML
-floats are rejected because they do not round-trip exactly.
+Each step carries a logical timestamp (text, compared as strings, so ISO
+dates order correctly) and either one ledger action or an inline `expect`
+assertion.  Scenario YAML is read as written: a scalar is its text, except
+the plain spellings of null and the booleans, so an amount, quoted or not,
+is read by `Fixed.parse` alone.
 
 Parsing builds what the runner executes.  The genesis block becomes the
 genesis `TokenLedger` through the ledger's `setup_*` calls, the same calls
@@ -25,11 +26,9 @@ from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional
 
 import yaml
-from yaml.composer import ComposerError
 from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
                          ScalarEvent, SequenceEndEvent, SequenceStartEvent,
                          StreamEndEvent)
-from yaml.nodes import ScalarNode
 
 from .domain import parse_role
 from .errors import ErrorCode, LedgerError, reject
@@ -39,143 +38,89 @@ from .ledger import TokenLedger
 from .txformat import Transaction, TxKind
 
 # Nesting past this many collections is a syntax error.  Scenarios nest about
-# four deep; libyaml's composer recurses in C once per level (40 000 levels end
-# the process), and PyYAML's pure-Python composer takes two frames per level
-# of the interpreter's 1000.
+# four deep; a value nested tens of thousands deep would reach `repr` (in the
+# unknown-action message) and `str` (in `Fixed.parse`), which recurse once per
+# level and raise RecursionError.
 _MAX_DEPTH = 100
 
-
-class _Fallback(Exception):
-    """An input the event walk leaves to the base loader."""
-
-
-class _TooDeep(ComposerError):
-    """Nesting past _MAX_DEPTH; never handed to the base loader."""
-
-    def __init__(self, mark):
-        super().__init__(None, None, f"nesting deeper than {_MAX_DEPTH} levels", mark)
+# The plain scalars that are not their text.  Every other plain scalar,
+# numbers included, is a string, so `Fixed.parse` is the one number grammar.
+_PLAIN = {"": None, "~": None, "null": None, "Null": None, "NULL": None,
+          "true": True, "True": True, "TRUE": True,
+          "false": False, "False": False, "FALSE": False}
 
 
-def _event_loader(base: type) -> type:
-    """`base`, a safe PyYAML loader, building the document from its parser's
-    events instead of composing a node tree and then constructing it.
+class _NotInSubset(yaml.MarkedYAMLError):
+    """YAML outside the scenario subset, refused at its mark."""
 
-    Composing and constructing the tree was most of a scenario's load time:
-    a node object per value, PyYAML's Python resolver matching regexes
-    against every plain scalar, and its constructor walking the tree a
-    second time.  The walk below keeps an explicit stack of open
-    collections and resolves each distinct plain scalar once, with the base
-    loader's own `resolve` and constructors, so the typing is PyYAML's; a
-    quoted scalar is its text.  What the walk does not build (an anchor, an
-    alias, an explicit tag other than `!`, a `<<` merge or `=` value key, a
-    collection used as a key, a second document), a plain scalar its
-    constructor rejects and every YAMLError make it load the text again
-    with `base`, so that the tree or the error is exactly PyYAML's.  The
-    nesting check runs before that hand-off too.
+    def __init__(self, problem: str, mark):
+        super().__init__(problem=problem, problem_mark=mark)
+
+
+class _YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader over libyaml's parser when PyYAML was built with it,
+    building the document straight from the parser's events.
+
+    Scenario YAML is a subset: mappings, sequences and scalars in one
+    document.  A quoted scalar is its text, and a plain scalar is its text
+    unless `_PLAIN` names it.  An anchor, an alias, a tag other than `!`, a
+    collection used as a key, a second document and nesting past
+    `_MAX_DEPTH` are refused at their mark; the parser's own errors come
+    from `get_event` unchanged.
     """
 
-    class EventLoader(base):
-        def __init__(self, stream):
-            super().__init__(stream)
-            self._text = stream
-
-        def get_single_data(self):
-            frames: list = []
-            try:
-                try:
-                    return self._walk(frames)
-                except _Fallback:
-                    self._skip_rest(len(frames))
-            except _TooDeep:
-                raise
-            except yaml.YAMLError:
-                pass    # the base loader stops at the same event and raises it
-            loader = base(self._text)
-            try:
-                return loader.get_single_data()
-            finally:
-                loader.dispose()
-
-        def _walk(self, frames: list) -> Any:
-            """The document, built from events; `frames` holds the (items,
-            is_mapping) of each collection open around the current event."""
-            get_event = self.get_event
-            plain: dict[str, Any] = {}      # plain scalar text -> its value
-            get_event()                     # stream start
-            if get_event().__class__ is StreamEndEvent:
-                return None                 # no document
-            items, is_map = [], False       # the root node goes in here
-            while True:
-                event = get_event()
-                kind = event.__class__
-                if kind is ScalarEvent:
-                    if event.anchor is not None or event.tag not in (None, "!"):
-                        raise _Fallback
-                    value = event.value
-                    if event.implicit[0]:
-                        try:
-                            value = plain[value]
-                        except KeyError:
-                            value = plain[value] = self._plain(event)
-                    items.append(value)
-                elif kind is MappingStartEvent or kind is SequenceStartEvent:
-                    frames.append((items, is_map))
-                    if len(frames) > _MAX_DEPTH:
-                        raise _TooDeep(event.start_mark)
-                    if (event.anchor is not None or event.tag not in (None, "!")
-                            or is_map and not len(items) & 1):   # a key
-                        raise _Fallback
-                    items, is_map = [], kind is MappingStartEvent
-                elif kind is MappingEndEvent or kind is SequenceEndEvent:
-                    if is_map:
-                        pairs = iter(items)
-                        node = dict(zip(pairs, pairs))
-                    else:
-                        node = items
-                    items, is_map = frames.pop()
-                    items.append(node)
-                elif kind is DocumentEndEvent:
-                    break
-                else:                       # an alias
-                    raise _Fallback
-            if get_event().__class__ is not StreamEndEvent:
-                raise _Fallback             # a second document
-            return items[0]
-
-        def _plain(self, event) -> Any:
-            """A plain scalar's value, typed as the base loader types it."""
-            tag = self.resolve(ScalarNode, event.value, event.implicit)
-            construct = self.yaml_constructors.get(tag)
-            if construct is None:           # `<<` merge, `=` value
-                raise _Fallback
-            try:
-                return construct(self, ScalarNode(tag, event.value,
-                                                  event.start_mark, event.end_mark))
-            except ValueError:
-                # a date like 2020-13-45: the base loader raises this only
-                # once the rest of the stream has parsed as one document
-                raise _Fallback from None
-
-        def _skip_rest(self, depth: int) -> None:
-            """Consume the remaining events, checking only their nesting."""
-            while True:
-                event = self.get_event()
-                kind = event.__class__
-                if kind is MappingStartEvent or kind is SequenceStartEvent:
-                    depth += 1
-                    if depth > _MAX_DEPTH:
-                        raise _TooDeep(event.start_mark)
-                elif kind is MappingEndEvent or kind is SequenceEndEvent:
-                    depth -= 1
-                elif kind is StreamEndEvent:
-                    return
-
-    return EventLoader
+    def get_single_data(self):
+        get_event = self.get_event
+        plain = dict(_PLAIN)            # one object per distinct plain text
+        frames: list = []               # (items, is_mapping) of each open collection
+        get_event()                     # stream start
+        if get_event().__class__ is StreamEndEvent:
+            return None                 # no document
+        items, is_map = [], False       # the root node goes in here
+        while True:
+            event = get_event()
+            kind = event.__class__
+            if kind is ScalarEvent:
+                if event.anchor is not None or event.tag not in (None, "!"):
+                    raise _node_refusal(event)
+                value = event.value
+                if event.implicit[0]:
+                    value = plain.setdefault(value, value)
+                items.append(value)
+            elif kind is MappingStartEvent or kind is SequenceStartEvent:
+                frames.append((items, is_map))
+                if len(frames) > _MAX_DEPTH:
+                    raise _NotInSubset(f"nesting deeper than {_MAX_DEPTH} levels",
+                                       event.start_mark)
+                if event.anchor is not None or event.tag not in (None, "!"):
+                    raise _node_refusal(event)
+                if is_map and not len(items) & 1:
+                    raise _NotInSubset("a collection key is not scenario YAML",
+                                       event.start_mark)
+                items, is_map = [], kind is MappingStartEvent
+            elif kind is MappingEndEvent or kind is SequenceEndEvent:
+                if is_map:
+                    pairs = iter(items)
+                    node = dict(zip(pairs, pairs))
+                else:
+                    node = items
+                items, is_map = frames.pop()
+                items.append(node)
+            elif kind is DocumentEndEvent:
+                break
+            else:
+                raise _NotInSubset("an alias is not scenario YAML", event.start_mark)
+        event = get_event()
+        if event.__class__ is not StreamEndEvent:
+            raise _NotInSubset("a second document is not scenario YAML", event.start_mark)
+        return items[0]
 
 
-# libyaml's scanner and parser when PyYAML was built with them; the safe
-# resolver and constructors, and so the parsed tree, are the same either way.
-_YAML_LOADER = _event_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+def _node_refusal(event) -> _NotInSubset:
+    """The refusal of a node's anchor, or else of its tag."""
+    if event.anchor is not None:
+        return _NotInSubset("an anchor is not scenario YAML", event.start_mark)
+    return _NotInSubset(f"the tag {event.tag!r} is not scenario YAML", event.start_mark)
 
 
 class Action(NamedTuple):
@@ -258,16 +203,14 @@ def _fields(where: str, raw: Any, allowed) -> None:
         raise _schema_error(where, "must be a mapping")
     unknown = set(raw).difference(allowed)
     if unknown:
-        raise _schema_error(where, f"unknown fields {sorted(unknown)}")
+        # by repr: plain YAML keys may be null or booleans as well as text
+        raise _schema_error(where, f"unknown fields {sorted(unknown, key=repr)}")
 
 
 def _as_amount(where: str, key: str, value: Any) -> Fixed:
-    if isinstance(value, float):
-        raise _schema_error(where, f"field {key!r}: use an integer or a quoted "
-                                   "decimal string, not a YAML float")
     try:
         return Fixed.parse(value)
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise _schema_error(where, f"field {key!r}: {exc}") from exc
 
 
@@ -336,6 +279,8 @@ def _parse_expect(where: str, step: dict, declared: dict) -> Expectation:
         raise _schema_error(where, "expect needs exactly one subject: "
                                    "org+field, account, market, or price")
     subject = subjects[0]
+    if subject != "org" and "field" in step:
+        raise _schema_error(where, "only an org expectation takes a `field`")
 
     if subject == "org":
         org = _as_str(where, "org", step["org"])
@@ -377,10 +322,7 @@ def _parse_step(index: int, raw: Any, declared: dict) -> Step:
         raise _schema_error(where, f"unknown action {action!r}; "
                                    f"expected one of {(*ACTIONS, 'expect')}")
     _fields(where, raw, fields)
-    time = raw.get("time")
-    if time is None:
-        raise _schema_error(where, "missing `time`")
-    time = str(time)
+    time = _as_str(where, "time", raw.get("time"))
     if action == "expect":
         if "expect_fail" in raw:
             raise _schema_error(where, "expect steps cannot carry expect_fail")
@@ -422,7 +364,7 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
-    except (yaml.YAMLError, ValueError) as exc:     # ValueError: a date like 2020-13-45
+    except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise reject(ErrorCode.SYNTAX_ERROR, f"bad scenario file{at}: {exc}") from exc

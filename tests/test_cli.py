@@ -434,6 +434,29 @@ def test_schema_error_returns_two(tmp_path, capsys):
     assert "SchemaError" in err
 
 
+@pytest.mark.parametrize("genesis, step, detail", [
+    ("{id: A, role: authority, true: 2, x: 3}", "",
+     "genesis.orgs[0]: unknown fields ['x', True]"),
+    ("{id: A, role: authority}",
+     "{time: t1, action: burnToken, sender: A, amount: 1, ~: 1, x: 2}",
+     "steps[0]: unknown fields ['x', None]"),
+], ids=["genesis-org", "step"])
+def test_unknown_fields_of_mixed_key_types_return_two(tmp_path, capsys, genesis, step, detail):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"name: x\ngenesis: {{orgs: [{genesis}]}}\nsteps: [{step}]\n",
+                   encoding="utf-8")
+    assert run_cli(capsys, "run", str(bad)) == (2, "", f"error: SchemaError: {detail}\n")
+
+
+def test_readme_scenario_example_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scenario files\n", 1)[1]
+    example = tmp_path / "example.yaml"
+    example.write_text(section.split("```yaml\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", str(example))
+    assert (code, err) == (0, "")
+
+
 def test_genesis_project_of_an_authority_returns_two(tmp_path, capsys):
     # the genesis setup calls refuse it while the scenario is parsed: an
     # input error, not a rejected transaction

@@ -8,8 +8,9 @@ import yaml
 from hypothesis import Phase, given, settings, strategies as st
 
 import carbonmarket.scenario as scenario_module
-from carbonmarket import (Account, ErrorCode, LedgerError, Role, TokenLedger, Transaction,
-                          TxKind, parse_scenario, run_scenario)
+from carbonmarket import (Account, ChainLog, ErrorCode, LedgerError, Role, TokenLedger,
+                          Transaction, TxKind, parse_scenario, run_scenario)
+from carbonmarket.cli import main as cli_main
 from carbonmarket.scenario import ACTIONS
 from conftest import JOURNAL_OVERFLOW, SCENARIO_DIR, fx
 
@@ -98,11 +99,11 @@ def test_yaml_syntax_error_reports_position():
     assert "line" in err.value.message
 
 
-def test_float_amounts_rejected():
+def test_plain_decimal_amount_is_exact():
     text = MINIMAL.replace("steps: []", """steps:
   - {time: "t1", action: mintPermit, signer: A, target: E, amount: 0.1}
 """)
-    assert code_of(text) is ErrorCode.SCHEMA_ERROR
+    assert parse_scenario(text).steps[0].tx.amount.micro == 100_000
 
 
 def test_quoted_decimal_amounts_accepted():
@@ -188,13 +189,18 @@ def with_steps(*steps: str) -> str:
     return MINIMAL.replace("steps: []", f"steps: [{', '.join(steps)}]")
 
 
+def mint(amount: str, time: str = "t1") -> str:
+    return with_steps(f"{{time: {time}, action: mintPermit, signer: A, target: E, "
+                      f"amount: {amount}}}")
+
+
 # every refusal of a malformed scenario document, with its path
 @pytest.mark.parametrize("text, code, message", [
     pytest.param("- 1\n", ErrorCode.SCHEMA_ERROR, "document: must be a mapping",
                  id="document-not-a-mapping"),
     pytest.param(MINIMAL + "extra: 1\n", ErrorCode.SCHEMA_ERROR,
                  "document: unknown fields ['extra']", id="document-unknown-field"),
-    pytest.param(MINIMAL + "description: 5\n", ErrorCode.SCHEMA_ERROR,
+    pytest.param(MINIMAL + "description: [5]\n", ErrorCode.SCHEMA_ERROR,
                  "document: description must be a string", id="description-not-a-string"),
     pytest.param(MINIMAL.replace("steps: []", "steps: 5"), ErrorCode.SCHEMA_ERROR,
                  "steps: must be a list", id="steps-not-a-list"),
@@ -213,7 +219,7 @@ def with_steps(*steps: str) -> str:
     pytest.param(with_genesis("{orgs: [{id: '', role: authority}]}"), ErrorCode.SCHEMA_ERROR,
                  "genesis.orgs[0]: organisation id must be a non-empty string",
                  id="org-empty-id"),
-    pytest.param(with_genesis("{orgs: [{id: 5, role: authority}]}"), ErrorCode.SCHEMA_ERROR,
+    pytest.param(with_genesis("{orgs: [{id: true, role: authority}]}"), ErrorCode.SCHEMA_ERROR,
                  "genesis.orgs[0]: organisation id must be a non-empty string",
                  id="org-integer-id"),
     pytest.param(with_genesis("{orgs: [{id: A, role: emperor}]}"), ErrorCode.SCHEMA_ERROR,
@@ -244,7 +250,22 @@ def with_steps(*steps: str) -> str:
     pytest.param(with_steps("5"), ErrorCode.SCHEMA_ERROR, "steps[0]: must be a mapping",
                  id="step-not-a-mapping"),
     pytest.param(with_steps("{action: burnToken, sender: E, amount: 1}"),
-                 ErrorCode.SCHEMA_ERROR, "steps[0]: missing `time`", id="step-without-time"),
+                 ErrorCode.SCHEMA_ERROR, "steps[0]: field 'time' must be a non-empty string",
+                 id="step-without-time"),
+    pytest.param(mint("1", "{a: 1}"), ErrorCode.SCHEMA_ERROR,
+                 "steps[0]: field 'time' must be a non-empty string", id="time-a-mapping"),
+    # a plain amount is text, read by Fixed.parse alone, not by YAML 1.1's resolvers
+    pytest.param(mint("0x10"), ErrorCode.SCHEMA_ERROR,
+                 "steps[0]: field 'amount': not a decimal amount: '0x10'", id="amount-hex"),
+    pytest.param(mint("1:30"), ErrorCode.SCHEMA_ERROR,
+                 "steps[0]: field 'amount': not a decimal amount: '1:30'",
+                 id="amount-sexagesimal"),
+    pytest.param(mint("1_000"), ErrorCode.SCHEMA_ERROR,
+                 "steps[0]: field 'amount': not a decimal amount: '1_000'",
+                 id="amount-underscore"),
+    pytest.param(mint("1e-7"), ErrorCode.SCHEMA_ERROR,
+                 "steps[0]: field 'amount': amount '1e-7' is finer than the 1e-6 resolution",
+                 id="amount-finer-than-resolution"),
     pytest.param(with_steps("{time: t1, action: burnToken, sender: E, amount: 1, x: 1}"),
                  ErrorCode.SCHEMA_ERROR, "steps[0]: unknown fields ['x']",
                  id="step-unknown-field"),
@@ -286,6 +307,10 @@ def with_steps(*steps: str) -> str:
                  ErrorCode.SCHEMA_ERROR,
                  "steps[0]: market must be one of ('permit', 'emission')",
                  id="expect-bad-market"),
+    pytest.param(with_steps("{time: t1, action: expect, market: permit, field: cash, "
+                            "equals: 5}"),
+                 ErrorCode.SCHEMA_ERROR, "steps[0]: only an org expectation takes a `field`",
+                 id="expect-field-without-org"),
     pytest.param(with_steps("{time: t1, action: expect, price: false, equals: 0}"),
                  ErrorCode.SCHEMA_ERROR,
                  "steps[0]: price expectation is written `price: true`",
@@ -447,12 +472,50 @@ def test_syntax_error_position_is_the_same_under_both_loaders(monkeypatch, text,
         assert err.value.message.startswith(f"bad scenario file at {position}:")
 
 
-def test_impossible_date_is_a_syntax_error():
-    # PyYAML types a plain 2020-13-45 as a timestamp and datetime refuses it
-    with pytest.raises(LedgerError) as err:
-        parse_scenario(MINIMAL + "description: 2020-13-45\n")
-    assert err.value.code is ErrorCode.SYNTAX_ERROR
-    assert err.value.message == "bad scenario file: month must be in 1..12"
+def test_impossible_date_is_text():
+    scenario = parse_scenario(MINIMAL + "description: 2020-13-45\n")
+    assert scenario.description == "2020-13-45"
+
+
+# A plain scalar is its text, so an amount is read by Fixed.parse alone and a
+# time is kept as written.
+@pytest.mark.parametrize("amount, micro", [("017", 17_000_000), ("1.5e3", 1_500_000_000)])
+def test_plain_amount_is_read_as_a_decimal(amount, micro):
+    assert parse_scenario(mint(amount)).steps[0].tx.amount.micro == micro
+
+
+@pytest.mark.parametrize("time", ["1:30", "yes", "2020-01-01T10:00:00Z"])
+def test_plain_time_is_kept_as_written(time):
+    step = parse_scenario(mint("1", time)).steps[0]
+    assert step.time == step.tx.time == time
+
+
+def test_plain_spellings_run_as_written(tmp_path):
+    scenario = tmp_path / "spellings.yaml"
+    scenario.write_text(with_steps(
+        "{time: 1:30, action: mintPermit, signer: A, target: E, amount: 017}",
+        "{time: 2020-01-01T10:00:00Z, action: mintPermit, signer: A, target: E, "
+        "amount: 0.1}",
+        "{time: yes, action: mintPermit, signer: A, target: E, amount: 1.5e3}",
+        "{time: yes, action: expect, org: E, field: permit, equals: 1517.1}"),
+        encoding="utf-8")
+    assert cli_main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    log = ChainLog.from_text((tmp_path / "out" / "chainlog.log").read_text(encoding="utf-8"))
+    assert [entry.tx.time for entry in log.entries] == [
+        "1:30", "2020-01-01T10:00:00Z", "yes"]
+
+
+@pytest.mark.parametrize("text, detail", [
+    (mint("0x10"), "steps[0]: field 'amount': not a decimal amount: '0x10'"),
+    (mint("1e-7"), "steps[0]: field 'amount': amount '1e-7' is finer than the 1e-6 "
+                   "resolution"),
+    (mint("1", "{a: 1}"), "steps[0]: field 'time' must be a non-empty string"),
+], ids=["hex-amount", "finer-amount", "mapping-time"])
+def test_plain_spelling_refused_by_the_cli_returns_two(tmp_path, capsys, text, detail):
+    scenario = tmp_path / "refused.yaml"
+    scenario.write_text(text, encoding="utf-8")
+    assert cli_main(["run", str(scenario)]) == 2
+    assert capsys.readouterr().err == f"error: SchemaError: {detail}\n"
 
 
 # The property below draws a genesis block the setup calls accept, then
