@@ -47,7 +47,7 @@ def main():
 
     print("\n== chain log ==")
     print(f"  entries: {len(result.chainlog.entries)}")
-    print(f"  head hash: {result.chainlog.head_hash.hex()}")
+    print(f"  head hash: {result.chainlog.to_text().split()[-1]}")
     replayed = replay(result.chainlog)
     same = replayed.state_digest() == result.final.state_digest()
     print(f"  replay reproduces the live state digest: {same}")

@@ -34,6 +34,13 @@ header and genesis line check out and re-writing each entry from its
 transaction and state digest reproduces that line byte for byte: the
 transaction bytes must be the encoding of the transaction they decode to,
 and every digest and hash is recomputed, never trusted.
+
+Integrity is a property of the text.  In memory a log is its genesis and,
+per entry, the transaction and the state digest after it; `to_text` alone
+computes the hashes, chaining them from the all-zero digest, and
+`from_text` / `verify_text` check them.  `replay` re-applies each entry's
+transaction and requires its logged state digest, for a parsed log and an
+in-memory one alike.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import ErrorCode, LedgerError, reject
 from .fixed import Fixed
-from .txformat import Transaction, TxKind, parse_state
+from .txformat import Transaction, TxKind, canonical_json, parse_state
 
 if TYPE_CHECKING:       # only `replay` loads the state machine
     from .journal import Journal
@@ -74,15 +81,6 @@ def _take_str(data: bytes, pos: int) -> tuple[str, int]:
     return data[pos + 4:end].decode("utf-8"), end
 
 
-# json.dumps with these arguments would build an encoder on every call, and
-# the writer and the decoder encode the payload of every logged transaction
-_PAYLOAD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-
-
-def canonical_payload(payload: dict) -> str:
-    return _PAYLOAD_ENCODER.encode(payload)
-
-
 def encode_transaction(tx: Transaction) -> bytes:
     out = bytearray(TX_MAGIC)
     out += struct.pack(">Q", tx.seq)
@@ -92,7 +90,7 @@ def encode_transaction(tx: Transaction) -> bytes:
         out += struct.pack(">Bq", 0, 0)
     else:
         out += struct.pack(">Bq", 1, tx.amount.micro)
-    _put_str(out, canonical_payload(tx.payload))
+    _put_str(out, canonical_json(tx.payload))
     return bytes(out)
 
 
@@ -130,34 +128,24 @@ def decode_transaction(data: bytes) -> Transaction:
 
 
 class ChainEntry(NamedTuple):
-    seq: int
+    """One logged transaction and the state digest after applying it."""
+
     tx: Transaction
-    tx_bytes: bytes
-    tx_digest: bytes
-    prev_hash: bytes
     state_digest: bytes
-    entry_hash: bytes
 
-    def to_line(self) -> str:
-        return " ".join((
-            str(self.seq),
-            self.tx_bytes.hex(),
-            self.tx_digest.hex(),
-            self.prev_hash.hex(),
-            self.state_digest.hex(),
-            self.entry_hash.hex(),
-        ))
+    @property
+    def seq(self) -> int:
+        return self.tx.seq
 
 
-def _entry(prev: bytes, tx: Transaction, tx_bytes: bytes,
-           state_digest: bytes) -> ChainEntry:
-    """The entry for `tx`, encoded as `tx_bytes`, after the entry hashing to
-    `prev`."""
+def _line(prev: bytes, tx: Transaction, tx_bytes: bytes,
+          state_digest: bytes) -> tuple[str, bytes]:
+    """The entry line for `tx`, encoded as `tx_bytes`, after the entry
+    hashing to `prev`, and the line's entry hash."""
     tx_digest = _hash(tx_bytes)
-    return ChainEntry(seq=tx.seq, tx=tx, tx_bytes=tx_bytes, tx_digest=tx_digest,
-                      prev_hash=prev, state_digest=state_digest,
-                      entry_hash=_hash(struct.pack(">Q", tx.seq) + tx_digest
-                                       + state_digest + prev))
+    entry_hash = _hash(struct.pack(">Q", tx.seq) + tx_digest + state_digest + prev)
+    return " ".join((str(tx.seq), tx_bytes.hex(), tx_digest.hex(), prev.hex(),
+                     state_digest.hex(), entry_hash.hex())), entry_hash
 
 
 # the entry line's fields, as error messages name them
@@ -196,9 +184,6 @@ class ChainLog:
         self.genesis_digest = _hash(genesis_json.encode("utf-8"))
         self.genesis_seq = _genesis_seq(genesis_json)
         self.entries: list[ChainEntry] = []
-        # entries as from_text checked them; replay re-checks only a log
-        # whose entries differ from these
-        self._checked: list[ChainEntry] = []
 
     @classmethod
     def for_ledger(cls, genesis: TokenLedger) -> "ChainLog":
@@ -208,17 +193,11 @@ class ChainLog:
     def head_seq(self) -> int:
         return self.entries[-1].seq if self.entries else self.genesis_seq
 
-    @property
-    def head_hash(self) -> bytes:
-        return self.entries[-1].entry_hash if self.entries else GENESIS_PREV
-
-    def append(self, tx: Transaction, state_digest: bytes) -> ChainEntry:
+    def append(self, tx: Transaction, state_digest: bytes):
         if tx.seq != self.head_seq + 1:
             raise reject(ErrorCode.SEQ_GAP,
                          f"expected seq {self.head_seq + 1}, got {tx.seq}")
-        entry = _entry(self.head_hash, tx, encode_transaction(tx), state_digest)
-        self.entries.append(entry)
-        return entry
+        self.entries.append(ChainEntry(tx, state_digest))
 
     # -- text round trip --------------------------------------------------
 
@@ -227,7 +206,10 @@ class ChainLog:
 
     def to_text(self) -> str:
         lines = [self.header_line(), f"genesis {self.genesis_json}"]
-        lines.extend(entry.to_line() for entry in self.entries)
+        prev = GENESIS_PREV
+        for tx, state_digest in self.entries:
+            line, prev = _line(prev, tx, encode_transaction(tx), state_digest)
+            lines.append(line)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -235,11 +217,9 @@ class ChainLog:
         """Strict parse; any structural or cryptographic defect raises
         ChainInvalid.  Use verify_text for a non-raising report."""
         try:
-            log = _parse_and_check(text)
+            return _parse_and_check(text)
         except _Defect as defect:
             raise reject(ErrorCode.CHAIN_INVALID, defect.args[1]) from None
-        log._checked = log.entries.copy()
-        return log
 
     def verify(self) -> VerifyResult:
         return verify_text(self.to_text())
@@ -292,23 +272,11 @@ def _parse_and_check(text: str) -> ChainLog:
             raise _Defect(seq, f"entry {seq}: {exc.message}") from exc
         if tx.seq != seq:
             raise _Defect(seq, f"entry {seq}: embedded transaction claims seq {tx.seq}")
-        entry = _entry(prev, tx, tx_bytes, state_digest)
-        if entry.to_line() != line:
-            raise _Defect(seq, _mismatch(seq, entry.to_line(), line))
-        log.entries.append(entry)
-        prev = entry.entry_hash
+        rewritten, prev = _line(prev, tx, tx_bytes, state_digest)
+        if rewritten != line:
+            raise _Defect(seq, _mismatch(seq, rewritten, line))
+        log.entries.append(ChainEntry(tx, state_digest))
     return log
-
-
-def _check_links(log: ChainLog):
-    """Raise ChainInvalid unless the in-memory log is valid as the text it
-    writes, and each entry is the one parsing that text gives back."""
-    if log.entries == log._checked:     # compares by identity first
-        return
-    parsed = ChainLog.from_text(log.to_text())
-    for entry, back in zip(log.entries, parsed.entries):
-        if entry != back:   # to_text wrote every field but the transaction
-            raise reject(ErrorCode.CHAIN_INVALID, f"entry {entry.seq}: tx-hex mismatch")
 
 
 def verify_text(text: str) -> VerifyResult:
@@ -341,14 +309,13 @@ def replay(log: ChainLog, genesis: Optional[TokenLedger] = None,
            journal: Optional[Journal] = None) -> TokenLedger:
     """Re-apply every logged transaction and check the recorded digests.
 
-    A log whose entries are not the ones `ChainLog.from_text` checked is
-    first checked as the text it writes.  `genesis` defaults to the state
+    The hash chain belongs to the text, which `ChainLog.from_text` checks;
+    an in-memory log holds no hashes.  `genesis` defaults to the state
     embedded in the log, and either must re-encode to the recorded genesis
     digest.  Each replayed transaction must then reproduce the per-entry
     state digest bit-exactly, and is booked in `journal` if one is given.
     """
     from .ledger import TokenLedger
-    _check_links(log)
     if genesis is None:
         genesis = TokenLedger.from_state_json(log.genesis_json)
     if genesis.state_digest() != log.genesis_digest:

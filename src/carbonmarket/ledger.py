@@ -36,7 +36,6 @@ cosigner before its handler runs).  Code outside the ledger must treat
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -47,16 +46,12 @@ from .exchange import (ExchangeState, quote_buy_tokens, quote_spend_cash,
 from .fixed import ZERO, Fixed, Money, Quantity
 # the log format's types, defined apart so that checking a log loads no
 # state machine; re-exported here, where the state machine uses them
-from .txformat import STATE_FORMAT, Transaction, TxKind, parse_state
-
-
-def _canonical(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+from .txformat import STATE_FORMAT, Transaction, TxKind, canonical_json, parse_state
 
 
 def _org_json(record: OrgRecord) -> str:
     """One org's fragment of the canonical state JSON."""
-    return _canonical({
+    return canonical_json({
         "cash": record.cash.micro,
         "emission": record.emission.micro,
         "id": record.id,

@@ -207,6 +207,13 @@ def _fields(where: str, raw: Any, allowed) -> None:
         raise _schema_error(where, f"unknown fields {sorted(unknown, key=repr)}")
 
 
+def _optional(raw: dict, key: str, default: Any) -> Any:
+    """`raw[key]`, or `default` when the field is absent or null; the caller
+    checks that any other value has the field's type."""
+    value = raw.get(key)
+    return default if value is None else value
+
+
 def _as_amount(where: str, key: str, value: Any) -> Fixed:
     try:
         return Fixed.parse(value)
@@ -238,7 +245,7 @@ def _parse_genesis(raw: Any) -> TokenLedger:
     orgs_raw = raw.get("orgs")
     if not isinstance(orgs_raw, list) or not orgs_raw:
         raise _schema_error("genesis", "orgs must be a non-empty list")
-    projects_raw = raw.get("projects") or []
+    projects_raw = _optional(raw, "projects", [])
     if not isinstance(projects_raw, list):
         raise _schema_error("genesis", "projects must be a list")
 
@@ -248,7 +255,7 @@ def _parse_genesis(raw: Any) -> TokenLedger:
         _fields(where, entry, ("id", "role", "cash"))
         org_id = entry.get("id")
         _setup(where, ledger.setup_register_org, org_id, entry.get("role"))
-        cash = _as_amount(where, "cash", entry.get("cash", 0))
+        cash = _as_amount(where, "cash", _optional(entry, "cash", 0))
         _setup(where, ledger.setup_set_cash, org_id, cash)
 
     for i, entry in enumerate(projects_raw):
@@ -324,7 +331,7 @@ def _parse_step(index: int, raw: Any, declared: dict) -> Step:
     _fields(where, raw, fields)
     time = _as_str(where, "time", raw.get("time"))
     if action == "expect":
-        if "expect_fail" in raw:
+        if raw.get("expect_fail") is not None:
             raise _schema_error(where, "expect steps cannot carry expect_fail")
         return Step(index=index, time=time, action=action,
                     expect=_parse_expect(where, raw, declared))
@@ -348,14 +355,13 @@ def _parse_step(index: int, raw: Any, declared: dict) -> Step:
         tx = Transaction(0, time, TxKind(action), amount=value, **parties)
 
     expect_fail: Optional[str] = None
-    if "expect_fail" in raw:
-        value = raw["expect_fail"]
-        if value is True:
-            expect_fail = ""
-        elif isinstance(value, str) and value in _ERROR_CODES:
-            expect_fail = value
-        else:
-            raise _schema_error(where, "expect_fail must be true or a known error code")
+    value = raw.get("expect_fail")
+    if value is True:
+        expect_fail = ""
+    elif isinstance(value, str) and value in _ERROR_CODES:
+        expect_fail = value
+    elif value is not None:
+        raise _schema_error(where, "expect_fail must be true or a known error code")
 
     return Step(index=index, time=time, action=action, tx=tx, expect_fail=expect_fail)
 
@@ -370,16 +376,14 @@ def parse_scenario(text: str) -> Scenario:
         raise reject(ErrorCode.SYNTAX_ERROR, f"bad scenario file{at}: {exc}") from exc
     _fields("document", raw, ("name", "description", "genesis", "steps"))
     name = _as_str("document", "name", raw.get("name"))
-    description = raw.get("description") or ""
+    description = _optional(raw, "description", "")
     if not isinstance(description, str):
         raise _schema_error("document", "description must be a string")
 
     genesis = _parse_genesis(raw.get("genesis"))
     declared = genesis.registry
 
-    steps_raw = raw.get("steps")
-    if steps_raw is None:
-        steps_raw = []
+    steps_raw = _optional(raw, "steps", [])
     if not isinstance(steps_raw, list):
         raise _schema_error("steps", "must be a list")
     steps = [_parse_step(i, entry, declared) for i, entry in enumerate(steps_raw)]

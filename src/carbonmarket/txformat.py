@@ -1,5 +1,5 @@
 """The types the chain-log format is written in: the transaction record, its
-kinds, and the header check of a state JSON.
+kinds, the canonical JSON encoder, and the header check of a state JSON.
 
 These are the format's own vocabulary, shared by the state machine
 (`ledger`) and the log (`chainlog`).  This module imports neither
@@ -18,6 +18,11 @@ if TYPE_CHECKING:
     from .fixed import Fixed
 
 STATE_FORMAT = "carbonmarket-state-1"
+
+# The canonical JSON of the state digest's org fragments and the logged
+# payloads: minified, keys sorted, strings ASCII-escaped.  One encoder, as
+# json.dumps with these arguments would build one on every call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def parse_state(text: str) -> tuple[dict, int]:

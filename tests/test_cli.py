@@ -314,9 +314,9 @@ def test_log_anchored_at_a_later_genesis(tmp_path, capsys):
         "5,Gain on revaluation,Equity,Cr,450.000000\n"
         "5,Gain on revaluation,Equity,Cr,75.000000\n"), "")
 
-    first = chain.entries[0]
-    chain.entries[0] = first._replace(tx_bytes=encode_transaction(first.tx._replace(seq=1)))
-    log.write_text(chain.to_text(), encoding="utf-8")
+    text, tx = chain.to_text(), chain.entries[0].tx
+    log.write_text(text.replace(encode_transaction(tx).hex(),
+                                encode_transaction(tx._replace(seq=1)).hex()), encoding="utf-8")
     assert run_cli(capsys, "verify", str(log)) == (
         1, "", "chain INVALID at seq 4: entry 4: embedded transaction claims seq 1\n")
 
@@ -446,6 +446,55 @@ def test_unknown_fields_of_mixed_key_types_return_two(tmp_path, capsys, genesis,
     bad.write_text(f"name: x\ngenesis: {{orgs: [{genesis}]}}\nsteps: [{step}]\n",
                    encoding="utf-8")
     assert run_cli(capsys, "run", str(bad)) == (2, "", f"error: SchemaError: {detail}\n")
+
+
+# each optional field of a scenario, spelled with the value {}; the steps
+# run without failing
+OPTIONAL_FIELDS = {
+    "description": "description: {}\ngenesis: {{orgs: [{{id: A, role: authority}}]}}\n",
+    "projects": "genesis: {{orgs: [{{id: A, role: authority}}], projects: {}}}\n",
+    "cash": "genesis: {{orgs: [{{id: A, role: authority, cash: {}}}]}}\n",
+    "exchange": "genesis: {{orgs: [{{id: A, role: authority}}], exchange: {}}}\n",
+    "steps": "genesis: {{orgs: [{{id: A, role: authority}}]}}\nsteps: {}\n",
+    "expect_fail": ("genesis: {{orgs: [{{id: A, role: authority}}, {{id: E, role: enterprise}}]}}\n"
+                    "steps: [{{time: t1, action: mintPermit, signer: A, target: E, amount: 1,"
+                    " expect_fail: {}}}]\n"),
+    "expect step's expect_fail": (
+        "genesis: {{orgs: [{{id: A, role: authority}}]}}\n"
+        "steps: [{{time: t1, action: expect, price: true, equals: 0, expect_fail: {}}}]\n"),
+}
+
+
+@pytest.mark.parametrize("field", OPTIONAL_FIELDS)
+@pytest.mark.parametrize("null", ["~", "null", ""])
+def test_a_null_optional_field_takes_its_default(tmp_path, capsys, field, null):
+    scenario = tmp_path / "null.yaml"
+    scenario.write_text("name: x\n" + OPTIONAL_FIELDS[field].format(null), encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", str(scenario))
+    assert (code, err) == (0, "")
+
+
+WRONGLY_TYPED_OPTIONAL_FIELDS = [
+    ("description", "false", "document: description must be a string"),
+    ("description", "[]", "document: description must be a string"),
+    ("projects", "false", "genesis: projects must be a list"),
+    ("projects", '""', "genesis: projects must be a list"),
+    ("projects", "{}", "genesis: projects must be a list"),
+    ("cash", "false", "genesis.orgs[0]: field 'cash': booleans are not amounts"),
+    ("exchange", "false", "genesis.exchange: must be a mapping"),
+    ("steps", "false", "steps: must be a list"),
+    ("steps", "{}", "steps: must be a list"),
+    ("expect_fail", "false", "steps[0]: expect_fail must be true or a known error code"),
+    ("expect step's expect_fail", "false", "steps[0]: expect steps cannot carry expect_fail"),
+]
+
+
+@pytest.mark.parametrize("field, value, detail", WRONGLY_TYPED_OPTIONAL_FIELDS,
+                         ids=[f"{field}: {value}" for field, value, _ in WRONGLY_TYPED_OPTIONAL_FIELDS])
+def test_an_optional_field_of_another_type_returns_two(tmp_path, capsys, field, value, detail):
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text("name: x\n" + OPTIONAL_FIELDS[field].format(value), encoding="utf-8")
+    assert run_cli(capsys, "run", str(scenario)) == (2, "", f"error: SchemaError: {detail}\n")
 
 
 def test_readme_scenario_example_runs(tmp_path, capsys):

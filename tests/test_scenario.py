@@ -1,6 +1,7 @@
 """Scenario parsing, validation, and runner semantics."""
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -590,3 +591,18 @@ def test_parsed_genesis_reloads_from_its_state(block, fault):
     assert list(genesis.registry) == [org["id"] for org in block["orgs"]]
     state = genesis.state_json()
     assert TokenLedger.from_state_json(state).state_json() == state
+
+
+def test_readme_action_table_lists_every_action_and_its_fields():
+    readme = (SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| action | fields |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    listed = []
+    for row in table.splitlines():
+        _, actions, fields, _ = row.split("|")
+        names = re.findall(r"`([^`]+)`", actions)
+        listed += names
+        for name in names:
+            if name != "expect":
+                spec = ACTIONS[name]
+                assert re.findall(r"`([^`]+)`", fields) == [*spec.orgs, spec.value], name
+    assert sorted(listed) == sorted([*ACTIONS, "expect"])
