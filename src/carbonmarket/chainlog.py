@@ -18,7 +18,8 @@ hash identically):
 
 where str(x) = u32be(byte length) followed by UTF-8 bytes, and payload is
 the operation's extra fields as minified JSON with lexicographically sorted
-keys and ASCII-escaped strings (amounts as integer micro-units).
+keys and ASCII-escaped strings (amounts as integer micro-units); an
+operation with no extra fields has the payload `{}`.
 
 Hashes are SHA-256 (named in the header).  For each entry:
 
@@ -90,7 +91,7 @@ def encode_transaction(tx: Transaction) -> bytes:
         out += struct.pack(">Bq", 0, 0)
     else:
         out += struct.pack(">Bq", 1, tx.amount.micro)
-    _put_str(out, canonical_json(tx.payload))
+    _put_str(out, canonical_json(tx.payload) if tx.payload else "{}")
     return bytes(out)
 
 
@@ -117,7 +118,7 @@ def decode_transaction(data: bytes) -> Transaction:
     except ValueError as exc:
         raise reject(ErrorCode.CHAIN_INVALID, f"unknown transaction kind {kind_text!r}") from exc
     try:
-        payload = json.loads(payload_text)
+        payload = {} if payload_text == "{}" else json.loads(payload_text)
     except (ValueError, RecursionError) as exc:   # also too deep, or too long a number
         raise reject(ErrorCode.CHAIN_INVALID, f"bad payload json: {exc}") from exc
     tx = Transaction(seq=seq, time=time, kind=kind, sender=sender, target=target,

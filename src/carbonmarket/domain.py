@@ -67,10 +67,18 @@ class OrgRecord:
                          self.cash, set(self.projects))
 
 
-def validate_org_id(org_id: str) -> str:
-    if not isinstance(org_id, str) or not org_id:
-        raise reject(ErrorCode.SCHEMA_ERROR, "organisation id must be a non-empty string")
-    return org_id
+def validate_id(value: str, what: str) -> str:
+    """`value` if it is a non-empty string that encodes as UTF-8, as every
+    report and log writes it; a lone surrogate such as JSON's `"\\ud800"`
+    does not.  Any other value is a SchemaError naming `what` it is."""
+    if not isinstance(value, str) or not value:
+        raise reject(ErrorCode.SCHEMA_ERROR, f"{what} must be a non-empty string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise reject(ErrorCode.SCHEMA_ERROR,
+                     f"{what} {value!r} is not encodable as UTF-8") from None
+    return value
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .domain import ComplianceReport, OrgRecord, Role, parse_role, validate_org_id
+from .domain import ComplianceReport, OrgRecord, Role, parse_role, validate_id
 from .errors import ErrorCode, LedgerError, reject
 from .exchange import (ExchangeState, quote_buy_tokens, quote_spend_cash,
                        spot_price, validate_anchor, validate_fraction)
@@ -50,15 +50,16 @@ from .txformat import STATE_FORMAT, Transaction, TxKind, canonical_json, parse_s
 
 
 def _org_json(record: OrgRecord) -> str:
-    """One org's fragment of the canonical state JSON."""
-    return canonical_json({
-        "cash": record.cash.micro,
-        "emission": record.emission.micro,
-        "id": record.id,
-        "permit": record.permit.micro,
-        "projects": sorted(record.projects),
-        "role": record.role.value,
-    })
+    """One org's fragment of the canonical state JSON, written directly with
+    its keys in sorted order.  This is exactly what `canonical_json` writes
+    for the same dict: the amounts are ints, which JSON writes as Python
+    does; the role is an ASCII enum value, which needs no escaping; and the
+    only text that may need escaping, the id and the project ids, still
+    goes through `canonical_json`."""
+    projects = canonical_json(sorted(record.projects)) if record.projects else "[]"
+    return (f'{{"cash":{record.cash.micro},"emission":{record.emission.micro},'
+            f'"id":{canonical_json(record.id)},"permit":{record.permit.micro},'
+            f'"projects":{projects},"role":"{record.role.value}"}}')
 
 
 @dataclass(frozen=True)
@@ -190,6 +191,8 @@ class TokenLedger:
         if permits != self.market_permit or emissions != self.market_emission:
             raise reject(ErrorCode.SCHEMA_ERROR,
                          "market totals do not match the balance sums")
+        if self.market_price.is_negative:
+            raise reject(ErrorCode.SCHEMA_ERROR, "negative market price")
         if self.exchange is not None:
             validate_fraction(self.exchange.fraction)
             if self.exchange.reserve.is_negative:
@@ -198,7 +201,7 @@ class TokenLedger:
     # -- genesis setup (declarative, before the first transaction) --------
 
     def setup_register_org(self, org_id: str, role: Union[Role, str]) -> OrgRecord:
-        validate_org_id(org_id)
+        validate_id(org_id, "organisation id")
         role = parse_role(role)
         if org_id in self.registry:
             raise reject(ErrorCode.DUPLICATE_ID, f"organisation {org_id!r} already registered")
@@ -213,8 +216,7 @@ class TokenLedger:
 
     def _add_project(self, owner: OrgRecord, project_id: str, *,
                      enterprise_only: bool) -> OrgRecord:
-        if not isinstance(project_id, str) or not project_id:
-            raise reject(ErrorCode.SCHEMA_ERROR, "project id must be a non-empty string")
+        validate_id(project_id, "project id")
         if enterprise_only and not owner.role.is_enterprise:
             raise reject(ErrorCode.UNAUTHORIZED, "projects are owned by enterprises")
         holder = self._owners.get(project_id)

@@ -58,6 +58,11 @@ def burn_ending(present, micro, length, payload):
     pytest.param(BURN + b"x", id="trailing-byte"),
     pytest.param(burn_ending(1, 10**6, 3, b"{ }"), id="payload-with-spaces"),
     pytest.param(burn_ending(1, -2**63, 2, b"{}"), id="min-i64-amount"),
+    # JSON values that are not objects, falsy like the empty payload
+    pytest.param(burn_ending(1, 10**6, 2, b"[]"), id="list-payload"),
+    pytest.param(burn_ending(1, 10**6, 4, b"null"), id="null-payload"),
+    pytest.param(burn_ending(1, 10**6, 1, b"0"), id="zero-payload"),
+    pytest.param(burn_ending(1, 10**6, 2, b'""'), id="empty-string-payload"),
 ])
 def test_decode_rejects_non_canonical_encoding(blob):
     assert burn_ending(1, 10**6, 2, b"{}") == BURN

@@ -370,6 +370,8 @@ def test_journal_needs_a_canonical_genesis_line(tmp_path, capsys):
     ({"E": [""]}, "project id must be a non-empty string"),
     ({"E": [5]}, "project id must be a non-empty string"),
     ({"E": "p1"}, "projects of 'E' must be a list"),
+    # a JSON lone surrogate is a str, but no report or log can write it
+    ({"E": ["p\udfff"]}, "project id 'p\\udfff' is not encodable as UTF-8"),
 ])
 def test_genesis_the_setup_calls_refuse_is_a_schema_error(tmp_path, capsys, projects,
                                                           detail):
@@ -378,6 +380,15 @@ def test_genesis_the_setup_calls_refuse_is_a_schema_error(tmp_path, capsys, proj
     state = json.loads(standard_market().state_json())
     for org in state["orgs"]:
         org["projects"] = projects.get(org["id"], org["projects"])
+    log, genesis = genesis_only_log(tmp_path, state)
+    assert run_cli(capsys, "verify", log) == (0, "chain valid\n", "")
+    for argv in (["replay", log, genesis], ["journal", log]):
+        assert run_cli(capsys, *argv) == (2, "", f"error: SchemaError: bad state org: {detail}\n")
+
+
+def genesis_only_log(tmp_path, state: dict) -> tuple[str, str]:
+    """A log holding only the genesis `state`, in canonical JSON, and a
+    genesis file holding the same state."""
     line = json.dumps(state, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(line.encode("utf-8")).hexdigest()
     log = tmp_path / "chainlog.log"
@@ -385,9 +396,53 @@ def test_genesis_the_setup_calls_refuse_is_a_schema_error(tmp_path, capsys, proj
                    encoding="utf-8")
     genesis = tmp_path / "genesis.json"
     genesis.write_text(line + "\n", encoding="utf-8")
-    assert run_cli(capsys, "verify", str(log)) == (0, "chain valid\n", "")
-    for argv in (["replay", str(log), str(genesis)], ["journal", str(log)]):
-        assert run_cli(capsys, *argv) == (2, "", f"error: SchemaError: bad state org: {detail}\n")
+    return str(log), str(genesis)
+
+
+def renamed_e(org_id: str, project: str) -> dict:
+    """The standard market's state with E renamed `org_id`, owning `project`."""
+    state = json.loads(standard_market().state_json())
+    org = next(org for org in state["orgs"] if org["id"] == "E")
+    org["id"], org["projects"] = org_id, [project]
+    return state
+
+
+def test_an_org_id_not_encodable_as_utf8_is_a_schema_error(tmp_path, capsys):
+    # `verify` checks integrity only; the id is refused as the state
+    # loads, before any report must write it
+    log, genesis = genesis_only_log(tmp_path, renamed_e("E\ud800", "p1"))
+    assert run_cli(capsys, "verify", log) == (0, "chain valid\n", "")
+    for argv in (["replay", log, genesis], ["journal", log]):
+        assert run_cli(capsys, *argv) == (2, "", (
+            "error: SchemaError: bad state org: "
+            "organisation id 'E\\ud800' is not encodable as UTF-8\n"))
+
+
+def test_ids_escaped_as_a_surrogate_pair_load(tmp_path, capsys):
+    state = renamed_e("E\U0001F600", "p\U0001F600")
+    log, genesis = genesis_only_log(tmp_path, state)
+    assert "\\ud83d\\ude00" in Path(log).read_text(encoding="utf-8")
+    code, out, err = run_cli(capsys, "replay", log, genesis)
+    assert (code, err) == (0, "")
+    assert "E\U0001F600,enterprise,0.000000,0.000000,100000.000000,p\U0001F600\n" in out
+    assert run_cli(capsys, "journal", log) == (0, "event,account,class,side,amount\n", "")
+
+
+def test_negative_genesis_price_is_a_schema_error(tmp_path, capsys):
+    # no transaction makes the price negative, so the log is written from a
+    # ledger whose price was set below zero directly; the journal's entries
+    # at that price would not balance
+    genesis = endowed_genesis(standard_market(), 7 * TOKEN, E=(3 * TOKEN, 5 * TOKEN))
+    genesis.market_price = Fixed(-7 * TOKEN)
+    log = write_log(tmp_path / "chainlog.log", genesis,
+                    (TxKind.MINT_PERMIT, "A", "E", 2, {}),
+                    (TxKind.BURN_TOKEN, "E", "", 4, {}),
+                    (TxKind.SET_PRICE, "A", "", None, {"price": 3 * TOKEN}))
+    state = tmp_path / "genesis.json"
+    state.write_text(genesis.state_json() + "\n", encoding="utf-8")
+    assert run_cli(capsys, "verify", log) == (0, "chain valid\n", "")
+    for argv in (["replay", log, str(state)], ["journal", log]):
+        assert run_cli(capsys, *argv) == (2, "", "error: SchemaError: negative market price\n")
 
 
 APPLIED_EXPECT_FAIL = """

@@ -20,8 +20,13 @@ from conftest import standard_market
 
 TOKEN = 10**6   # micro-units per token
 
-# registered at genesis: A, V, E, F; G and Z exist only once registered
-IDS = ("A", "V", "E", "F", "G", "Z", "")
+# text the canonical JSON must escape, so that the oracle checks how the
+# ledger writes ids and project ids
+ESCAPED = ('"', "\\", "\u00e9", "\x01", "\u2028", "\U0001F600")
+# registered at genesis: A, V, E, F; G, Z and the escaped ids exist only
+# once registered
+IDS = ("A", "V", "E", "F", "G", "Z", "") + ESCAPED
+PROJECTS = ("p1", "p2", "p4") + tuple("p" + text for text in ESCAPED)
 
 
 def oracle_json(ledger: TokenLedger) -> str:
@@ -91,7 +96,7 @@ def _transaction(kind: TxKind):
 transactions = st.sampled_from(list(TxKind)).flatmap(_transaction)
 setups = st.one_of(
     st.tuples(st.just("register_org"), org_ids, roles),
-    st.tuples(st.just("register_project"), org_ids, st.sampled_from(("p1", "p2", "p4"))),
+    st.tuples(st.just("register_project"), org_ids, st.sampled_from(PROJECTS)),
     st.tuples(st.just("set_cash"), org_ids, st.integers(-TOKEN, 10**6 * TOKEN)),
     st.tuples(st.just("init_exchange"), fractions, positive, positive),
 )
