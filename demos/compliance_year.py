@@ -30,9 +30,9 @@ def main():
               f" permit={str(record.permit):>12s} emission={str(record.emission):>12s}"
               f" cash={str(record.cash):>12s}")
 
-    report = result.final.compliance_check("E")
-    print(f"\nyear-end compliance: compliant={report.compliant}, "
-          f"outstanding={report.outstanding_emissions}")
+    record = result.final.org("E")
+    print(f"\nyear-end compliance: compliant={record.compliant}, "
+          f"outstanding={record.emission}")
 
     print("\n== journal ==")
     for entry in result.journal.entries:

@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "chainlog": ("ChainLog", "replay", "verify_text"),
-    "domain": ("ComplianceReport", "OrgRecord", "Role"),
+    "domain": ("OrgRecord", "Role"),
     "errors": ("ErrorCode", "LedgerError"),
     "exchange": ("ExchangeState", "Quote", "quote_buy_tokens", "quote_spend_cash",
                  "spot_price"),

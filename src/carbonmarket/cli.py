@@ -148,8 +148,7 @@ def _cmd_quote(args) -> int:
     from .exchange import (ExchangeState, quote_buy_tokens, quote_spend_cash,
                            spot_price, validate_fraction)
     fraction = validate_fraction(args.f)
-    supply = args.supply if args.supply is not None else args.s0
-    reserve = args.reserve if args.reserve is not None else args.c0
+    supply, reserve = args.s0, args.c0
     if args.buy_tokens is not None:
         quote = quote_buy_tokens(fraction, supply, reserve, args.buy_tokens)
     else:
@@ -211,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quote", help="price one trade against a curve")
     _curve_args(p)
-    p.add_argument("--supply", type=_amount, help="current supply (defaults to --s0)")
-    p.add_argument("--reserve", type=_amount, help="current reserve (defaults to --c0)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--buy-tokens", type=_amount,
                        help="signed token amount (negative sells)")

@@ -62,6 +62,12 @@ class OrgRecord:
     cash: Money = ZERO
     projects: set[str] = field(default_factory=set)
 
+    @property
+    def compliant(self) -> bool:
+        """The year-end rule: compliant iff every verified emission has been
+        retired by a surrendered permit."""
+        return self.emission.is_zero
+
     def copy(self) -> "OrgRecord":
         return OrgRecord(self.id, self.role, self.permit, self.emission,
                          self.cash, set(self.projects))
@@ -80,12 +86,3 @@ def validate_id(value: str, what: str) -> str:
                      f"{what} {value!r} is not encodable as UTF-8") from None
     return value
 
-
-@dataclass(frozen=True)
-class ComplianceReport:
-    """Year-end view of one organisation: compliant iff no outstanding
-    (unretired) emissions remain."""
-
-    org: str
-    outstanding_emissions: Quantity
-    compliant: bool

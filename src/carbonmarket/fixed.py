@@ -67,13 +67,10 @@ class Fixed:
 
     @classmethod
     def parse(cls, value: Union[str, int, Decimal, "Fixed"]) -> "Fixed":
-        """Parse an exact decimal literal; finer than 1e-6 is an error."""
+        """Parse an exact decimal literal, the text `str(value)` writes;
+        finer than 1e-6 is an error."""
         if isinstance(value, bool):
             raise ValueError("booleans are not amounts")
-        if isinstance(value, int):
-            return cls(value * SCALE)
-        if isinstance(value, Fixed):
-            return value
         # imported here: checking a chain log makes every amount from its
         # micro-units and never parses text
         from decimal import Decimal, InvalidOperation

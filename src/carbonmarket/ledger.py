@@ -39,7 +39,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .domain import ComplianceReport, OrgRecord, Role, parse_role, validate_id
+from .domain import OrgRecord, Role, parse_role, validate_id
 from .errors import ErrorCode, LedgerError, reject
 from .exchange import (ExchangeState, quote_buy_tokens, quote_spend_cash,
                        spot_price, validate_anchor, validate_fraction)
@@ -95,12 +95,6 @@ class TokenLedger:
         if record is None:
             raise reject(ErrorCode.UNKNOWN_ORG, f"organisation {org_id!r} is not registered")
         return record
-
-    def compliance_check(self, org_id: str) -> ComplianceReport:
-        record = self.org(org_id)
-        return ComplianceReport(org=record.id,
-                                outstanding_emissions=record.emission,
-                                compliant=record.emission.is_zero)
 
     def copy(self) -> "TokenLedger":
         dup = TokenLedger()
@@ -193,10 +187,18 @@ class TokenLedger:
                          "market totals do not match the balance sums")
         if self.market_price.is_negative:
             raise reject(ErrorCode.SCHEMA_ERROR, "negative market price")
-        if self.exchange is not None:
-            validate_fraction(self.exchange.fraction)
-            if self.exchange.reserve.is_negative:
+        ex = self.exchange
+        if ex is not None:
+            validate_fraction(ex.fraction)
+            if ex.reserve.is_negative:
                 raise reject(ErrorCode.SCHEMA_ERROR, "negative exchange reserve")
+            # a genesis anchor has a positive supply and `_rebase_supply` only
+            # moves it to a positive one; a full sell-off can empty the reserve
+            if not ex.baseline_supply.is_positive:
+                raise reject(ErrorCode.SCHEMA_ERROR,
+                             "exchange baseline supply must be positive")
+            if ex.baseline_reserve.is_negative:
+                raise reject(ErrorCode.SCHEMA_ERROR, "negative exchange baseline reserve")
 
     # -- genesis setup (declarative, before the first transaction) --------
 
@@ -255,9 +257,7 @@ class TokenLedger:
         if tx.seq != self.seq + 1:
             raise reject(ErrorCode.SEQ_GAP,
                          f"expected seq {self.seq + 1}, got {tx.seq}")
-        handler = _HANDLERS.get(tx.kind)
-        if handler is None:
-            raise reject(ErrorCode.SCHEMA_ERROR, f"unknown transaction kind {tx.kind!r}")
+        handler = _HANDLERS[tx.kind]
         # Handlers touch no org but these three, and compute every new value
         # before assigning any, so an amount that overflows the 64-bit range
         # is rejected with the state untouched.

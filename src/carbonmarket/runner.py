@@ -21,7 +21,7 @@ from .chainlog import ChainLog, advance
 from .errors import ErrorCode, LedgerError
 from .journal import Journal
 from .ledger import TokenLedger
-from .scenario import Expectation, Scenario, Step
+from .scenario import Scenario, Step
 
 
 @dataclass(frozen=True)
@@ -50,28 +50,6 @@ class RunResult:
         return self.failure is None
 
 
-def _check_expectation(exp: Expectation, ledger: TokenLedger,
-                       journal: Journal) -> tuple[bool, str]:
-    if exp.org is not None:
-        record = ledger.org(exp.org)
-        if exp.org_field == "compliant":
-            actual = ledger.compliance_check(exp.org).compliant
-            return actual == exp.equals, f"{exp.org}.compliant = {actual}"
-        if exp.org_field == "outstanding":
-            actual = ledger.compliance_check(exp.org).outstanding_emissions
-        else:
-            actual = getattr(record, exp.org_field)
-        return actual == exp.equals, f"{exp.org}.{exp.org_field} = {actual}"
-    if exp.account is not None:
-        actual = journal.trial_balance()[exp.account]
-        return actual == exp.equals, f"account {exp.account.value!r} nets {actual}"
-    if exp.market is not None:
-        actual = ledger.market_permit if exp.market == "permit" else ledger.market_emission
-        return actual == exp.equals, f"market {exp.market} = {actual}"
-    actual = ledger.market_price
-    return actual == exp.equals, f"market price = {actual}"
-
-
 def run_scenario(scenario: Scenario) -> RunResult:
     genesis = scenario.genesis
     chainlog = ChainLog.for_ledger(genesis)
@@ -91,10 +69,11 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
     for step in scenario.steps:
         if step.action == "expect":
-            ok, detail = _check_expectation(step.expect, ledger, journal)
-            if not ok:
-                fail(step, ErrorCode.ASSERTION_FAILED,
-                     f"expected {step.expect.equals}, got {detail}")
+            exp = step.expect
+            actual = exp.read(ledger, journal)
+            detail = f"{exp.label} {actual}"
+            if actual != exp.equals:
+                fail(step, ErrorCode.ASSERTION_FAILED, f"expected {exp.equals}, got {detail}")
                 break
             record(step, "assert-ok", detail=detail)
             continue

@@ -23,7 +23,7 @@ log or journal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional, Union
 
 import yaml
 from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
@@ -33,7 +33,7 @@ from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
 from .domain import parse_role
 from .errors import ErrorCode, LedgerError, reject
 from .fixed import Fixed
-from .journal import Account
+from .journal import Account, Journal
 from .ledger import TokenLedger
 from .txformat import Transaction, TxKind
 
@@ -155,8 +155,11 @@ _STEP_FIELDS = {
 _STEP_FIELDS["expect"] = {"time", "action", "expect_fail", "equals", "org", "field",
                           "account", "market", "price"}
 
-EXPECT_FIELDS = ("permit", "emission", "cash", "compliant", "outstanding")
-EXPECT_MARKETS = ("permit", "emission")
+# what an `expect` step may read, by the name the step gives it -> the
+# attribute it reads, of the org record or, for a market, of the ledger
+EXPECT_FIELDS = {"permit": "permit", "emission": "emission", "cash": "cash",
+                 "compliant": "compliant", "outstanding": "emission"}
+EXPECT_MARKETS = {"permit": "market_permit", "emission": "market_emission"}
 
 # journal accounts by the name an `expect` step gives them
 _ACCOUNTS = {account.value: account for account in Account}
@@ -165,14 +168,19 @@ _ERROR_CODES = frozenset(code.value for code in ErrorCode)
 
 @dataclass(frozen=True)
 class Expectation:
-    """Inline assertion: exactly one of the three subjects is set."""
+    """Inline assertion: the reading `attr` names equals `equals`.  `attr`
+    is a journal account, read as its net Dr - Cr, or else an attribute of
+    the org record `org` or, with no org, of the ledger."""
 
-    org: Optional[str] = None
-    org_field: Optional[str] = None     # permit | emission | cash | compliant | outstanding
-    account: Optional[Account] = None   # journal account, net Dr - Cr
-    market: Optional[str] = None        # permit | emission market total
-    price: bool = False                 # prevailing market price
-    equals: Any = None
+    label: str                          # how the run report names the reading
+    org: Optional[str]
+    attr: Union[str, Account]
+    equals: Any
+
+    def read(self, ledger: TokenLedger, journal: Journal) -> Any:
+        if isinstance(self.attr, Account):
+            return journal.trial_balance()[self.attr]
+        return getattr(ledger.org(self.org) if self.org else ledger, self.attr)
 
 
 @dataclass(frozen=True)
@@ -289,35 +297,35 @@ def _parse_expect(where: str, step: dict, declared: dict) -> Expectation:
     if subject != "org" and "field" in step:
         raise _schema_error(where, "only an org expectation takes a `field`")
 
+    org = None
     if subject == "org":
         org = _as_str(where, "org", step["org"])
         if org not in declared:
             raise reject(ErrorCode.REFERENCE_ERROR,
                          f"{where}: org {org!r} is not declared in genesis")
-        org_field = _as_str(where, "field", step.get("field"))
-        if org_field not in EXPECT_FIELDS:
-            raise _schema_error(where, f"field must be one of {EXPECT_FIELDS}")
-        if org_field == "compliant":
-            if not isinstance(equals, bool):
-                raise _schema_error(where, "compliant expects true/false")
-        else:
-            equals = _as_amount(where, "equals", equals)
-        return Expectation(org=org, org_field=org_field, equals=equals)
-    if subject == "account":
+        name = _as_str(where, "field", step.get("field"))
+        if name not in EXPECT_FIELDS:
+            raise _schema_error(where, f"field must be one of {tuple(EXPECT_FIELDS)}")
+        label, attr = f"{org}.{name} =", EXPECT_FIELDS[name]
+    elif subject == "account":
         name = _as_str(where, "account", step["account"])
-        account = _ACCOUNTS.get(name)
-        if account is None:
+        if name not in _ACCOUNTS:
             raise _schema_error(where, f"unknown journal account {name!r}")
-        return Expectation(account=account, equals=_as_amount(where, "equals", equals))
-    if subject == "market":
-        market = _as_str(where, "market", step["market"])
-        if market not in EXPECT_MARKETS:
-            raise _schema_error(where, f"market must be one of {EXPECT_MARKETS}")
-        return Expectation(market=market, equals=_as_amount(where, "equals", equals))
-    # price
-    if step.get("price") is not True:
+        label, attr = f"account {name!r} nets", _ACCOUNTS[name]
+    elif subject == "market":
+        name = _as_str(where, "market", step["market"])
+        if name not in EXPECT_MARKETS:
+            raise _schema_error(where, f"market must be one of {tuple(EXPECT_MARKETS)}")
+        label, attr = f"market {name} =", EXPECT_MARKETS[name]
+    elif step.get("price") is not True:
         raise _schema_error(where, "price expectation is written `price: true`")
-    return Expectation(price=True, equals=_as_amount(where, "equals", equals))
+    else:
+        label, attr = "market price =", "market_price"
+    if attr != "compliant":
+        equals = _as_amount(where, "equals", equals)
+    elif not isinstance(equals, bool):
+        raise _schema_error(where, "compliant expects true/false")
+    return Expectation(label, org, attr, equals)
 
 
 def _parse_step(index: int, raw: Any, declared: dict) -> Step:

@@ -59,7 +59,7 @@ def test_criterion_1_golden_scenario_trajectory(golden_run):
     assert permit_track == [fx(100), fx(140), fx(130), fx(120), fx(125), fx(0)]
     assert permit_track[1:] == [fx(v) for v in (140, 130, 120, 125, 0)]
     assert emission_track == [fx(55), fx(125), fx(0)]
-    assert result.final.compliance_check("E").compliant
+    assert result.final.org("E").compliant
     assert elapsed < 1.0
     ok(1, f"permit 140->130->120->125->0, emission 55->125->0, compliant, "
           f"{elapsed * 1000:.0f} ms")

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from carbonmarket import ChainLog, Transaction, TxKind
+from carbonmarket import (ChainLog, ExchangeState, TokenLedger, Transaction, TxKind,
+                          parse_scenario, run_scenario)
 from carbonmarket.chainlog import advance, encode_transaction
 from carbonmarket.cli import main
 from carbonmarket.fixed import Fixed
@@ -445,6 +446,52 @@ def test_negative_genesis_price_is_a_schema_error(tmp_path, capsys):
         assert run_cli(capsys, *argv) == (2, "", "error: SchemaError: negative market price\n")
 
 
+@pytest.mark.parametrize("supply, reserve, detail", [
+    (-5 * TOKEN, TOKEN, "exchange baseline supply must be positive"),
+    (0, TOKEN, "exchange baseline supply must be positive"),
+    (TOKEN, -1, "negative exchange baseline reserve"),
+])
+def test_an_exchange_anchor_no_state_reaches_is_a_schema_error(tmp_path, capsys,
+                                                               supply, reserve, detail):
+    # with no permits out, `setPrice` rebases at the baseline supply, so a
+    # negative one would drive the reserve negative (3 * 0.5 * -5 = -7.5)
+    genesis = TokenLedger()
+    genesis.setup_register_org("A", "authority")
+    genesis.market_price = Fixed(2 * TOKEN)
+    genesis.exchange = ExchangeState(fraction=Fixed(TOKEN // 2), reserve=Fixed(TOKEN),
+                                     baseline_supply=Fixed(supply),
+                                     baseline_reserve=Fixed(reserve))
+    log = write_log(tmp_path / "chainlog.log", genesis,
+                    (TxKind.SET_PRICE, "A", "", None, {"price": 3 * TOKEN}))
+    state = tmp_path / "genesis.json"
+    state.write_text(genesis.state_json() + "\n", encoding="utf-8")
+    assert run_cli(capsys, "verify", log) == (0, "chain valid\n", "")
+    for argv in (["replay", log, str(state)], ["journal", log]):
+        assert run_cli(capsys, *argv) == (2, "", f"error: SchemaError: {detail}\n")
+
+
+def test_a_state_whose_baseline_reserve_is_empty_loads(tmp_path, capsys):
+    # a sale of the whole supply empties the reserve, and `setReserveFraction`
+    # then anchors the curve at that empty reserve
+    final = run_scenario(parse_scenario("""
+name: sell-off
+genesis:
+  orgs:
+    - {id: A, role: authority}
+    - {id: E, role: enterprise}
+  exchange: {fraction: 1, supply: 100, reserve: 2000}
+steps:
+  - {time: t1, action: mintPermit, signer: A, target: E, amount: 100}
+  - {time: t2, action: tradeToken, sender: E, amount: -100}
+  - {time: t3, action: setReserveFraction, authority: A, fraction: "0.5"}
+""")).final
+    state = json.loads(final.state_json())
+    assert state["exchange"]["baseline_reserve"] == 0
+    log, genesis = genesis_only_log(tmp_path, state)
+    assert run_cli(capsys, "replay", log, genesis)[0] == 0
+    assert run_cli(capsys, "journal", log) == (0, "event,account,class,side,amount\n", "")
+
+
 APPLIED_EXPECT_FAIL = """
 name: applied-expect-fail
 genesis:
@@ -791,8 +838,8 @@ def test_price_curve_of_one_point_is_an_input_error(capsys):
 
 
 def test_quote_at_zero_supply_is_an_input_error(capsys):
-    assert run_cli(capsys, "quote", "--f", "0.5", "--s0", "1000", "--c0", "10000",
-                   "--supply", "0", "--spend-cash", "10") == (
+    assert run_cli(capsys, "quote", "--f", "0.5", "--s0", "0", "--c0", "10000",
+                   "--spend-cash", "10") == (
         2, "", "error: InvalidSupply: exchange has no outstanding supply\n")
 
 
@@ -806,8 +853,8 @@ def test_quote_of_a_sale_of_the_whole_supply_leaves_no_price(capsys):
 @pytest.mark.parametrize("trade", [("--buy-tokens", "10"), ("--spend-cash", "10")])
 def test_quote_on_a_reserve_that_is_not_positive_is_an_input_error(capsys, reserve, trade):
     # the curve divides by the reserve: on a negative one a buy would pay the buyer
-    assert run_cli(capsys, "quote", "--f", "0.5", "--s0", "1000", "--c0", "10000",
-                   "--reserve", reserve, *trade) == (
+    assert run_cli(capsys, "quote", "--f", "0.5", "--s0", "1000", "--c0", reserve,
+                   *trade) == (
         2, "", "error: ReserveExhausted: the exchange reserve is empty\n")
 
 
@@ -823,7 +870,7 @@ def test_quote_whose_price_after_is_beyond_the_range_is_an_input_error(capsys, a
         2, "", f"error: InvalidAmount: {detail}: amount exceeds the representable range\n")
 
 
-# each of --supply, --reserve and the amount: negative, zero, one micro-unit,
+# each of --s0, --c0 and the amount: negative, zero, one micro-unit,
 # ordinary, or 1e12
 QUOTE_AMOUNTS = st.one_of(st.integers(-10**6, -1).map(str), st.just("0"), st.just("0.000001"),
                           st.integers(1, 10**6).map(str), st.just("1000000000000"))
@@ -837,8 +884,7 @@ QUOTE_AMOUNTS = st.one_of(st.integers(-10**6, -1).map(str), st.just("0"), st.jus
        st.sampled_from(("--buy-tokens", "--spend-cash")), QUOTE_AMOUNTS)
 @example("0.5", "1000", "-5", "--buy-tokens", "10")   # a buy that would pay the buyer
 def test_quote_prints_two_legs_of_one_sign_or_refuses(fraction, supply, reserve, kind, amount):
-    argv = ["quote", "--f", fraction, "--s0", "1000", "--c0", "10000",
-            "--supply", supply, "--reserve", reserve, kind, amount]
+    argv = ["quote", "--f", fraction, "--s0", supply, "--c0", reserve, kind, amount]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

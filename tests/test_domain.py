@@ -106,10 +106,10 @@ def test_register_project_gates(market):
 
 
 def test_compliance_check_fresh_org(market):
-    report = market.compliance_check("E")
-    assert report.compliant and report.outstanding_emissions == ZERO
+    record = market.org("E")
+    assert record.compliant and record.emission == ZERO
     with pytest.raises(LedgerError) as err:
-        market.compliance_check("Z")
+        market.org("Z")
     assert err.value.code is ErrorCode.UNKNOWN_ORG
 
 
@@ -117,9 +117,9 @@ def test_compliance_check_outstanding_emissions(market):
     driver = LedgerDriver(market)
     driver.mint_permit("A", "E", 100)
     driver.mint_emission("E", "V", 5)
-    report = market.compliance_check("E")
-    assert not report.compliant
-    assert report.outstanding_emissions == fx(5)
+    record = market.org("E")
+    assert not record.compliant
+    assert record.emission == fx(5)
 
 
 def test_every_balance_holder_is_registered(driver):

@@ -130,7 +130,7 @@ def test_each_step_carries_its_transaction():
         Transaction(0, "t2", TxKind.MINT_EMISSION, sender="E", cosigner="V", amount=fx(3)),
         Transaction(0, "t3", TxKind.SET_PRICE, sender="A", payload={"price": 2_500_000}),
         None]
-    assert steps[3].expect.account is Account.INCOME
+    assert steps[3].expect.attr is Account.INCOME
 
 
 def test_genesis_is_the_ledger_the_setup_calls_build():
@@ -428,6 +428,51 @@ steps:
 """
     result = run_scenario(parse_scenario(text))
     assert result.ok, result.failure
+
+
+READINGS = """
+name: readings
+genesis:
+  orgs:
+    - {id: A, role: authority}
+    - {id: E, role: enterprise, cash: 1000}
+    - {id: V, role: verifier}
+  exchange: {fraction: 1, supply: 100, reserve: 2000}
+steps:
+  - {time: t1, action: mintPermit, signer: A, target: E, amount: 10}
+  - {time: t1, action: mintEmission, sender: E, signer: V, amount: 4}
+  - {time: t1, action: burnToken, sender: E, amount: 3}
+  - {time: t2, action: expect, %s}
+"""
+
+
+# every reading an `expect` step can take, with the run.csv detail it writes
+# when it holds and when it does not
+@pytest.mark.parametrize("subject, holds, differs, detail", [
+    ("org: E, field: permit", "7", "6", "E.permit = 7.000000"),
+    ("org: E, field: emission", "1", "0", "E.emission = 1.000000"),
+    ("org: E, field: cash", "1000", "999.5", "E.cash = 1000.000000"),
+    ("org: E, field: outstanding", "1", "2", "E.outstanding = 1.000000"),
+    ("org: E, field: compliant", "false", "true", "E.compliant = False"),
+    ("account: Permit surrenderable", "-20", "20",
+     "account 'Permit surrenderable' nets -20.000000"),
+    ("market: permit", "7", "10", "market permit = 7.000000"),
+    ("market: emission", "1", "4", "market emission = 1.000000"),
+    ("price: true", "20", "20.000001", "market price = 20.000000"),
+])
+def test_run_report_writes_each_reading(tmp_path, capsys, subject, holds, differs, detail):
+    def last_row(equals: str) -> tuple[int, str]:
+        path = tmp_path / "readings.yaml"
+        path.write_text(READINGS % f"{subject}, equals: {equals}", encoding="utf-8")
+        out = tmp_path / equals
+        code = cli_main(["run", str(path), "--out", str(out)])
+        capsys.readouterr()
+        return code, (out / "run.csv").read_text(encoding="utf-8").splitlines()[-1]
+
+    assert last_row(holds) == (0, f"3,t2,expect,assert-ok,,,{detail}")
+    expected = {"false": "False", "true": "True"}.get(differs) or str(fx(differs))
+    assert last_row(differs) == (
+        1, f'3,t2,expect,failed,,AssertionFailed,"expected {expected}, got {detail}"')
 
 
 def test_expect_unknown_account_rejected():
