@@ -7,9 +7,8 @@ is an enterprise too, and an authority is never a verifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Optional, Union
 
 from .errors import ErrorCode, reject
 from .fixed import ZERO, Money, Quantity
@@ -47,7 +46,6 @@ def parse_role(name: Union[Role, str]) -> Role:
                      f"unknown role {name!r}; expected one of {ROLE_STRINGS}") from None
 
 
-@dataclass
 class OrgRecord:
     """A registered participant with its balances and project set.
 
@@ -55,12 +53,17 @@ class OrgRecord:
     token burning; every other operation leaves it alone.
     """
 
-    id: str
-    role: Role
-    permit: Quantity = ZERO
-    emission: Quantity = ZERO
-    cash: Money = ZERO
-    projects: set[str] = field(default_factory=set)
+    __slots__ = ("id", "role", "permit", "emission", "cash", "projects")
+
+    def __init__(self, id: str, role: Role, permit: Quantity = ZERO,
+                 emission: Quantity = ZERO, cash: Money = ZERO,
+                 projects: Optional[set[str]] = None):
+        self.id = id
+        self.role = role
+        self.permit = permit
+        self.emission = emission
+        self.cash = cash
+        self.projects: set[str] = set() if projects is None else projects
 
     @property
     def compliant(self) -> bool:

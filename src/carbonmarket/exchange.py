@@ -27,29 +27,31 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ErrorCode, reject
 from .fixed import ONE, ZERO, Fixed, Money, Quantity
 
 
-@dataclass
 class ExchangeState:
     """Curve parameters: reserve fraction, live reserve, and the anchor
     (baseline) captured at bootstrap or at the last market adjustment."""
 
-    fraction: Fixed
-    reserve: Money
-    baseline_supply: Quantity
-    baseline_reserve: Money
+    __slots__ = ("fraction", "reserve", "baseline_supply", "baseline_reserve")
+
+    def __init__(self, fraction: Fixed, reserve: Money, baseline_supply: Quantity,
+                 baseline_reserve: Money):
+        self.fraction = fraction
+        self.reserve = reserve
+        self.baseline_supply = baseline_supply
+        self.baseline_reserve = baseline_reserve
 
     def copy(self) -> "ExchangeState":
         return ExchangeState(self.fraction, self.reserve,
                              self.baseline_supply, self.baseline_reserve)
 
 
-@dataclass(frozen=True)
-class Quote:
+class Quote(NamedTuple):
     """One priced trade: its token leg and its cash leg, nothing else.
 
     Both deltas are nonzero and share the same sign (buy: both positive).

@@ -51,7 +51,6 @@ longer mirror the ledger, so the fold stops there (as `run_scenario` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from operator import itemgetter
@@ -143,26 +142,30 @@ _line = partial(tuple.__new__, JournalLine)
 _entry = partial(tuple.__new__, JournalEntry)
 
 
-@dataclass
 class Lot:
     """A FIFO holding slice: a quantity, with the issuance price attached
     while deferred income remains to release (None for purchased and
     transferred-in lots)."""
 
-    qty: Quantity
-    issue: Optional[Money]
+    __slots__ = ("qty", "issue")
+
+    def __init__(self, qty: Quantity, issue: Optional[Money]):
+        self.qty = qty
+        self.issue = issue
 
 
-@dataclass
 class OrgBooks:
-    lots: list[Lot] = field(default_factory=list)
-    holdings: Quantity = ZERO            # running sum of the lots' qty
-    liability_qty: Quantity = ZERO       # outstanding emission tonnes
-    liability_balance: Money = ZERO      # Permit surrenderable at marked price
+    __slots__ = ("lots", "holdings", "liability_qty", "liability_balance")
+
+    def __init__(self):
+        self.lots: list[Lot] = []
+        self.holdings: Quantity = ZERO             # running sum of the lots' qty
+        self.liability_qty: Quantity = ZERO        # outstanding emission tonnes
+        self.liability_balance: Money = ZERO       # Permit surrenderable at marked price
 
     def add_lot(self, qty: Quantity, issue: Optional[Money]):
-        self.lots.append(Lot(qty=qty, issue=issue))
-        self.holdings += qty
+        self.lots.append(Lot(qty, issue))
+        self.holdings = Fixed(self.holdings.micro + qty.micro)
 
 
 class Journal:
@@ -241,7 +244,8 @@ class Journal:
             return
         if debits != credits:
             raise ValueError(f"unbalanced journal entry for event {event.tx.seq}")
-        Fixed(debits)   # an entry's total must fit the amount range, like its lines
+        if debits >= _LIMIT:    # an entry's total must fit the amount range, like its lines
+            raise OverflowError("amount exceeds the representable range")
         self.entries.append(_entry((event.tx.seq, org, tuple(posted))))
 
     def _on_issue(self, event: AppliedEvent):
@@ -324,18 +328,25 @@ class Journal:
             asset_delta = _half_even(held * delta, SCALE)
             remeasured = _half_even(owed * new, SCALE)
             liability_delta = remeasured - balance
+            # only the non-zero pairs: an asset rise or fall, then a
+            # liability rise or fall
+            lines = []
+            if asset_delta > 0:
+                lines += ((Account.EMISSION_PERMIT, DR, asset_delta),
+                          (Account.GAIN_ON_REVALUATION, CR, asset_delta))
+            elif asset_delta < 0:
+                lines += ((Account.LOSS_ON_REVALUATION, DR, -asset_delta),
+                          (Account.EMISSION_PERMIT, CR, -asset_delta))
             if liability_delta:
                 books.liability_balance = Fixed(remeasured)
-            # _post drops non-positive lines: each second pair books a fall
-            self._post(event, org,
-                       (Account.EMISSION_PERMIT, DR, asset_delta),
-                       (Account.GAIN_ON_REVALUATION, CR, asset_delta),
-                       (Account.LOSS_ON_REVALUATION, DR, -asset_delta),
-                       (Account.EMISSION_PERMIT, CR, -asset_delta),
-                       (Account.LOSS_ON_REVALUATION, DR, liability_delta),
-                       (Account.PERMIT_SURRENDERABLE, CR, liability_delta),
-                       (Account.PERMIT_SURRENDERABLE, DR, -liability_delta),
-                       (Account.GAIN_ON_REVALUATION, CR, -liability_delta))
+                if liability_delta > 0:
+                    lines += ((Account.LOSS_ON_REVALUATION, DR, liability_delta),
+                              (Account.PERMIT_SURRENDERABLE, CR, liability_delta))
+                else:
+                    lines += ((Account.PERMIT_SURRENDERABLE, DR, -liability_delta),
+                              (Account.GAIN_ON_REVALUATION, CR, -liability_delta))
+            if lines:
+                self._post(event, org, *lines)
 
     # -- lot mechanics -------------------------------------------------------------
 
@@ -379,8 +390,8 @@ class Journal:
         rows.sort(key=itemgetter(0, 1))        # event, then rank; a stable sort
         out = ["event,account,class,side,amount\n"]
         for event_ref, _, text, micro in rows:
-            units, frac = divmod(micro, SCALE)
-            out.append(f"{event_ref},{text},{units}.{frac:06d}\n")
+            digits = str(micro).zfill(7)        # a line amount is positive
+            out.append(f"{event_ref},{text},{digits[:-6]}.{digits[-6:]}\n")
         return "".join(out)
 
 

@@ -36,8 +36,8 @@ cosigner before its handler runs).  Code outside the ledger must treat
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from json.encoder import encode_basestring_ascii
+from typing import Callable, NamedTuple, Optional, Union
 
 from .domain import OrgRecord, Role, parse_role, validate_id
 from .errors import ErrorCode, LedgerError, reject
@@ -46,7 +46,7 @@ from .exchange import (ExchangeState, quote_buy_tokens, quote_spend_cash,
 from .fixed import ZERO, Fixed, Money, Quantity
 # the log format's types, defined apart so that checking a log loads no
 # state machine; re-exported here, where the state machine uses them
-from .txformat import STATE_FORMAT, Transaction, TxKind, canonical_json, parse_state
+from .txformat import STATE_FORMAT, Transaction, TxKind, parse_state
 
 
 def _org_json(record: OrgRecord) -> str:
@@ -54,16 +54,18 @@ def _org_json(record: OrgRecord) -> str:
     its keys in sorted order.  This is exactly what `canonical_json` writes
     for the same dict: the amounts are ints, which JSON writes as Python
     does; the role is an ASCII enum value, which needs no escaping; and the
-    only text that may need escaping, the id and the project ids, still
-    goes through `canonical_json`."""
-    projects = canonical_json(sorted(record.projects)) if record.projects else "[]"
+    only text that may need escaping, the id and each project id, goes
+    through `encode_basestring_ascii`, the function `canonical_json` writes
+    a string with.  A list of strings it writes as those strings between
+    brackets, joined by its item separator ","."""
+    projects = (",".join(map(encode_basestring_ascii, sorted(record.projects)))
+                if record.projects else "")
     return (f'{{"cash":{record.cash.micro},"emission":{record.emission.micro},'
-            f'"id":{canonical_json(record.id)},"permit":{record.permit.micro},'
-            f'"projects":{projects},"role":"{record.role.value}"}}')
+            f'"id":{encode_basestring_ascii(record.id)},"permit":{record.permit.micro},'
+            f'"projects":[{projects}],"role":"{record.role.value}"}}')
 
 
-@dataclass(frozen=True)
-class AppliedEvent:
+class AppliedEvent(NamedTuple):
     """A successfully applied transaction plus its realized effects."""
 
     tx: Transaction

@@ -69,12 +69,20 @@ def run_report_csv(result: RunResult) -> str:
     return _csv(rows, ["step", "time", "action", "status", "seq", "error", "detail"])
 
 
+# The most rows a price-curve table holds; more would only cost memory and
+# time, and a plot needs far fewer.
+MAX_CURVE_POINTS = 10_000
+
+
 def price_curve_rows(fraction: Fixed, supply0: Fixed, reserve0: Fixed,
                      supply_min: Fixed, supply_max: Fixed,
                      points: int) -> list[tuple[Fixed, Fixed]]:
-    """Evenly spaced (supply, spot price) table for external plotting."""
+    """Evenly spaced (supply, spot price) table for external plotting, of 2
+    to `MAX_CURVE_POINTS` points."""
     if points < 2:
         raise reject(ErrorCode.INVALID_RANGE, "need at least 2 points")
+    if points > MAX_CURVE_POINTS:
+        raise reject(ErrorCode.INVALID_RANGE, f"need at most {MAX_CURVE_POINTS} points")
     if not Fixed(0) < supply_min < supply_max:
         raise reject(ErrorCode.INVALID_RANGE,
                      "need 0 < min supply < max supply")

@@ -14,8 +14,7 @@ the chain log replays to the run's final state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .chainlog import ChainLog, advance
 from .errors import ErrorCode, LedgerError
@@ -24,8 +23,7 @@ from .ledger import TokenLedger
 from .scenario import Scenario, Step
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     index: int
     time: str
     action: str
@@ -35,15 +33,18 @@ class StepResult:
     detail: str = ""
 
 
-@dataclass
 class RunResult:
-    scenario: Scenario
-    genesis: TokenLedger
-    final: TokenLedger
-    chainlog: ChainLog
-    journal: Journal
-    steps: list[StepResult] = field(default_factory=list)
-    failure: Optional[StepResult] = None
+    __slots__ = ("scenario", "genesis", "final", "chainlog", "journal", "steps", "failure")
+
+    def __init__(self, scenario: Scenario, genesis: TokenLedger, final: TokenLedger,
+                 chainlog: ChainLog, journal: Journal):
+        self.scenario = scenario
+        self.genesis = genesis
+        self.final = final
+        self.chainlog = chainlog
+        self.journal = journal
+        self.steps: list[StepResult] = []
+        self.failure: Optional[StepResult] = None
 
     @property
     def ok(self) -> bool:

@@ -22,7 +22,6 @@ log or journal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional, Union
 
 import yaml
@@ -166,8 +165,7 @@ _ACCOUNTS = {account.value: account for account in Account}
 _ERROR_CODES = frozenset(code.value for code in ErrorCode)
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(NamedTuple):
     """Inline assertion: the reading `attr` names equals `equals`.  `attr`
     is a journal account, read as its net Dr - Cr, or else an attribute of
     the org record `org` or, with no org, of the ledger."""
@@ -183,8 +181,7 @@ class Expectation:
         return getattr(ledger.org(self.org) if self.org else ledger, self.attr)
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     index: int
     time: str
     action: str
@@ -193,8 +190,7 @@ class Step:
     expect_fail: Optional[str] = None   # error code name, or "" for any
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     description: str
     genesis: TokenLedger                # the state before the first step

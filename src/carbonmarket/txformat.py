@@ -2,8 +2,8 @@
 kinds, the canonical JSON encoder, and the header check of a state JSON.
 
 These are the format's own vocabulary, shared by the state machine
-(`ledger`) and the log (`chainlog`).  This module imports neither
-`ledger` nor `dataclasses`, so checking a log loads no state machine.
+(`ledger`) and the log (`chainlog`).  This module does not import
+`ledger`, so checking a log loads no state machine.
 """
 
 from __future__ import annotations

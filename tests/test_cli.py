@@ -1,6 +1,7 @@
 """Command line behaviour: commands, exit codes, byte-stable outputs."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ from carbonmarket import (ChainLog, ExchangeState, TokenLedger, Transaction, TxK
 from carbonmarket.chainlog import advance, encode_transaction
 from carbonmarket.cli import main
 from carbonmarket.fixed import Fixed
+from carbonmarket.reports import MAX_CURVE_POINTS
 
 from conftest import (GOLDEN_SCENARIO, JOURNAL_OVERFLOW, SCENARIO_DIR, LedgerDriver,
                       endowed_genesis, fx, standard_market)
@@ -837,6 +839,18 @@ def test_price_curve_of_one_point_is_an_input_error(capsys):
         2, "", "error: InvalidRange: need at least 2 points\n")
 
 
+def test_price_curve_points_are_bounded(capsys):
+    argv = ("price-curve", "--f", "0.5", "--s0", "1000", "--c0", "10000",
+            "--min", "500", "--max", "2000", "--points")
+    assert run_cli(capsys, *argv, "1000000000000") == (
+        2, "", f"error: InvalidRange: need at most {MAX_CURVE_POINTS} points\n")
+    code, out, _ = run_cli(capsys, *argv, str(MAX_CURVE_POINTS))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 + MAX_CURVE_POINTS
+    assert lines[1].startswith("500.000000,") and lines[-1].startswith("2000.000000,")
+
+
 def test_quote_at_zero_supply_is_an_input_error(capsys):
     assert run_cli(capsys, "quote", "--f", "0.5", "--s0", "0", "--c0", "10000",
                    "--spend-cash", "10") == (
@@ -1021,3 +1035,24 @@ def test_deeply_nested_scenario_is_a_syntax_error(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: SyntaxError: bad scenario file at line 2, column ")
     assert "nesting deeper than" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["journal", "LOG"], 0),
+    (["price-curve", "--f", "1", "--s0", "1000", "--c0", "20000", "--min", "500",
+      "--max", "1500", "--points", "1"], 2),
+    (["journal"], 2),
+], ids=["journal", "ledger-error", "usage-error"])
+def test_main_leaves_the_gc_state_as_it_found_it(tmp_path, capsys, golden_run,
+                                                 argv, expected):
+    log = tmp_path / "chainlog.log"
+    log.write_text(golden_run.chainlog.to_text(), encoding="utf-8")
+    argv = [str(log) if arg == "LOG" else arg for arg in argv]
+    thresholds = gc.get_threshold()
+    gc.set_threshold(1234, 5, 6)    # neither the interpreter's default nor the CLI's
+    try:
+        before = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
+        assert run_cli(capsys, *argv)[0] == expected
+        assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == before
+    finally:
+        gc.set_threshold(*thresholds)

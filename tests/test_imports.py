@@ -1,7 +1,8 @@
 """What each entry point loads: `import carbonmarket` is lazy, the audit
 commands never load PyYAML, the scenario parser, the runner or the journal,
-`verify` loads no state machine and no decimal parser, and the benchmark's
-traced run still finds every name it wraps."""
+`verify` loads no state machine and no decimal parser, no command loads
+`dataclasses`, and the benchmark's traced run still finds every name it
+wraps."""
 
 import json
 import os
@@ -24,7 +25,7 @@ ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1"
 RUN_ONLY = ("yaml", "carbonmarket.scenario", "carbonmarket.runner", "carbonmarket.journal")
 # what applying transactions and writing reports needs; the log format does not
 STATE_MACHINE = ("carbonmarket.ledger", "carbonmarket.exchange", "carbonmarket.domain",
-                 "carbonmarket.reports", "dataclasses")
+                 "carbonmarket.reports")
 # what only parsing an amount from text needs; a log holds micro-units
 TEXT_AMOUNTS = ("decimal",)
 
@@ -53,6 +54,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(cli.main(["journal", {log!r}]))
     stage("journal")
 print(json.dumps({{"codes": codes, "loaded": loaded, "state": state, "text": text}}))
+"""
+
+
+# Runs in a fresh interpreter: each command in turn, then its exit code and
+# whether `dataclasses` is loaded by then.
+DATACLASSES = """
+import contextlib, io, json, sys
+from carbonmarket import cli
+after = {{}}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in {commands!r}:
+        after[argv[0]] = [cli.main(argv), "dataclasses" in sys.modules]
+print(json.dumps(after))
 """
 
 
@@ -99,6 +113,17 @@ def test_verify_loads_no_decimal_parser(footprint):
     assert footprint["codes"] == [0, 0, 0]
     for stage in ("import carbonmarket", "import carbonmarket.cli", "verify"):
         assert footprint["text"][stage] == [], stage
+
+
+def test_no_command_loads_dataclasses(golden_run):
+    log, genesis = str(golden_run / "chainlog.log"), str(golden_run / "genesis.json")
+    commands = [["verify", log], ["replay", log, genesis], ["journal", log],
+                ["run", str(GOLDEN_SCENARIO)]]
+    proc = subprocess.run([sys.executable, "-c", DATACLASSES.format(commands=commands)],
+                          cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {command: [0, False] for command in
+                                       ("verify", "replay", "journal", "run")}
 
 
 @pytest.mark.parametrize("name", carbonmarket.__all__)

@@ -7,8 +7,8 @@ import random
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from carbonmarket import (Account, AccountClass, ErrorCode, Journal, LedgerError, Side,
-                          TokenLedger, Transaction)
+from carbonmarket import (Account, AccountClass, AppliedEvent, ErrorCode, Journal,
+                          LedgerError, Side, TokenLedger, Transaction, TxKind)
 from carbonmarket.chainlog import replay
 from carbonmarket.fixed import ZERO, Fixed
 
@@ -191,6 +191,43 @@ def test_purchased_lot_revalued_by_holdings_times_price_move(new_price):
     else:
         assert entry_amounts(row) == [(Account.LOSS_ON_REVALUATION, Side.DR, -delta),
                                       (Account.EMISSION_PERMIT, Side.CR, -delta)]
+
+
+# One org's setPrice entry for each direction of its asset and liability moves.
+# The price goes 20 -> 25 (a rise) or 20 -> 16 (a fall); E holds 10 permits,
+# or none for no asset move, and owes 3 tonnes marked at 3 below (a rise) or
+# above (a fall) the new price, or none for no liability move.
+PRICE_MOVES = {"rise": 25, "fall": 16}
+ASSET_LINES = {
+    "rise": [(Account.EMISSION_PERMIT, Side.DR), (Account.GAIN_ON_REVALUATION, Side.CR)],
+    "fall": [(Account.LOSS_ON_REVALUATION, Side.DR), (Account.EMISSION_PERMIT, Side.CR)],
+    "zero": []}
+LIABILITY_LINES = {
+    "rise": [(Account.LOSS_ON_REVALUATION, Side.DR), (Account.PERMIT_SURRENDERABLE, Side.CR)],
+    "fall": [(Account.PERMIT_SURRENDERABLE, Side.DR), (Account.GAIN_ON_REVALUATION, Side.CR)],
+    "zero": []}
+
+
+@pytest.mark.parametrize("liability", ["rise", "fall", "zero"])
+@pytest.mark.parametrize("asset", ["rise", "fall", "zero"])
+def test_price_change_lines_by_direction(asset, liability):
+    new = PRICE_MOVES["fall" if asset == "fall" else "rise"]
+    marked = new - 3 if liability == "rise" else new + 3
+    held = 0 if asset == "zero" else 10
+    owed = 0 if liability == "zero" else 3
+    genesis = endowed_genesis(standard_market(), marked * TOKEN, E=(held * TOKEN, owed * TOKEN))
+    journal = Journal(genesis)
+    tx = Transaction(seq=1, time="t1", kind=TxKind.SET_PRICE, sender="A",
+                     payload={"price": new * TOKEN})
+    entries = journal.on_event(AppliedEvent(tx, fx(20), fx(new)))
+    asset_amount = fx(held * abs(new - 20))
+    liability_amount = fx(owed * 3)
+    expected = ([(account, side, asset_amount) for account, side in ASSET_LINES[asset]]
+                + [(account, side, liability_amount)
+                   for account, side in LIABILITY_LINES[liability]])
+    assert [(entry.event_ref, entry.org, entry_amounts(entry)) for entry in entries] == (
+        [(1, "E", expected)] if expected else [])
+    assert journal.books_for("E").liability_balance == fx(owed * new)
 
 
 # -- trades -----------------------------------------------------------------------

@@ -136,6 +136,10 @@ def _check(ledger: TokenLedger) -> str:
 # reloaded: a state after genesis may hold a project of a non-enterprise
 @example([(("tx", TxKind.SET_ROLE, "A", "E", "", None, {"role": "authority"}), "reload")],
          False)
+# E, owner of p1, registers two project ids that need escaping: its fragment
+# writes three, sorted, before and after a reload
+@example([(("register_project", "E", "p\U0001F600"), None),
+          (("register_project", "E", 'p"'), "reload")], False)
 @settings(max_examples=200, deadline=None)
 @given(st.lists(steps, max_size=40), st.booleans())
 def test_state_json_matches_full_encoding(sequence, exchange):
