@@ -49,10 +49,11 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import ErrorCode, LedgerError, reject
-from .fixed import Fixed
+from .fixed import _fixed
 from .txformat import Transaction, TxKind, canonical_json, parse_state
 
 if TYPE_CHECKING:       # only `replay` loads the state machine
@@ -70,29 +71,32 @@ def _hash(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def _put_str(out: bytearray, text: str):
-    raw = text.encode("utf-8")
-    out += struct.pack(">I", len(raw))
-    out += raw
-
-
-def _take_str(data: bytes, pos: int) -> tuple[str, int]:
-    (length,) = struct.unpack_from(">I", data, pos)
-    end = pos + 4 + length
-    return data[pos + 4:end].decode("utf-8"), end
+_U64 = struct.Struct(">Q")
+_U32 = struct.Struct(">I")
+_AMOUNT = struct.Struct(">Bq")
+_NO_AMOUNT = _AMOUNT.pack(0, 0)
+_AMOUNT_AND_LENGTH = struct.Struct(">BqI")     # the amount fields, then the payload's length
+_STRINGS_AT = len(TX_MAGIC) + _U64.size
+_KINDS = {kind.value: kind for kind in TxKind}
+# a Transaction built straight from a tuple of its fields, in their order,
+# skipping the Python-level __new__
+_transaction = partial(tuple.__new__, Transaction)
 
 
 def encode_transaction(tx: Transaction) -> bytes:
-    out = bytearray(TX_MAGIC)
-    out += struct.pack(">Q", tx.seq)
-    for text in (tx.time, tx.kind.value, tx.sender, tx.cosigner, tx.target):
-        _put_str(out, text)
-    if tx.amount is None:
-        out += struct.pack(">Bq", 0, 0)
-    else:
-        out += struct.pack(">Bq", 1, tx.amount.micro)
-    _put_str(out, canonical_json(tx.payload) if tx.payload else "{}")
-    return bytes(out)
+    u32 = _U32.pack
+    time = tx.time.encode("utf-8")
+    kind = tx.kind.value.encode("utf-8")
+    sender = tx.sender.encode("utf-8")
+    cosigner = tx.cosigner.encode("utf-8")
+    target = tx.target.encode("utf-8")
+    payload = canonical_json(tx.payload).encode("utf-8") if tx.payload else b"{}"
+    return b"".join((
+        TX_MAGIC, _U64.pack(tx.seq),
+        u32(len(time)), time, u32(len(kind)), kind, u32(len(sender)), sender,
+        u32(len(cosigner)), cosigner, u32(len(target)), target,
+        _NO_AMOUNT if tx.amount is None else _AMOUNT.pack(1, tx.amount.micro),
+        u32(len(payload)), payload))
 
 
 def decode_transaction(data: bytes) -> Transaction:
@@ -100,30 +104,44 @@ def decode_transaction(data: bytes) -> Transaction:
     transaction gives back `data` byte for byte, which rules out a wrong
     magic, truncation, trailing bytes, a bad amount field and a payload not
     in canonical form."""
+    u32 = _U32.unpack_from
     try:
-        (seq,) = struct.unpack_from(">Q", data, len(TX_MAGIC))
-        pos = len(TX_MAGIC) + 8
-        texts = []
-        for _ in range(5):
-            text, pos = _take_str(data, pos)
-            texts.append(text)
-        present, micro = struct.unpack_from(">Bq", data, pos)
-        payload_text, _ = _take_str(data, pos + 9)
-        amount = Fixed(micro) if present else None
+        (seq,) = _U64.unpack_from(data, len(TX_MAGIC))
+        pos = _STRINGS_AT
+        (length,) = u32(data, pos)
+        pos += 4 + length
+        time = data[pos - length:pos].decode("utf-8")
+        (length,) = u32(data, pos)
+        pos += 4 + length
+        kind_text = data[pos - length:pos].decode("utf-8")
+        (length,) = u32(data, pos)
+        pos += 4 + length
+        sender = data[pos - length:pos].decode("utf-8")
+        (length,) = u32(data, pos)
+        pos += 4 + length
+        cosigner = data[pos - length:pos].decode("utf-8")
+        (length,) = u32(data, pos)
+        pos += 4 + length
+        target = data[pos - length:pos].decode("utf-8")
+        present, micro, length = _AMOUNT_AND_LENGTH.unpack_from(data, pos)
+        pos += _AMOUNT_AND_LENGTH.size
+        payload_text = data[pos:pos + length].decode("utf-8")
+        amount = _fixed(micro) if present else None
     except (struct.error, UnicodeDecodeError, OverflowError) as exc:
         raise reject(ErrorCode.CHAIN_INVALID, f"bad transaction encoding: {exc}") from exc
-    time, kind_text, sender, cosigner, target = texts
-    try:
-        kind = TxKind(kind_text)
-    except ValueError as exc:
-        raise reject(ErrorCode.CHAIN_INVALID, f"unknown transaction kind {kind_text!r}") from exc
+    kind = _KINDS.get(kind_text)
+    if kind is None:
+        raise reject(ErrorCode.CHAIN_INVALID, f"unknown transaction kind {kind_text!r}")
     try:
         payload = {} if payload_text == "{}" else json.loads(payload_text)
     except (ValueError, RecursionError) as exc:   # also too deep, or too long a number
         raise reject(ErrorCode.CHAIN_INVALID, f"bad payload json: {exc}") from exc
-    tx = Transaction(seq=seq, time=time, kind=kind, sender=sender, target=target,
-                     cosigner=cosigner, amount=amount, payload=payload)
-    if not isinstance(payload, dict) or encode_transaction(tx) != data:
+    tx = _transaction((seq, time, kind, sender, target, cosigner, amount, payload))
+    try:
+        canonical = isinstance(payload, dict) and encode_transaction(tx) == data
+    except ValueError:      # a NaN or an infinity, which JSON does not hold
+        canonical = False
+    if not canonical:
         raise reject(ErrorCode.CHAIN_INVALID, "transaction not in canonical encoding")
     return tx
 
@@ -144,7 +162,7 @@ def _line(prev: bytes, tx: Transaction, tx_bytes: bytes,
     """The entry line for `tx`, encoded as `tx_bytes`, after the entry
     hashing to `prev`, and the line's entry hash."""
     tx_digest = _hash(tx_bytes)
-    entry_hash = _hash(struct.pack(">Q", tx.seq) + tx_digest + state_digest + prev)
+    entry_hash = _hash(_U64.pack(tx.seq) + tx_digest + state_digest + prev)
     return " ".join((str(tx.seq), tx_bytes.hex(), tx_digest.hex(), prev.hex(),
                      state_digest.hex(), entry_hash.hex())), entry_hash
 

@@ -116,20 +116,20 @@ class Fixed:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Fixed") -> "Fixed":
-        return Fixed(self.micro + self._micro_of(other))
+        return _fixed(self.micro + self._micro_of(other))
 
     def __sub__(self, other: "Fixed") -> "Fixed":
-        return Fixed(self.micro - self._micro_of(other))
+        return _fixed(self.micro - self._micro_of(other))
 
     def __neg__(self) -> "Fixed":
-        return Fixed(-self.micro)
+        return _fixed(-self.micro)
 
     def __abs__(self) -> "Fixed":
-        return Fixed(abs(self.micro))
+        return _fixed(abs(self.micro))
 
     def mul(self, other: "Fixed") -> "Fixed":
         """Product of two amounts (e.g. quantity x unit price), half-even."""
-        return Fixed(_half_even(self.micro * other.micro, SCALE))
+        return _fixed(_half_even(self.micro * other.micro, SCALE))
 
     # -- comparisons ----------------------------------------------------
 
@@ -181,6 +181,20 @@ class Fixed:
 
     def __repr__(self) -> str:
         return f"Fixed('{self}')"
+
+
+_new = object.__new__
+_set_micro = Fixed.micro.__set__
+
+
+def _fixed(micro: int) -> Fixed:
+    """The amount of `micro` units, an int the package computed itself: only
+    the 64-bit range is checked, and `Fixed.__init__`'s type check skipped."""
+    if not -_LIMIT < micro < _LIMIT:
+        raise OverflowError("amount exceeds the representable range")
+    amount = _new(Fixed)
+    _set_micro(amount, micro)
+    return amount
 
 
 ZERO = Fixed(0)

@@ -53,11 +53,12 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import partial
+from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import ErrorCode, reject
-from .fixed import _LIMIT, SCALE, ZERO, Fixed, Money, Quantity, _half_even
+from .fixed import _LIMIT, SCALE, ZERO, Money, Quantity, _fixed, _half_even
 from .ledger import AppliedEvent, TokenLedger, TxKind
 
 
@@ -120,6 +121,8 @@ _EXPORT_KEYS = sorted(((account, side) for side in Side for account in Account),
 # text, which needs no CSV quoting: no name holds a comma, quote or line break.
 _ROW = {(account, side): (rank, f"{account.value},{account.account_class.value},{side.value}")
         for rank, (account, side) in enumerate(_EXPORT_KEYS)}
+_EVENT_REF = itemgetter(0)      # of a JournalEntry
+_RANK = itemgetter(0)           # of an export row: (rank, text, micro)
 
 
 class JournalLine(NamedTuple):
@@ -165,7 +168,7 @@ class OrgBooks:
 
     def add_lot(self, qty: Quantity, issue: Optional[Money]):
         self.lots.append(Lot(qty, issue))
-        self.holdings = Fixed(self.holdings.micro + qty.micro)
+        self.holdings = _fixed(self.holdings.micro + qty.micro)
 
 
 class Journal:
@@ -228,7 +231,7 @@ class Journal:
             if micro <= 0:
                 continue
             if micro != amount.micro:      # the two lines of a pair share one amount
-                amount = Fixed(micro)
+                amount = _fixed(micro)
             posted.append(_line((account, side, amount)))
             if side is DR:
                 debits += micro
@@ -268,8 +271,8 @@ class Journal:
                    (Account.INCOME, CR, released))
 
         accrual = _half_even(qty * event.price_after.micro, SCALE)
-        books.liability_qty = Fixed(books.liability_qty.micro + qty)
-        books.liability_balance = Fixed(books.liability_balance.micro + accrual)
+        books.liability_qty = _fixed(books.liability_qty.micro + qty)
+        books.liability_balance = _fixed(books.liability_balance.micro + accrual)
         self._post(event, org, (Account.EXPENSES_EMISSIONS, DR, accrual),
                    (Account.PERMIT_SURRENDERABLE, CR, accrual))
 
@@ -303,13 +306,13 @@ class Journal:
         books = self.books_for(org)
         # the release books no line here, but its range is checked as it is
         # for a transfer or a sale: the sum only grows, so the final one will do
-        Fixed(self._consume(books, qty, org))
+        _fixed(self._consume(books, qty, org))
 
         balance = books.liability_balance.micro
         surrender = min(_half_even(retired * price, SCALE), balance)
         total_value = _half_even(qty * price, SCALE)
-        books.liability_qty = Fixed(books.liability_qty.micro - retired)
-        books.liability_balance = Fixed(balance - surrender)
+        books.liability_qty = _fixed(books.liability_qty.micro - retired)
+        books.liability_balance = _fixed(balance - surrender)
         self._post(event, org, (Account.PERMIT_SURRENDERABLE, DR, surrender),
                    (Account.EXPENSES_EMISSIONS, DR, total_value - surrender),
                    (Account.EMISSION_PERMIT, CR, total_value))
@@ -338,7 +341,7 @@ class Journal:
                 lines += ((Account.LOSS_ON_REVALUATION, DR, -asset_delta),
                           (Account.EMISSION_PERMIT, CR, -asset_delta))
             if liability_delta:
-                books.liability_balance = Fixed(remeasured)
+                books.liability_balance = _fixed(remeasured)
                 if liability_delta > 0:
                     lines += ((Account.LOSS_ON_REVALUATION, DR, liability_delta),
                               (Account.PERMIT_SURRENDERABLE, CR, liability_delta))
@@ -360,7 +363,7 @@ class Journal:
         while remaining > 0:
             if not lots:
                 raise ValueError(f"lot underflow for {org!r}: "
-                                 f"{Fixed(remaining)} tokens unaccounted")
+                                 f"{_fixed(remaining)} tokens unaccounted")
             head = lots[0]
             held = head.qty.micro
             take = min(held, remaining)
@@ -370,8 +373,8 @@ class Journal:
             if take == held:
                 lots.pop(0)
             else:
-                head.qty = Fixed(held - take)
-        books.holdings = Fixed(books.holdings.micro - qty)
+                head.qty = _fixed(held - take)
+        books.holdings = _fixed(books.holdings.micro - qty)
         return released
 
     # -- reporting -----------------------------------------------------------------
@@ -379,19 +382,20 @@ class Journal:
     def trial_balance(self) -> dict[Account, Money]:
         """Per-account net debit (Dr - Cr); liabilities and equity normally
         carry a negative net under this convention."""
-        return {account: Fixed(net) for account, net in self._nets.items()}
+        return {account: _fixed(net) for account, net in self._nets.items()}
 
     def export_csv(self) -> str:
         """The lines as CSV, ordered by event, then debits before credits,
         then account name; ties keep their booking order."""
-        rows = [(event_ref, *_ROW[account, side], amount.micro)
-                for event_ref, _, lines in self.entries
-                for account, side, amount in lines]
-        rows.sort(key=itemgetter(0, 1))        # event, then rank; a stable sort
         out = ["event,account,class,side,amount\n"]
-        for event_ref, _, text, micro in rows:
-            digits = str(micro).zfill(7)        # a line amount is positive
-            out.append(f"{event_ref},{text},{digits[:-6]}.{digits[-6:]}\n")
+        # the entries are in event order, so only each event's lines are sorted
+        for event_ref, entries in groupby(self.entries, _EVENT_REF):
+            rows = [(*_ROW[account, side], amount.micro)
+                    for _, _, lines in entries for account, side, amount in lines]
+            rows.sort(key=_RANK)                # by rank; a stable sort
+            for _, text, micro in rows:
+                digits = str(micro).zfill(7)    # a line amount is positive
+                out.append(f"{event_ref},{text},{digits[:-6]}.{digits[-6:]}\n")
         return "".join(out)
 
 

@@ -62,7 +62,7 @@ def _org_json(record: OrgRecord) -> str:
                 if record.projects else "")
     return (f'{{"cash":{record.cash.micro},"emission":{record.emission.micro},'
             f'"id":{encode_basestring_ascii(record.id)},"permit":{record.permit.micro},'
-            f'"projects":[{projects}],"role":"{record.role.value}"}}')
+            f'"projects":[{projects}],"role":"{record.role._value_}"}}')
 
 
 class AppliedEvent(NamedTuple):

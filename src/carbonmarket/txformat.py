@@ -20,9 +20,11 @@ if TYPE_CHECKING:
 STATE_FORMAT = "carbonmarket-state-1"
 
 # The canonical JSON of the state digest's org fragments and the logged
-# payloads: minified, keys sorted, strings ASCII-escaped.  One encoder, as
-# json.dumps with these arguments would build one on every call.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# payloads: minified, keys sorted, strings ASCII-escaped, and no NaN or
+# infinity, which are not JSON (a ValueError).  One encoder, as json.dumps
+# with these arguments would build one on every call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  allow_nan=False).encode
 
 
 def parse_state(text: str) -> tuple[dict, int]:

@@ -1,6 +1,7 @@
 """Chain log: canonical encoding, linkage, tamper detection, replay."""
 
 import hashlib
+import json
 import random
 import struct
 import types
@@ -12,6 +13,7 @@ import carbonmarket.chainlog as chainlog_module
 from carbonmarket import ErrorCode, LedgerError, TokenLedger, Transaction, TxKind
 from carbonmarket.chainlog import (GENESIS_PREV, ChainLog, advance, decode_transaction,
                                    encode_transaction, replay, verify_text)
+from carbonmarket.fixed import Fixed
 from conftest import LedgerDriver, fx, standard_market
 
 
@@ -39,6 +41,52 @@ def test_encode_decode_round_trip():
     assert decode_transaction(blob) == tx2
     # canonical: re-encoding the decoded value reproduces identical bytes
     assert encode_transaction(decode_transaction(blob)) == blob
+
+
+def reference_encoding(tx):
+    """The module docstring's layout written out, one struct.pack per field."""
+    def text(value):
+        raw = value.encode("utf-8")
+        return struct.pack(">I", len(raw)) + raw
+    present, micro = (0, 0) if tx.amount is None else (1, tx.amount.micro)
+    payload = json.dumps(tx.payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return (b"CMTX1" + struct.pack(">Q", tx.seq) + text(tx.time) + text(tx.kind.value)
+            + text(tx.sender) + text(tx.cosigner) + text(tx.target)
+            + struct.pack(">B", present) + struct.pack(">q", micro) + text(payload))
+
+
+MAX_MICRO = 2**63 - 1
+TEXTS = st.text(max_size=8)             # empty and non-ASCII included
+TRANSACTIONS = st.builds(
+    Transaction, seq=st.integers(min_value=0, max_value=2**64 - 1), time=TEXTS,
+    kind=st.sampled_from(TxKind), sender=TEXTS, target=TEXTS, cosigner=TEXTS,
+    amount=st.none() | st.builds(Fixed, st.sampled_from([0, MAX_MICRO, -MAX_MICRO])
+                                 | st.integers(min_value=-MAX_MICRO, max_value=MAX_MICRO)),
+    payload=st.dictionaries(TEXTS, TEXTS | st.integers(), max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(TRANSACTIONS, st.data())
+def test_codec_writes_the_documented_layout_and_reads_only_what_it_writes(tx, data):
+    blob = encode_transaction(tx)
+    assert blob == reference_encoding(tx)
+    assert decode_transaction(blob) == tx
+    change = data.draw(st.sampled_from(["edit", "truncate", "append"]))
+    if change == "edit":
+        pos = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        flip = data.draw(st.integers(min_value=1, max_value=255))
+        mutated = blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1:]
+    elif change == "truncate":
+        mutated = blob[:data.draw(st.integers(min_value=0, max_value=len(blob) - 1))]
+    else:
+        mutated = blob + bytes([data.draw(st.integers(min_value=0, max_value=255))])
+    # a changed encoding is refused, or it is the encoding of what it decodes to
+    try:
+        decoded = decode_transaction(mutated)
+    except LedgerError as exc:
+        assert exc.code is ErrorCode.CHAIN_INVALID
+    else:
+        assert encode_transaction(decoded) == mutated
 
 
 # a burn of 1 t ends u8(amount present) | i64be(micro) | u32be(2) | b"{}"

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import types
@@ -284,6 +285,34 @@ def test_minimum_amount_is_an_invalid_chain(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ChainInvalid: ")
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+def test_a_payload_number_json_does_not_hold_is_an_invalid_chain(tmp_path, capsys, number):
+    # Python's json reads these tokens, but they are no JSON and the writer
+    # does not write them, so a hash-correct entry holding one is invalid
+    genesis = standard_market()
+    tx = Transaction(seq=1, time="t", kind=TxKind.SET_PRICE, sender="A",
+                     payload={"price": float(number)})
+    with pytest.raises(ValueError):
+        encode_transaction(tx)
+    raw = f'{{"price":{number}}}'.encode("ascii")
+    blob = encode_transaction(tx._replace(payload={}))[:-6] + struct.pack(">I", len(raw)) + raw
+    # the entry line as the format defines it, after the all-zero prev-hash
+    state, prev = genesis.state_digest(), bytes(32)
+    tx_digest = hashlib.sha256(blob).digest()
+    entry_hash = hashlib.sha256(struct.pack(">Q", 1) + tx_digest + state + prev).digest()
+    chain = ChainLog.for_ledger(genesis)
+    log = tmp_path / "chainlog.log"
+    log.write_text(f"{chain.header_line()}\ngenesis {chain.genesis_json}\n1 {blob.hex()} "
+                   f"{tx_digest.hex()} {prev.hex()} {state.hex()} {entry_hash.hex()}\n",
+                   encoding="utf-8")
+    state_file = tmp_path / "genesis.json"
+    state_file.write_text(genesis.state_json() + "\n", encoding="utf-8")
+    detail = "entry 1: transaction not in canonical encoding"
+    assert run_cli(capsys, "verify", str(log)) == (1, "", f"chain INVALID at seq 1: {detail}\n")
+    for argv in (["replay", str(log), str(state_file)], ["journal", str(log)]):
+        assert run_cli(capsys, *argv) == (1, "", f"error: ChainInvalid: {detail}\n")
 
 
 def test_log_anchored_at_a_later_genesis(tmp_path, capsys):

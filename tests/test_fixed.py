@@ -121,6 +121,42 @@ def test_overflow_is_an_error():
         Fixed.from_float(1e13)  # 1e19 micro-units
 
 
+MAX_MICRO = 2**63 - 1
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: Fixed(MAX_MICRO) + Fixed(1), lambda: Fixed(-MAX_MICRO) + Fixed(-1),
+    lambda: Fixed(MAX_MICRO) - Fixed(-1), lambda: Fixed(-MAX_MICRO) - Fixed(1),
+    lambda: Fixed(MAX_MICRO).mul(Fixed(2 * SCALE)),
+], ids=["add-up", "add-down", "sub-up", "sub-down", "mul"])
+def test_a_result_at_2_63_is_an_overflow(compute):
+    with pytest.raises(OverflowError, match="amount exceeds the representable range"):
+        compute()
+
+
+def test_a_result_at_the_range_edge_is_an_amount():
+    top = Fixed(MAX_MICRO - 1) + Fixed(1)
+    assert type(top) is Fixed and top.micro == MAX_MICRO
+    assert (Fixed(-MAX_MICRO + 1) - Fixed(1)).micro == (-top).micro == -MAX_MICRO
+    assert abs(-top) == top
+    with pytest.raises(AttributeError):
+        top.micro = 0
+
+
+@pytest.mark.parametrize("value", [1, True, 1.0, "1"])
+def test_an_amount_adds_and_subtracts_only_amounts(value):
+    with pytest.raises(TypeError):
+        Fixed(1) + value
+    with pytest.raises(TypeError):
+        Fixed(1) - value
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", None])
+def test_micro_units_are_an_int(value):
+    with pytest.raises(TypeError, match="micro units must be int"):
+        Fixed(value)
+
+
 def test_immutability():
     amount = Fixed.parse(5)
     with pytest.raises(AttributeError):
