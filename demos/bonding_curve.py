@@ -7,7 +7,7 @@ for steering the market price.
 """
 
 from carbonmarket import Fixed, quote_buy_tokens, quote_spend_cash
-from carbonmarket.exchange import ExchangeState, spot_price
+from carbonmarket.exchange import spot_price
 from carbonmarket.reports import price_curve_rows
 
 S0 = Fixed.parse(1000)
@@ -22,8 +22,7 @@ def show_curves():
     for s in grid:
         row = f"  {str(s):>10s}"
         for f in fractions:
-            state = ExchangeState(Fixed.parse(f), C0, S0, C0)
-            row += f" {spot_price(state, s).to_float():9.3f}"
+            row += f" {spot_price(Fixed.parse(f), S0, C0, s).to_float():9.3f}"
         print(row)
     print("  (full reserve fraction means a flat price; smaller fractions")
     print("   make the price climb with supply)\n")
@@ -33,7 +32,7 @@ def show_quotes():
     f = Fixed.parse("0.5")
     print("quotes against the curve at F=0.5, supply 1000, reserve 10000")
     buy = quote_buy_tokens(f, S0, C0, Fixed.parse(100))
-    after = spot_price(ExchangeState(f, C0, S0, C0), S0 + buy.tokens_delta)
+    after = spot_price(f, S0, C0, S0 + buy.tokens_delta)
     print(f"  buying 100 tokens costs {buy.cash_delta}  (spot afterwards {after})")
     sell = quote_buy_tokens(f, S0 + buy.tokens_delta, C0 + buy.cash_delta,
                             Fixed.parse(-100))
@@ -44,12 +43,10 @@ def show_quotes():
 
 def show_levers():
     print("market steering (supply 1000)")
-    state = ExchangeState(Fixed.parse("0.5"), C0, S0, C0)
-    print(f"  start:                         spot = {spot_price(state, S0)}")
-    tightened = ExchangeState(Fixed.parse("0.25"), C0, S0, C0)
-    print(f"  halve the reserve fraction:    spot = {spot_price(tightened, S0)}")
-    funded = ExchangeState(Fixed.parse("0.5"), C0 + C0, S0, C0 + C0)
-    print(f"  double the reserve instead:    spot = {spot_price(funded, S0)}\n")
+    half, quarter = Fixed.parse("0.5"), Fixed.parse("0.25")
+    print(f"  start:                         spot = {spot_price(half, S0, C0, S0)}")
+    print(f"  halve the reserve fraction:    spot = {spot_price(quarter, S0, C0, S0)}")
+    print(f"  double the reserve instead:    spot = {spot_price(half, S0, C0 + C0, S0)}\n")
 
 
 def show_table():

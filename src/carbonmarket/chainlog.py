@@ -52,7 +52,7 @@ import struct
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .errors import ErrorCode, LedgerError, reject
+from .errors import ErrorCode, LedgerError
 from .fixed import _fixed
 from .txformat import Transaction, TxKind, canonical_json, parse_state
 
@@ -128,21 +128,21 @@ def decode_transaction(data: bytes) -> Transaction:
         payload_text = data[pos:pos + length].decode("utf-8")
         amount = _fixed(micro) if present else None
     except (struct.error, UnicodeDecodeError, OverflowError) as exc:
-        raise reject(ErrorCode.CHAIN_INVALID, f"bad transaction encoding: {exc}") from exc
+        raise LedgerError(ErrorCode.CHAIN_INVALID, f"bad transaction encoding: {exc}") from exc
     kind = _KINDS.get(kind_text)
     if kind is None:
-        raise reject(ErrorCode.CHAIN_INVALID, f"unknown transaction kind {kind_text!r}")
+        raise LedgerError(ErrorCode.CHAIN_INVALID, f"unknown transaction kind {kind_text!r}")
     try:
         payload = {} if payload_text == "{}" else json.loads(payload_text)
     except (ValueError, RecursionError) as exc:   # also too deep, or too long a number
-        raise reject(ErrorCode.CHAIN_INVALID, f"bad payload json: {exc}") from exc
+        raise LedgerError(ErrorCode.CHAIN_INVALID, f"bad payload json: {exc}") from exc
     tx = _transaction((seq, time, kind, sender, target, cosigner, amount, payload))
     try:
         canonical = isinstance(payload, dict) and encode_transaction(tx) == data
     except ValueError:      # a NaN or an infinity, which JSON does not hold
         canonical = False
     if not canonical:
-        raise reject(ErrorCode.CHAIN_INVALID, "transaction not in canonical encoding")
+        raise LedgerError(ErrorCode.CHAIN_INVALID, "transaction not in canonical encoding")
     return tx
 
 
@@ -192,7 +192,7 @@ def _genesis_seq(genesis_json: str) -> int:
     try:
         return parse_state(genesis_json)[1]
     except LedgerError as exc:
-        raise reject(ErrorCode.CHAIN_INVALID, f"bad genesis: {exc.message}") from exc
+        raise LedgerError(ErrorCode.CHAIN_INVALID, f"bad genesis: {exc.message}") from exc
 
 
 class ChainLog:
@@ -214,8 +214,8 @@ class ChainLog:
 
     def append(self, tx: Transaction, state_digest: bytes):
         if tx.seq != self.head_seq + 1:
-            raise reject(ErrorCode.SEQ_GAP,
-                         f"expected seq {self.head_seq + 1}, got {tx.seq}")
+            raise LedgerError(ErrorCode.SEQ_GAP,
+                              f"expected seq {self.head_seq + 1}, got {tx.seq}")
         self.entries.append(ChainEntry(tx, state_digest))
 
     # -- text round trip --------------------------------------------------
@@ -238,9 +238,11 @@ class ChainLog:
         try:
             return _parse_and_check(text)
         except _Defect as defect:
-            raise reject(ErrorCode.CHAIN_INVALID, defect.args[1]) from None
+            raise LedgerError(ErrorCode.CHAIN_INVALID, defect.args[1]) from None
 
     def verify(self) -> VerifyResult:
+        """No caller but the benchmark's `perfbench/traced.py`, which wraps
+        it; ROADMAP item 5 removes it with that hook."""
         return verify_text(self.to_text())
 
 
@@ -318,8 +320,8 @@ def advance(ledger: TokenLedger, tx: Transaction, log: ChainLog,
     if tx.seq > log.head_seq:
         log.append(tx, digest)
     elif digest != log.entries[tx.seq - log.genesis_seq - 1].state_digest:
-        raise reject(ErrorCode.STATE_MISMATCH,
-                     f"entry {tx.seq}: replayed state digest diverges")
+        raise LedgerError(ErrorCode.STATE_MISMATCH,
+                          f"entry {tx.seq}: replayed state digest diverges")
     if journal is not None:
         journal.on_event(event)
 
@@ -338,8 +340,8 @@ def replay(log: ChainLog, genesis: Optional[TokenLedger] = None,
     if genesis is None:
         genesis = TokenLedger.from_state_json(log.genesis_json)
     if genesis.state_digest() != log.genesis_digest:
-        raise reject(ErrorCode.STATE_MISMATCH,
-                     "supplied genesis state does not match the recorded digest")
+        raise LedgerError(ErrorCode.STATE_MISMATCH,
+                          "supplied genesis state does not match the recorded digest")
     ledger = genesis.copy()
     for entry in log.entries:
         try:
@@ -347,6 +349,6 @@ def replay(log: ChainLog, genesis: Optional[TokenLedger] = None,
         except LedgerError as exc:
             if ledger.seq == entry.seq:     # applied: refused by its digest or books
                 raise
-            raise reject(ErrorCode.STATE_MISMATCH,
-                         f"entry {entry.seq} rejected on replay: {exc}") from exc
+            raise LedgerError(ErrorCode.STATE_MISMATCH,
+                              f"entry {entry.seq} rejected on replay: {exc}") from exc
     return ledger

@@ -60,8 +60,9 @@ def _amount(text: str) -> Fixed:
 # Each command imports the modules it runs when it runs: `verify` reads only
 # the log format and loads no state machine, exchange or reports, and only
 # `run` loads the scenario parser (and PyYAML) and the runner.  These two
-# stay names in this module, looked up when `run` calls them, so a caller can
-# replace them in place.
+# stay names in this module, looked up when `run` calls them, so that the
+# benchmark's `perfbench/traced.py` can replace them in place to time the
+# parse and the run; do not inline them.
 def load_scenario(path):
     from .scenario import load_scenario
     return load_scenario(path)
@@ -152,8 +153,7 @@ def _cmd_journal(args) -> int:
 
 
 def _cmd_quote(args) -> int:
-    from .exchange import (ExchangeState, quote_buy_tokens, quote_spend_cash,
-                           spot_price, validate_fraction)
+    from .exchange import quote_buy_tokens, quote_spend_cash, spot_price, validate_fraction
     fraction = validate_fraction(args.f)
     supply, reserve = args.s0, args.c0
     if args.buy_tokens is not None:
@@ -167,8 +167,7 @@ def _cmd_quote(args) -> int:
     except OverflowError as exc:
         raise LedgerError(ErrorCode.INVALID_AMOUNT,
                           f"the supply after the trade cannot be priced: {exc}") from exc
-    price_after = ZERO if after <= ZERO else spot_price(
-        ExchangeState(fraction, reserve, supply, reserve), after)
+    price_after = ZERO if after <= ZERO else spot_price(fraction, supply, reserve, after)
     print("tokens_delta,cash_delta,price_after")
     print(f"{quote.tokens_delta},{quote.cash_delta},{price_after}")
     return EXIT_OK

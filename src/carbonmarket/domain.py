@@ -10,7 +10,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional, Union
 
-from .errors import ErrorCode, reject
+from .errors import ErrorCode, LedgerError
 from .fixed import ZERO, Money, Quantity
 
 
@@ -42,8 +42,8 @@ def parse_role(name: Union[Role, str]) -> Role:
     try:
         return Role(name)
     except ValueError:
-        raise reject(ErrorCode.SCHEMA_ERROR,
-                     f"unknown role {name!r}; expected one of {ROLE_STRINGS}") from None
+        raise LedgerError(ErrorCode.SCHEMA_ERROR,
+                          f"unknown role {name!r}; expected one of {ROLE_STRINGS}") from None
 
 
 class OrgRecord:
@@ -81,11 +81,11 @@ def validate_id(value: str, what: str) -> str:
     report and log writes it; a lone surrogate such as JSON's `"\\ud800"`
     does not.  Any other value is a SchemaError naming `what` it is."""
     if not isinstance(value, str) or not value:
-        raise reject(ErrorCode.SCHEMA_ERROR, f"{what} must be a non-empty string")
+        raise LedgerError(ErrorCode.SCHEMA_ERROR, f"{what} must be a non-empty string")
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
-        raise reject(ErrorCode.SCHEMA_ERROR,
-                     f"{what} {value!r} is not encodable as UTF-8") from None
+        raise LedgerError(ErrorCode.SCHEMA_ERROR,
+                          f"{what} {value!r} is not encodable as UTF-8") from None
     return value
 

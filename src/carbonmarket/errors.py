@@ -50,8 +50,3 @@ class LedgerError(Exception):
         super().__init__(f"{code.value}: {message}")
         self.code = code
         self.message = message
-
-
-def reject(code: ErrorCode, message: str) -> LedgerError:
-    """Build a LedgerError (kept as a function so call sites read as verbs)."""
-    return LedgerError(code, message)

@@ -29,7 +29,7 @@ import math
 from contextlib import contextmanager
 from typing import NamedTuple
 
-from .errors import ErrorCode, reject
+from .errors import ErrorCode, LedgerError
 from .fixed import ONE, ZERO, Fixed, Money, Quantity
 
 
@@ -65,8 +65,8 @@ class Quote(NamedTuple):
 
 def validate_fraction(fraction: Fixed) -> Fixed:
     if not ZERO < fraction <= ONE:
-        raise reject(ErrorCode.INVALID_FRACTION,
-                     f"reserve fraction must lie in (0, 1], got {fraction}")
+        raise LedgerError(ErrorCode.INVALID_FRACTION,
+                          f"reserve fraction must lie in (0, 1], got {fraction}")
     return fraction
 
 
@@ -74,9 +74,9 @@ def validate_anchor(fraction: Fixed, supply: Quantity, reserve: Money):
     """Check a curve anchor (F, s0, C0) before any curve math runs on it."""
     validate_fraction(fraction)
     if supply <= ZERO:
-        raise reject(ErrorCode.INVALID_SUPPLY, "baseline supply must be positive")
+        raise LedgerError(ErrorCode.INVALID_SUPPLY, "baseline supply must be positive")
     if reserve <= ZERO:
-        raise reject(ErrorCode.INVALID_AMOUNT, "baseline reserve must be positive")
+        raise LedgerError(ErrorCode.INVALID_AMOUNT, "baseline reserve must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +118,14 @@ def tokens_for_cash_raw(fraction: float, supply: float, reserve: float,
 # Grid-rounded quotes
 # ---------------------------------------------------------------------------
 
-def spot_price(state: ExchangeState, supply: Quantity) -> Money:
-    """Spot price at `supply` against the stored baseline, grid-rounded."""
+def spot_price(fraction: Fixed, supply0: Quantity, reserve0: Money,
+               supply: Quantity) -> Money:
+    """Spot price at `supply` against the anchor (s0, C0), grid-rounded."""
     if supply <= ZERO:
-        raise reject(ErrorCode.INVALID_SUPPLY, f"supply must be positive, got {supply}")
+        raise LedgerError(ErrorCode.INVALID_SUPPLY, f"supply must be positive, got {supply}")
     with _priced(f"the spot price at supply {supply}"):
-        raw = spot_price_raw(state.fraction.to_float(),
-                             state.baseline_supply.to_float(),
-                             state.baseline_reserve.to_float(),
-                             supply.to_float())
+        raw = spot_price_raw(fraction.to_float(), supply0.to_float(),
+                             reserve0.to_float(), supply.to_float())
         return Fixed.from_float(raw, "nearest")
 
 
@@ -137,7 +136,7 @@ def _priced(what: str):
     try:
         yield
     except (OverflowError, ValueError) as exc:
-        raise reject(ErrorCode.INVALID_AMOUNT, f"{what} cannot be priced: {exc}") from exc
+        raise LedgerError(ErrorCode.INVALID_AMOUNT, f"{what} cannot be priced: {exc}") from exc
 
 
 def _check_live(supply: Quantity, reserve: Money):
@@ -145,9 +144,9 @@ def _check_live(supply: Quantity, reserve: Money):
     divides by both.  A loaded state, or a `setPrice` whose F * s * P rounds
     to zero, can leave the reserve empty with tokens out."""
     if supply <= ZERO:
-        raise reject(ErrorCode.INVALID_SUPPLY, "exchange has no outstanding supply")
+        raise LedgerError(ErrorCode.INVALID_SUPPLY, "exchange has no outstanding supply")
     if reserve <= ZERO:
-        raise reject(ErrorCode.RESERVE_EXHAUSTED, "the exchange reserve is empty")
+        raise LedgerError(ErrorCode.RESERVE_EXHAUSTED, "the exchange reserve is empty")
 
 
 def quote_buy_tokens(fraction: Fixed, supply: Quantity, reserve: Money,
@@ -159,17 +158,17 @@ def quote_buy_tokens(fraction: Fixed, supply: Quantity, reserve: Money,
     quoted with a one-sided zero leg.
     """
     if tokens.is_zero:
-        raise reject(ErrorCode.INVALID_AMOUNT, "token amount must be nonzero")
+        raise LedgerError(ErrorCode.INVALID_AMOUNT, "token amount must be nonzero")
     _check_live(supply, reserve)
     if tokens.is_negative and -tokens > supply:
-        raise reject(ErrorCode.INVALID_AMOUNT,
-                     f"cannot sell {-tokens} tokens against a supply of {supply}")
+        raise LedgerError(ErrorCode.INVALID_AMOUNT,
+                          f"cannot sell {-tokens} tokens against a supply of {supply}")
     with _priced(f"a trade of {tokens} tokens"):
         raw = cash_for_tokens_raw(fraction.to_float(), supply.to_float(),
                                   reserve.to_float(), tokens.to_float())
         cash = Fixed.from_float(raw, "ceil")
         if cash.is_zero:
-            raise reject(ErrorCode.INVALID_AMOUNT, "trade too small to price")
+            raise LedgerError(ErrorCode.INVALID_AMOUNT, "trade too small to price")
     return Quote(tokens, cash)
 
 
@@ -181,15 +180,15 @@ def quote_spend_cash(fraction: Fixed, supply: Quantity, reserve: Money,
     spend so small that the tokens received round to zero is rejected.
     """
     if cash.is_zero:
-        raise reject(ErrorCode.INVALID_AMOUNT, "cash amount must be nonzero")
+        raise LedgerError(ErrorCode.INVALID_AMOUNT, "cash amount must be nonzero")
     _check_live(supply, reserve)
     if cash.is_negative and -cash > reserve:
-        raise reject(ErrorCode.RESERVE_EXHAUSTED,
-                     f"cannot withdraw {-cash} from a reserve of {reserve}")
+        raise LedgerError(ErrorCode.RESERVE_EXHAUSTED,
+                          f"cannot withdraw {-cash} from a reserve of {reserve}")
     with _priced(f"a trade of {cash} cash"):
         raw = tokens_for_cash_raw(fraction.to_float(), supply.to_float(),
                                   reserve.to_float(), cash.to_float())
         tokens = Fixed.from_float(raw, "floor")
         if tokens.is_zero:
-            raise reject(ErrorCode.INVALID_AMOUNT, "trade too small to price")
+            raise LedgerError(ErrorCode.INVALID_AMOUNT, "trade too small to price")
     return Quote(tokens, cash)

@@ -57,7 +57,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .errors import ErrorCode, reject
+from .errors import ErrorCode, LedgerError
 from .fixed import _LIMIT, SCALE, ZERO, Money, Quantity, _fixed, _half_even
 from .ledger import AppliedEvent, TokenLedger, TxKind
 
@@ -191,8 +191,8 @@ class Journal:
             try:
                 books.liability_balance = record.emission.mul(genesis.market_price)
             except OverflowError as exc:
-                raise reject(ErrorCode.INVALID_AMOUNT,
-                             f"cannot open {record.id!r} at genesis: {exc}") from exc
+                raise LedgerError(ErrorCode.INVALID_AMOUNT,
+                                  f"cannot open {record.id!r} at genesis: {exc}") from exc
 
     def books_for(self, org: str) -> OrgBooks:
         books = self.books.get(org)
@@ -216,8 +216,8 @@ class Journal:
                 del self.entries[start:]
                 self._nets = nets
                 tx = event.tx
-                raise reject(ErrorCode.INVALID_AMOUNT,
-                             f"cannot book seq {tx.seq} ({tx.kind.value}): {exc}") from exc
+                raise LedgerError(ErrorCode.INVALID_AMOUNT,
+                                  f"cannot book seq {tx.seq} ({tx.kind.value}): {exc}") from exc
         return self.entries[start:]
 
     def _post(self, event: AppliedEvent, org: str, *lines: tuple[Account, Side, int]):

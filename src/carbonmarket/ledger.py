@@ -11,15 +11,18 @@ Identities run in simulation mode: a transaction's sender and cosigner
 fields are honoured as already-authenticated identities, and the ledger
 enforces only *who* must sign each operation.
 
-Authorization gates, in the order they are checked for every operation:
-unknown organisations first, then amount validity, then role authority, then
-operation-specific state (balances, projects, reserve).
+Every handler checks in one order: it resolves the organisations its kind
+names (an unregistered one is `UnknownOrg`), then checks the amount or
+payload, then the signers' roles, then the state (balances, projects,
+reserve); a transaction with several faults reports the first of these.
 
 Organisations, projects, cash and the exchange come into being only through
 the `setup_*` genesis calls, which never pass through `apply` and never
 enter the chain log.  The scenario parser builds a scenario's genesis with
-them and `from_state_json` loads a state through them, so a genesis passes
-the same checks whichever way it arrives.
+them.  `from_state_json` registers orgs with `setup_register_org` and
+projects with `_add_project`, so those pass the same checks; it sets cash,
+balances, market totals and the exchange directly, and
+`_check_loaded_invariants` checks them.
 
 The canonical state JSON is kept incrementally: the ledger caches each org's
 encoded fragment in a dict keyed by org id and re-encodes only the orgs
@@ -40,7 +43,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional, Union
 
 from .domain import OrgRecord, Role, parse_role, validate_id
-from .errors import ErrorCode, LedgerError, reject
+from .errors import ErrorCode, LedgerError
 from .exchange import (ExchangeState, quote_buy_tokens, quote_spend_cash,
                        spot_price, validate_anchor, validate_fraction)
 from .fixed import ZERO, Fixed, Money, Quantity
@@ -95,7 +98,7 @@ class TokenLedger:
     def org(self, org_id: str) -> OrgRecord:
         record = self.registry.get(org_id)
         if record is None:
-            raise reject(ErrorCode.UNKNOWN_ORG, f"organisation {org_id!r} is not registered")
+            raise LedgerError(ErrorCode.UNKNOWN_ORG, f"organisation {org_id!r} is not registered")
         return record
 
     def copy(self) -> "TokenLedger":
@@ -137,8 +140,8 @@ class TokenLedger:
 
     @classmethod
     def from_state_json(cls, text: str) -> "TokenLedger":
-        """The state `text` holds, loaded through the genesis setup calls, so
-        that it passes their checks.  Only a genesis state (seq 0) must have
+        """The state `text` holds; its orgs and projects pass the checks of
+        the genesis setup calls.  Only a genesis state (seq 0) must have
         every project owned by an enterprise: `setRole` may later change
         the role of a project's owner."""
         data, seq = parse_state(text)
@@ -156,8 +159,8 @@ class TokenLedger:
                 record.cash = Fixed(entry["cash"])
                 projects = entry["projects"]
                 if type(projects) is not list:
-                    raise reject(ErrorCode.SCHEMA_ERROR,
-                                 f"projects of {record.id!r} must be a list")
+                    raise LedgerError(ErrorCode.SCHEMA_ERROR,
+                                      f"projects of {record.id!r} must be a list")
                 for project_id in projects:
                     ledger._add_project(record, project_id, enterprise_only=seq == 0)
             if data["exchange"] is not None:
@@ -169,9 +172,9 @@ class TokenLedger:
                     baseline_reserve=Fixed(ex["baseline_reserve"]),
                 )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise reject(ErrorCode.SCHEMA_ERROR, f"bad state field: {exc}") from exc
+            raise LedgerError(ErrorCode.SCHEMA_ERROR, f"bad state field: {exc}") from exc
         except LedgerError as exc:  # an org or project the setup calls refuse
-            raise reject(ErrorCode.SCHEMA_ERROR, f"bad state org: {exc.message}") from exc
+            raise LedgerError(ErrorCode.SCHEMA_ERROR, f"bad state org: {exc.message}") from exc
         ledger._check_loaded_invariants()
         return ledger
 
@@ -180,27 +183,27 @@ class TokenLedger:
         for record in self.registry.values():
             if record.permit.is_negative or record.emission.is_negative \
                     or record.cash.is_negative:
-                raise reject(ErrorCode.SCHEMA_ERROR,
-                             f"negative balance on {record.id!r}")
+                raise LedgerError(ErrorCode.SCHEMA_ERROR,
+                                  f"negative balance on {record.id!r}")
             permits += record.permit
             emissions += record.emission
         if permits != self.market_permit or emissions != self.market_emission:
-            raise reject(ErrorCode.SCHEMA_ERROR,
-                         "market totals do not match the balance sums")
+            raise LedgerError(ErrorCode.SCHEMA_ERROR,
+                              "market totals do not match the balance sums")
         if self.market_price.is_negative:
-            raise reject(ErrorCode.SCHEMA_ERROR, "negative market price")
+            raise LedgerError(ErrorCode.SCHEMA_ERROR, "negative market price")
         ex = self.exchange
         if ex is not None:
             validate_fraction(ex.fraction)
             if ex.reserve.is_negative:
-                raise reject(ErrorCode.SCHEMA_ERROR, "negative exchange reserve")
+                raise LedgerError(ErrorCode.SCHEMA_ERROR, "negative exchange reserve")
             # a genesis anchor has a positive supply and `_rebase_supply` only
             # moves it to a positive one; a full sell-off can empty the reserve
             if not ex.baseline_supply.is_positive:
-                raise reject(ErrorCode.SCHEMA_ERROR,
-                             "exchange baseline supply must be positive")
+                raise LedgerError(ErrorCode.SCHEMA_ERROR,
+                                  "exchange baseline supply must be positive")
             if ex.baseline_reserve.is_negative:
-                raise reject(ErrorCode.SCHEMA_ERROR, "negative exchange baseline reserve")
+                raise LedgerError(ErrorCode.SCHEMA_ERROR, "negative exchange baseline reserve")
 
     # -- genesis setup (declarative, before the first transaction) --------
 
@@ -208,7 +211,8 @@ class TokenLedger:
         validate_id(org_id, "organisation id")
         role = parse_role(role)
         if org_id in self.registry:
-            raise reject(ErrorCode.DUPLICATE_ID, f"organisation {org_id!r} already registered")
+            raise LedgerError(ErrorCode.DUPLICATE_ID,
+                              f"organisation {org_id!r} already registered")
         record = OrgRecord(id=org_id, role=role)
         self.registry[org_id] = record
         self._fragments[org_id] = ""
@@ -222,11 +226,11 @@ class TokenLedger:
                      enterprise_only: bool) -> OrgRecord:
         validate_id(project_id, "project id")
         if enterprise_only and not owner.role.is_enterprise:
-            raise reject(ErrorCode.UNAUTHORIZED, "projects are owned by enterprises")
+            raise LedgerError(ErrorCode.UNAUTHORIZED, "projects are owned by enterprises")
         holder = self._owners.get(project_id)
         if holder is not None:
-            raise reject(ErrorCode.DUPLICATE_ID,
-                         f"project {project_id!r} already registered to {holder!r}")
+            raise LedgerError(ErrorCode.DUPLICATE_ID,
+                              f"project {project_id!r} already registered to {holder!r}")
         self._stale.add(owner.id)
         owner.projects.add(project_id)
         self._owners[project_id] = owner.id
@@ -235,7 +239,7 @@ class TokenLedger:
     def setup_set_cash(self, org_id: str, amount: Money) -> OrgRecord:
         """Scenario cash faucet; genesis only, never a logged transaction."""
         if amount.is_negative:
-            raise reject(ErrorCode.INVALID_AMOUNT, "cash balances cannot be negative")
+            raise LedgerError(ErrorCode.INVALID_AMOUNT, "cash balances cannot be negative")
         record = self.org(org_id)
         self._stale.add(org_id)
         record.cash = amount
@@ -245,20 +249,20 @@ class TokenLedger:
                             baseline_reserve: Money) -> ExchangeState:
         validate_anchor(fraction, baseline_supply, baseline_reserve)
         if self.exchange is not None:
-            raise reject(ErrorCode.EXCHANGE_ACTIVE, "exchange already initialised")
-        exchange = ExchangeState(fraction=fraction, reserve=baseline_reserve,
-                                 baseline_supply=baseline_supply,
-                                 baseline_reserve=baseline_reserve)
-        self.market_price = spot_price(exchange, baseline_supply)
-        self.exchange = exchange
-        return exchange
+            raise LedgerError(ErrorCode.EXCHANGE_ACTIVE, "exchange already initialised")
+        self.market_price = spot_price(fraction, baseline_supply, baseline_reserve,
+                                       baseline_supply)
+        self.exchange = ExchangeState(fraction=fraction, reserve=baseline_reserve,
+                                      baseline_supply=baseline_supply,
+                                      baseline_reserve=baseline_reserve)
+        return self.exchange
 
     # -- transaction application ------------------------------------------
 
     def apply(self, tx: Transaction) -> AppliedEvent:
         if tx.seq != self.seq + 1:
-            raise reject(ErrorCode.SEQ_GAP,
-                         f"expected seq {self.seq + 1}, got {tx.seq}")
+            raise LedgerError(ErrorCode.SEQ_GAP,
+                              f"expected seq {self.seq + 1}, got {tx.seq}")
         handler = _HANDLERS[tx.kind]
         # Handlers touch no org but these three, and compute every new value
         # before assigning any, so an amount that overflows the 64-bit range
@@ -267,7 +271,7 @@ class TokenLedger:
         try:
             event = handler(self, tx)
         except OverflowError as exc:
-            raise reject(ErrorCode.INVALID_AMOUNT, f"{tx.kind.value}: {exc}") from exc
+            raise LedgerError(ErrorCode.INVALID_AMOUNT, f"{tx.kind.value}: {exc}") from exc
         self.seq = tx.seq
         return event
 
@@ -275,43 +279,40 @@ class TokenLedger:
 
     def _positive_amount(self, tx: Transaction) -> Quantity:
         if tx.amount is None or tx.amount <= ZERO:
-            raise reject(ErrorCode.ZERO_AMOUNT, "amount must be positive")
+            raise LedgerError(ErrorCode.ZERO_AMOUNT, "amount must be positive")
         return tx.amount
 
     def _signed_amount(self, tx: Transaction) -> Fixed:
         if tx.amount is None or tx.amount.is_zero:
-            raise reject(ErrorCode.INVALID_AMOUNT, "amount must be nonzero")
+            raise LedgerError(ErrorCode.INVALID_AMOUNT, "amount must be nonzero")
         return tx.amount
 
-    def _authority(self, org_id: str) -> OrgRecord:
-        record = self.org(org_id)
+    def _authority(self, record: OrgRecord):
         if not record.role.is_authority:
-            raise reject(ErrorCode.UNAUTHORIZED, f"{org_id!r} must hold the authority role")
-        return record
+            raise LedgerError(ErrorCode.UNAUTHORIZED,
+                              f"{record.id!r} must hold the authority role")
 
-    def _verifier(self, org_id: str) -> OrgRecord:
-        record = self.org(org_id)
+    def _verifier(self, record: OrgRecord):
         if not record.role.is_verifier:
-            raise reject(ErrorCode.UNAUTHORIZED, f"{org_id!r} must hold verifier status")
-        return record
+            raise LedgerError(ErrorCode.UNAUTHORIZED, f"{record.id!r} must hold verifier status")
 
     def _active_exchange(self) -> ExchangeState:
         if self.exchange is None:
-            raise reject(ErrorCode.EXCHANGE_INACTIVE, "exchange has not been initialised")
+            raise LedgerError(ErrorCode.EXCHANGE_INACTIVE, "exchange has not been initialised")
         return self.exchange
 
     def _payload_fixed(self, tx: Transaction, key: str) -> Fixed:
         value = tx.payload.get(key)
         if not isinstance(value, int) or isinstance(value, bool):
-            raise reject(ErrorCode.SCHEMA_ERROR,
-                         f"{tx.kind.value} payload field {key!r} must be integer micro-units")
+            raise LedgerError(ErrorCode.SCHEMA_ERROR,
+                              f"{tx.kind.value} payload field {key!r} must be integer micro-units")
         return Fixed(value)
 
     def _payload_str(self, tx: Transaction, key: str) -> str:
         value = tx.payload.get(key)
         if not isinstance(value, str) or not value:
-            raise reject(ErrorCode.SCHEMA_ERROR,
-                         f"{tx.kind.value} payload field {key!r} must be a non-empty string")
+            raise LedgerError(ErrorCode.SCHEMA_ERROR,
+                              f"{tx.kind.value} payload field {key!r} must be a non-empty string")
         return value
 
     def _event(self, tx: Transaction, **effects) -> AppliedEvent:
@@ -322,40 +323,39 @@ class TokenLedger:
 
     def _apply_set_role(self, tx: Transaction) -> AppliedEvent:
         target = self.org(tx.target)
+        sender = self.org(tx.sender)
         role = parse_role(self._payload_str(tx, "role"))
-        self._authority(tx.sender)
+        self._authority(sender)
         if target.role is role:
-            raise reject(ErrorCode.NO_CHANGE,
-                         f"{tx.target!r} already holds role {role.value!r}")
+            raise LedgerError(ErrorCode.NO_CHANGE,
+                              f"{tx.target!r} already holds role {role.value!r}")
         target.role = role
         return self._event(tx)
 
-    def _apply_mint_permit(self, tx: Transaction) -> AppliedEvent:
+    def _apply_issue(self, tx: Transaction) -> AppliedEvent:
+        """`mintPermit` (by an authority) or `grantPermit` (by a verifier, to
+        a project owner): the target's permits and the market total grow."""
         target = self.org(tx.target)
+        sender = self.org(tx.sender)
         amount = self._positive_amount(tx)
-        self._authority(tx.sender)
-        target.permit, self.market_permit = (target.permit + amount,
-                                             self.market_permit + amount)
-        return self._event(tx)
-
-    def _apply_grant_permit(self, tx: Transaction) -> AppliedEvent:
-        target = self.org(tx.target)
-        amount = self._positive_amount(tx)
-        self._verifier(tx.sender)
-        if not target.projects:
-            raise reject(ErrorCode.NO_PROJECT,
-                         f"{tx.target!r} owns no registered emissions-reduction project")
+        if tx.kind is TxKind.MINT_PERMIT:
+            self._authority(sender)
+        else:
+            self._verifier(sender)
+            if not target.projects:
+                raise LedgerError(ErrorCode.NO_PROJECT,
+                                  f"{tx.target!r} owns no registered emissions-reduction project")
         target.permit, self.market_permit = (target.permit + amount,
                                              self.market_permit + amount)
         return self._event(tx)
 
     def _apply_mint_emission(self, tx: Transaction) -> AppliedEvent:
         sender = self.org(tx.sender)
-        self.org(tx.cosigner)
+        cosigner = self.org(tx.cosigner)
         amount = self._positive_amount(tx)
-        self._verifier(tx.cosigner)
+        self._verifier(cosigner)
         if not sender.role.is_enterprise:
-            raise reject(ErrorCode.UNAUTHORIZED, "only enterprises record emissions")
+            raise LedgerError(ErrorCode.UNAUTHORIZED, "only enterprises record emissions")
         sender.emission, self.market_emission = (sender.emission + amount,
                                                  self.market_emission + amount)
         return self._event(tx)
@@ -365,8 +365,8 @@ class TokenLedger:
         target = self.org(tx.target)
         amount = self._positive_amount(tx)
         if amount > sender.permit:
-            raise reject(ErrorCode.INSUFFICIENT_BALANCE,
-                         f"{tx.sender!r} holds {sender.permit} permits, cannot move {amount}")
+            raise LedgerError(ErrorCode.INSUFFICIENT_BALANCE,
+                              f"{tx.sender!r} holds {sender.permit} permits, cannot move {amount}")
         # Both balances stay within the market total, so neither can overflow;
         # updating in turn keeps a self-transfer an identity.
         sender.permit -= amount
@@ -377,8 +377,8 @@ class TokenLedger:
         sender = self.org(tx.sender)
         amount = self._positive_amount(tx)
         if amount > sender.permit:
-            raise reject(ErrorCode.INSUFFICIENT_BALANCE,
-                         f"{tx.sender!r} holds {sender.permit} permits, cannot burn {amount}")
+            raise LedgerError(ErrorCode.INSUFFICIENT_BALANCE,
+                              f"{tx.sender!r} holds {sender.permit} permits, cannot burn {amount}")
         retired = min(amount, sender.emission)
         sender.emission -= retired
         sender.permit -= amount
@@ -399,11 +399,12 @@ class TokenLedger:
         legs = quote(exchange.fraction, self.market_permit, exchange.reserve, amount)
         tokens, cash = legs.tokens_delta, legs.cash_delta
         if cash > sender.cash:
-            raise reject(ErrorCode.INSUFFICIENT_CASH,
-                         f"buy needs {cash}, {tx.sender!r} holds {sender.cash}")
+            raise LedgerError(ErrorCode.INSUFFICIENT_CASH,
+                              f"buy needs {cash}, {tx.sender!r} holds {sender.cash}")
         if -tokens > sender.permit:
-            raise reject(ErrorCode.INSUFFICIENT_BALANCE,
-                         f"{tx.sender!r} holds {sender.permit} permits, cannot sell {-tokens}")
+            raise LedgerError(ErrorCode.INSUFFICIENT_BALANCE,
+                              f"{tx.sender!r} holds {sender.permit} permits, "
+                              f"cannot sell {-tokens}")
         permit, market = sender.permit + tokens, self.market_permit + tokens
         balance, reserve = sender.cash - cash, exchange.reserve + cash
         sender.permit, self.market_permit, sender.cash, exchange.reserve = \
@@ -418,35 +419,39 @@ class TokenLedger:
         return self.exchange.baseline_supply
 
     def _apply_set_reserve_fraction(self, tx: Transaction) -> AppliedEvent:
-        self._authority(tx.sender)
-        exchange = self._active_exchange()
+        sender = self.org(tx.sender)
         fraction = validate_fraction(self._payload_fixed(tx, "fraction"))
+        self._authority(sender)
+        exchange = self._active_exchange()
         exchange.baseline_supply = self._rebase_supply()
         exchange.baseline_reserve = exchange.reserve
         exchange.fraction = fraction
         return self._event(tx)
 
     def _apply_adjust_reserve(self, tx: Transaction) -> AppliedEvent:
-        self._authority(tx.sender)
-        exchange = self._active_exchange()
-        if tx.amount is None:
-            raise reject(ErrorCode.INVALID_AMOUNT, "reserve delta is required")
+        sender = self.org(tx.sender)
         delta = tx.amount
+        if delta is None:
+            raise LedgerError(ErrorCode.INVALID_AMOUNT, "reserve delta is required")
+        self._authority(sender)
+        exchange = self._active_exchange()
         if delta.is_zero:
             return self._event(tx)  # explicit no-op, state untouched
         reserve = exchange.reserve + delta
         if reserve <= ZERO:
-            raise reject(ErrorCode.RESERVE_EXHAUSTED,
-                         f"reserve {exchange.reserve} + delta {delta} must stay positive")
+            raise LedgerError(ErrorCode.RESERVE_EXHAUSTED,
+                              f"reserve {exchange.reserve} + delta {delta} must stay positive")
         exchange.baseline_supply = self._rebase_supply()
         exchange.reserve = exchange.baseline_reserve = reserve
         return self._event(tx)
 
     def _apply_set_price(self, tx: Transaction) -> AppliedEvent:
-        self._authority(tx.sender)
+        sender = self.org(tx.sender)
         price = self._payload_fixed(tx, "price")
         if price <= ZERO:
-            raise reject(ErrorCode.INVALID_PRICE, f"market price must be positive, got {price}")
+            raise LedgerError(ErrorCode.INVALID_PRICE,
+                              f"market price must be positive, got {price}")
+        self._authority(sender)
         price_before = self.market_price
         if self.exchange is not None:
             # Re-tune the reserve so the curve quotes at the declared price:
@@ -462,8 +467,8 @@ class TokenLedger:
 
 _HANDLERS: dict[TxKind, Callable[[TokenLedger, Transaction], AppliedEvent]] = {
     TxKind.SET_ROLE: TokenLedger._apply_set_role,
-    TxKind.MINT_PERMIT: TokenLedger._apply_mint_permit,
-    TxKind.GRANT_PERMIT: TokenLedger._apply_grant_permit,
+    TxKind.MINT_PERMIT: TokenLedger._apply_issue,
+    TxKind.GRANT_PERMIT: TokenLedger._apply_issue,
     TxKind.MINT_EMISSION: TokenLedger._apply_mint_emission,
     TxKind.TRANSFER_PERMIT: TokenLedger._apply_transfer_permit,
     TxKind.BURN_TOKEN: TokenLedger._apply_burn_token,

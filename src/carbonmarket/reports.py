@@ -10,8 +10,8 @@ import csv
 import io
 from typing import TYPE_CHECKING
 
-from .errors import ErrorCode, reject
-from .exchange import ExchangeState, spot_price, validate_anchor
+from .errors import ErrorCode, LedgerError
+from .exchange import spot_price, validate_anchor
 from .fixed import Fixed
 from .ledger import TokenLedger
 
@@ -80,20 +80,19 @@ def price_curve_rows(fraction: Fixed, supply0: Fixed, reserve0: Fixed,
     """Evenly spaced (supply, spot price) table for external plotting, of 2
     to `MAX_CURVE_POINTS` points."""
     if points < 2:
-        raise reject(ErrorCode.INVALID_RANGE, "need at least 2 points")
+        raise LedgerError(ErrorCode.INVALID_RANGE, "need at least 2 points")
     if points > MAX_CURVE_POINTS:
-        raise reject(ErrorCode.INVALID_RANGE, f"need at most {MAX_CURVE_POINTS} points")
+        raise LedgerError(ErrorCode.INVALID_RANGE, f"need at most {MAX_CURVE_POINTS} points")
     if not Fixed(0) < supply_min < supply_max:
-        raise reject(ErrorCode.INVALID_RANGE,
-                     "need 0 < min supply < max supply")
+        raise LedgerError(ErrorCode.INVALID_RANGE,
+                          "need 0 < min supply < max supply")
     validate_anchor(fraction, supply0, reserve0)
-    anchor = ExchangeState(fraction, reserve0, supply0, reserve0)
     lo = supply_min.to_float()
     hi = supply_max.to_float()
     rows = []
     for i in range(points):
         supply = Fixed.from_float(lo + (hi - lo) * i / (points - 1), "nearest")
-        rows.append((supply, spot_price(anchor, supply)))
+        rows.append((supply, spot_price(fraction, supply0, reserve0, supply)))
     return rows
 
 

@@ -30,7 +30,7 @@ from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
                          StreamEndEvent)
 
 from .domain import parse_role
-from .errors import ErrorCode, LedgerError, reject
+from .errors import ErrorCode, LedgerError
 from .fixed import Fixed
 from .journal import Account, Journal
 from .ledger import TokenLedger
@@ -198,7 +198,7 @@ class Scenario(NamedTuple):
 
 
 def _schema_error(where: str, message: str) -> LedgerError:
-    return reject(ErrorCode.SCHEMA_ERROR, f"{where}: {message}")
+    return LedgerError(ErrorCode.SCHEMA_ERROR, f"{where}: {message}")
 
 
 def _fields(where: str, raw: Any, allowed) -> None:
@@ -267,8 +267,8 @@ def _parse_genesis(raw: Any) -> TokenLedger:
         _fields(where, entry, ("owner", "project"))
         owner = _as_str(where, "owner", entry.get("owner"))
         if owner not in ledger.registry:
-            raise reject(ErrorCode.REFERENCE_ERROR,
-                         f"{where}: owner {owner!r} is not declared in genesis.orgs")
+            raise LedgerError(ErrorCode.REFERENCE_ERROR,
+                              f"{where}: owner {owner!r} is not declared in genesis.orgs")
         _setup(where, ledger.setup_register_project, owner, entry.get("project"))
 
     entry = raw.get("exchange")
@@ -297,8 +297,8 @@ def _parse_expect(where: str, step: dict, declared: dict) -> Expectation:
     if subject == "org":
         org = _as_str(where, "org", step["org"])
         if org not in declared:
-            raise reject(ErrorCode.REFERENCE_ERROR,
-                         f"{where}: org {org!r} is not declared in genesis")
+            raise LedgerError(ErrorCode.REFERENCE_ERROR,
+                              f"{where}: org {org!r} is not declared in genesis")
         name = _as_str(where, "field", step.get("field"))
         if name not in EXPECT_FIELDS:
             raise _schema_error(where, f"field must be one of {tuple(EXPECT_FIELDS)}")
@@ -345,8 +345,8 @@ def _parse_step(index: int, raw: Any, declared: dict) -> Step:
     for key, tx_field in spec.orgs.items():
         org = _as_str(where, key, raw.get(key))
         if org not in declared:
-            raise reject(ErrorCode.REFERENCE_ERROR,
-                         f"{where}: {key} {org!r} is not declared in genesis")
+            raise LedgerError(ErrorCode.REFERENCE_ERROR,
+                              f"{where}: {key} {org!r} is not declared in genesis")
         parties[tx_field] = org
     if spec.value == "role":
         value = _setup(where, parse_role, raw.get("role")).value
@@ -377,7 +377,7 @@ def parse_scenario(text: str) -> Scenario:
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise reject(ErrorCode.SYNTAX_ERROR, f"bad scenario file{at}: {exc}") from exc
+        raise LedgerError(ErrorCode.SYNTAX_ERROR, f"bad scenario file{at}: {exc}") from exc
     _fields("document", raw, ("name", "description", "genesis", "steps"))
     name = _as_str("document", "name", raw.get("name"))
     description = _optional(raw, "description", "")
@@ -408,5 +408,5 @@ def load_scenario(path: str) -> Scenario:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise reject(ErrorCode.SYNTAX_ERROR, f"cannot read scenario {path!r}: {exc}") from exc
+        raise LedgerError(ErrorCode.SYNTAX_ERROR, f"cannot read scenario {path!r}: {exc}") from exc
     return parse_scenario(text)

@@ -12,7 +12,7 @@ import json
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .errors import ErrorCode, reject
+from .errors import ErrorCode, LedgerError
 
 if TYPE_CHECKING:
     from .fixed import Fixed
@@ -35,12 +35,12 @@ def parse_state(text: str) -> tuple[dict, int]:
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise reject(ErrorCode.SYNTAX_ERROR, f"bad state json: {exc}") from exc
+        raise LedgerError(ErrorCode.SYNTAX_ERROR, f"bad state json: {exc}") from exc
     if not isinstance(data, dict) or data.get("format") != STATE_FORMAT:
-        raise reject(ErrorCode.SCHEMA_ERROR, "unrecognised state format")
+        raise LedgerError(ErrorCode.SCHEMA_ERROR, "unrecognised state format")
     seq = data.get("seq")
     if type(seq) is not int or not 0 <= seq < 2**64:
-        raise reject(ErrorCode.SCHEMA_ERROR, f"bad state seq {repr(seq)[:40]}")
+        raise LedgerError(ErrorCode.SCHEMA_ERROR, f"bad state seq {repr(seq)[:40]}")
     return data, seq
 
 

@@ -190,6 +190,23 @@ def test_replay_divergence_is_a_state_mismatch(tmp_path, capsys, sender, digest,
         assert run_cli(capsys, *argv) == (1, "", f"error: StateMismatch: {detail}\n")
 
 
+def test_an_entry_with_several_faults_is_refused_for_the_first_checked(tmp_path, capsys):
+    # a mintPermit of 0 signed by an unregistered org: the ledger resolves
+    # the orgs before it checks the amount, so the unknown signer is named
+    genesis = standard_market()
+    chain = ChainLog.for_ledger(genesis)
+    chain.append(Transaction(seq=1, time="t", kind=TxKind.MINT_PERMIT, sender="Z",
+                             target="E", amount=fx(0)), genesis.state_digest())
+    log = tmp_path / "chainlog.log"
+    log.write_text(chain.to_text(), encoding="utf-8")
+    state = tmp_path / "genesis.json"
+    state.write_text(genesis.state_json() + "\n", encoding="utf-8")
+    assert run_cli(capsys, "verify", str(log)) == (0, "chain valid\n", "")
+    detail = "entry 1 rejected on replay: UnknownOrg: organisation 'Z' is not registered"
+    for argv in (["replay", str(log), str(state)], ["journal", str(log)]):
+        assert run_cli(capsys, *argv) == (1, "", f"error: StateMismatch: {detail}\n")
+
+
 def test_journal_opens_from_genesis_balances(tmp_path, capsys):
     # genesis permits are one opening lot and genesis emissions an opening
     # liability at the genesis price (20), neither booked

@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from carbonmarket import ErrorCode, LedgerError
-from carbonmarket.exchange import (ExchangeState, cash_for_tokens_raw,
-                                   quote_buy_tokens, quote_spend_cash,
-                                   spot_price, spot_price_raw)
+from carbonmarket.exchange import (cash_for_tokens_raw, quote_buy_tokens,
+                                   quote_spend_cash, spot_price, spot_price_raw)
 from carbonmarket.fixed import ZERO, Fixed
 
 from conftest import LedgerDriver, fx, standard_market
 
 
-def state(fraction, s0, c0) -> ExchangeState:
-    return ExchangeState(fraction=fx(fraction), reserve=fx(c0),
-                         baseline_supply=fx(s0), baseline_reserve=fx(c0))
+def anchor(fraction, s0, c0) -> tuple[Fixed, Fixed, Fixed]:
+    """A curve anchor (F, s0, C0), as `spot_price` takes it."""
+    return fx(fraction), fx(s0), fx(c0)
 
 
 def reserve_at_raw(fraction: float, supply0: float, reserve0: float,
@@ -36,25 +35,25 @@ def central_difference_price(f, s0, c0, s, h):
 # -- spot price ---------------------------------------------------------------
 
 def test_spot_price_at_baseline():
-    assert spot_price(state("0.5", 1000, 10000), fx(1000)) == fx(20)
+    assert spot_price(*anchor("0.5", 1000, 10000), fx(1000)) == fx(20)
 
 
 def test_spot_price_constant_for_full_reserve_fraction():
-    s = state("1", 1000, 10000)
+    flat = anchor("1", 1000, 10000)
     for supply in (1, 10, 1000, 500000):
-        assert spot_price(s, fx(supply)) == fx(10)
+        assert spot_price(*flat, fx(supply)) == fx(10)
 
 
 def test_spot_price_off_baseline_matches_derivative_oracle():
     # oracle first: dC/ds at s=1100 for F=0.5, s0=1000, C0=10000
     oracle = central_difference_price(0.5, 1000.0, 10000.0, 1100.0, 0.11)
     assert oracle == pytest.approx(22.0, rel=1e-9)
-    assert spot_price(state("0.5", 1000, 10000), fx(1100)) == fx(22)
+    assert spot_price(*anchor("0.5", 1000, 10000), fx(1100)) == fx(22)
 
 
 def test_spot_price_rejects_nonpositive_supply():
     with pytest.raises(LedgerError) as err:
-        spot_price(state("0.5", 1000, 10000), ZERO)
+        spot_price(*anchor("0.5", 1000, 10000), ZERO)
     assert err.value.code is ErrorCode.INVALID_SUPPLY
 
 
@@ -85,12 +84,12 @@ def test_reserve_is_fraction_of_market_cap():
 
 
 def test_spot_price_monotonicity():
-    convex = state("0.5", 1000, 10000)
-    flat = state("1", 1000, 10000)
+    convex = anchor("0.5", 1000, 10000)
+    flat = anchor("1", 1000, 10000)
     grid = [fx(v) for v in (200, 500, 900, 1000, 1500, 4000)]
-    prices = [spot_price(convex, s) for s in grid]
+    prices = [spot_price(*convex, s) for s in grid]
     assert all(a < b for a, b in zip(prices, prices[1:]))
-    assert len({spot_price(flat, s) for s in grid}) == 1
+    assert len({spot_price(*flat, s) for s in grid}) == 1
 
 
 # -- closed-form cash versus integration ------------------------------------------
@@ -103,7 +102,7 @@ def test_buy_cash_matches_integrated_price():
     quote = quote_buy_tokens(fx("0.5"), fx(1000), fx(10000), fx(100))
     assert quote.cash_delta == fx(2100)
     # the spot price after the trade, on the curve anchored where it starts
-    assert spot_price(state("0.5", 1000, 10000), fx(1000) + quote.tokens_delta) == fx(22)
+    assert spot_price(*anchor("0.5", 1000, 10000), fx(1000) + quote.tokens_delta) == fx(22)
 
 
 def test_sell_after_buy_round_trip_is_symmetric():

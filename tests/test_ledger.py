@@ -2,6 +2,7 @@
 
 import json
 import random
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -15,7 +16,8 @@ from conftest import LedgerDriver, fx, standard_market
 
 def spot(ledger: TokenLedger) -> Fixed:
     """The exchange's spot price at the outstanding permit supply."""
-    return spot_price(ledger.exchange, ledger.market_permit)
+    ex = ledger.exchange
+    return spot_price(ex.fraction, ex.baseline_supply, ex.baseline_reserve, ledger.market_permit)
 
 
 def reject_code(driver, *args, **kwargs) -> ErrorCode:
@@ -385,6 +387,91 @@ def test_ungated_operations_open_to_every_role():
         driver.burn_token(caller, 10)
         driver.trade_token(caller, 5)
         driver.convert_cash(caller, -20)
+
+
+# -- check order: orgs, then amount or payload, then role, then state ---------------
+
+class OrderCase(NamedTuple):
+    orgs: dict            # the orgs the kind names, each with the role it needs
+    unprivileged: Optional[dict]    # registered orgs lacking it; None: no gate
+    good: dict            # an amount or payload the kind applies
+    bad: dict             # one it refuses, with `code` when nothing else is wrong
+    code: ErrorCode
+
+
+CHECK_ORDER = {
+    TxKind.SET_ROLE: OrderCase({"sender": "A", "target": "F"}, {"sender": "E", "target": "F"},
+                               {"role": "verifier"}, {"role": "chief"}, ErrorCode.SCHEMA_ERROR),
+    TxKind.MINT_PERMIT: OrderCase({"sender": "A", "target": "F"},
+                                  {"sender": "E", "target": "F"},
+                                  {"amount": 10}, {"amount": 0}, ErrorCode.ZERO_AMOUNT),
+    TxKind.GRANT_PERMIT: OrderCase({"sender": "V", "target": "E"},
+                                   {"sender": "F", "target": "E"},
+                                   {"amount": 10}, {"amount": 0}, ErrorCode.ZERO_AMOUNT),
+    TxKind.MINT_EMISSION: OrderCase({"sender": "F", "cosigner": "V"},
+                                    {"sender": "F", "cosigner": "E"},
+                                    {"amount": 10}, {"amount": 0}, ErrorCode.ZERO_AMOUNT),
+    TxKind.TRANSFER_PERMIT: OrderCase({"sender": "F", "target": "E"}, None,
+                                      {"amount": 10}, {"amount": 0}, ErrorCode.ZERO_AMOUNT),
+    TxKind.BURN_TOKEN: OrderCase({"sender": "F"}, None,
+                                 {"amount": 10}, {"amount": 0}, ErrorCode.ZERO_AMOUNT),
+    TxKind.TRADE_TOKEN: OrderCase({"sender": "F"}, None,
+                                  {"amount": 5}, {"amount": 0}, ErrorCode.INVALID_AMOUNT),
+    TxKind.CONVERT_CASH: OrderCase({"sender": "F"}, None,
+                                   {"amount": 20}, {"amount": 0}, ErrorCode.INVALID_AMOUNT),
+    TxKind.SET_RESERVE_FRACTION: OrderCase({"sender": "A"}, {"sender": "E"},
+                                           {"fraction": fx("0.25").micro}, {"fraction": 0},
+                                           ErrorCode.INVALID_FRACTION),
+    TxKind.ADJUST_RESERVE: OrderCase({"sender": "A"}, {"sender": "E"},
+                                     {"amount": 100}, {"amount": None},
+                                     ErrorCode.INVALID_AMOUNT),
+    TxKind.SET_PRICE: OrderCase({"sender": "A"}, {"sender": "E"},
+                                {"price": fx(30).micro}, {"price": 0}, ErrorCode.INVALID_PRICE),
+}
+
+
+def order_driver() -> LedgerDriver:
+    driver = LedgerDriver(standard_market())
+    driver.mint_permit("A", "F", 100)
+    driver.init_exchange("0.5", 100, 2000)
+    return driver
+
+
+def order_code(kind: TxKind, orgs: dict, fields: dict) -> ErrorCode:
+    """The code `kind` is refused with, leaving the state as it was."""
+    driver = order_driver()
+    before = driver.ledger.state_json()
+    code = reject_code(driver, kind, **orgs, **fields)
+    assert driver.ledger.state_json() == before
+    return code
+
+
+def test_check_order_covers_every_kind():
+    assert set(CHECK_ORDER) == set(TxKind)
+
+
+@pytest.mark.parametrize("kind", list(CHECK_ORDER), ids=lambda kind: kind.value)
+def test_a_good_value_applies_and_a_bad_one_alone_reports_its_code(kind):
+    case = CHECK_ORDER[kind]
+    order_driver().apply(kind, **case.orgs, **case.good)
+    assert order_code(kind, case.orgs, case.bad) is case.code
+
+
+@pytest.mark.parametrize("kind", list(CHECK_ORDER), ids=lambda kind: kind.value)
+def test_an_unregistered_org_is_reported_before_a_bad_value(kind):
+    case = CHECK_ORDER[kind]
+    for field in case.orgs:
+        code = order_code(kind, {**case.orgs, field: "Z"}, case.bad)
+        assert code is ErrorCode.UNKNOWN_ORG, field
+
+
+@pytest.mark.parametrize("kind", [kind for kind, case in CHECK_ORDER.items()
+                                  if case.unprivileged is not None],
+                         ids=lambda kind: kind.value)
+def test_a_bad_value_is_reported_before_a_missing_role(kind):
+    case = CHECK_ORDER[kind]
+    assert order_code(kind, case.unprivileged, case.good) is ErrorCode.UNAUTHORIZED
+    assert order_code(kind, case.unprivileged, case.bad) is case.code
 
 
 # -- market adjustment levers -------------------------------------------------------
