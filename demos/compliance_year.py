@@ -26,7 +26,7 @@ def main():
     for entry in result.chainlog.entries:
         ledger.apply(entry.tx)
         record = ledger.org("E")
-        print(f"  seq {entry.seq:2d} {entry.tx.time} {entry.tx.kind.value:18s}"
+        print(f"  seq {entry.tx.seq:2d} {entry.tx.time} {entry.tx.kind.value:18s}"
               f" permit={str(record.permit):>12s} emission={str(record.emission):>12s}"
               f" cash={str(record.cash):>12s}")
 

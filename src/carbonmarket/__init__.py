@@ -11,7 +11,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "chainlog": ("ChainLog", "replay", "verify_text"),
+    "chainlog": ("ChainLog", "Transaction", "TxKind", "replay", "verify_text"),
     "domain": ("OrgRecord", "Role"),
     "errors": ("ErrorCode", "LedgerError"),
     "exchange": ("ExchangeState", "Quote", "quote_buy_tokens", "quote_spend_cash",
@@ -22,7 +22,6 @@ _EXPORTS = {
     "ledger": ("AppliedEvent", "TokenLedger"),
     "runner": ("RunResult", "StepResult", "run_scenario"),
     "scenario": ("Scenario", "load_scenario", "parse_scenario"),
-    "txformat": ("Transaction", "TxKind"),
 }
 
 # public name -> the submodule that defines it

@@ -30,6 +30,11 @@ with prev_hash of the first entry the all-zero digest.  state_digest commits
 to the full ledger state after applying the entry, which is what `replay`
 checks against; the genesis line lets a log be replayed self-contained.
 
+The format's vocabulary is defined here too, and `ledger` imports it:
+`Transaction` and its kinds `TxKind`, the payload encoder `canonical_json`,
+and `parse_state`, the header check of a state JSON (`STATE_FORMAT`).  Only
+`replay` loads `ledger`, so checking a log loads no state machine.
+
 The writer is the only definition of this format.  A log is valid when its
 header and genesis line check out and re-writing each entry from its
 transaction and state digest reproduces that line byte for byte: the
@@ -49,12 +54,12 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from enum import Enum
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import ErrorCode, LedgerError
-from .fixed import _fixed
-from .txformat import Transaction, TxKind, canonical_json, parse_state
+from .fixed import Fixed, _fixed
 
 if TYPE_CHECKING:       # only `replay` loads the state machine
     from .journal import Journal
@@ -65,6 +70,69 @@ FORMAT_NAME = "carbonmarket-chainlog"
 FORMAT_VERSION = "1"
 HASH_NAME = "sha256"
 GENESIS_PREV = bytes(32)
+
+STATE_FORMAT = "carbonmarket-state-1"
+
+# The canonical JSON of the state digest's org fragments and the logged
+# payloads: minified, keys sorted, strings ASCII-escaped, and no NaN or
+# infinity, which are not JSON (a ValueError).  One encoder, as json.dumps
+# with these arguments would build one on every call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  allow_nan=False).encode
+
+
+def parse_state(text: str) -> tuple[dict, int]:
+    """The JSON object of a state in this format and its `seq`, an int in
+    [0, 2^64) so that a transaction encoding's u64 seq can follow it.  Text
+    that is not JSON (too deep or too long a number included) is a
+    SyntaxError; any other object or seq is a SchemaError."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise LedgerError(ErrorCode.SYNTAX_ERROR, f"bad state json: {exc}") from exc
+    if not isinstance(data, dict) or data.get("format") != STATE_FORMAT:
+        raise LedgerError(ErrorCode.SCHEMA_ERROR, "unrecognised state format")
+    seq = data.get("seq")
+    if type(seq) is not int or not 0 <= seq < 2**64:
+        raise LedgerError(ErrorCode.SCHEMA_ERROR, f"bad state seq {repr(seq)[:40]}")
+    return data, seq
+
+
+class TxKind(str, Enum):
+    """The logged transaction kinds; each value is a scenario action name."""
+
+    SET_ROLE = "setRole"
+    MINT_PERMIT = "mintPermit"
+    GRANT_PERMIT = "grantPermit"
+    MINT_EMISSION = "mintEmission"
+    TRANSFER_PERMIT = "transferPermit"
+    BURN_TOKEN = "burnToken"
+    TRADE_TOKEN = "tradeToken"
+    CONVERT_CASH = "convertCash"
+    SET_RESERVE_FRACTION = "setReserveFraction"
+    ADJUST_RESERVE = "adjustReserve"
+    SET_PRICE = "setPrice"
+
+
+class Transaction(NamedTuple):
+    """Canonical form of one requested operation.
+
+    `sender` is the acting identity (the signer for issuance operations);
+    `cosigner` carries the verifier co-signature on emission minting.
+    Signatures are honoured as authenticated identities (simulation mode):
+    the machine enforces *who* must sign, not how.
+    """
+
+    seq: int
+    time: str
+    kind: TxKind
+    sender: str = ""
+    target: str = ""
+    cosigner: str = ""
+    amount: Optional[Fixed] = None
+    # one dict shared by every transaction built without a payload; no code
+    # mutates a payload, so sharing it is safe
+    payload: dict = {}
 
 
 def _hash(data: bytes) -> bytes:
@@ -152,10 +220,6 @@ class ChainEntry(NamedTuple):
     tx: Transaction
     state_digest: bytes
 
-    @property
-    def seq(self) -> int:
-        return self.tx.seq
-
 
 def _line(prev: bytes, tx: Transaction, tx_bytes: bytes,
           state_digest: bytes) -> tuple[str, bytes]:
@@ -210,7 +274,7 @@ class ChainLog:
 
     @property
     def head_seq(self) -> int:
-        return self.entries[-1].seq if self.entries else self.genesis_seq
+        return self.entries[-1].tx.seq if self.entries else self.genesis_seq
 
     def append(self, tx: Transaction, state_digest: bytes):
         if tx.seq != self.head_seq + 1:
@@ -220,11 +284,9 @@ class ChainLog:
 
     # -- text round trip --------------------------------------------------
 
-    def header_line(self) -> str:
-        return f"{FORMAT_NAME} {FORMAT_VERSION} {HASH_NAME} {self.genesis_digest.hex()}"
-
     def to_text(self) -> str:
-        lines = [self.header_line(), f"genesis {self.genesis_json}"]
+        lines = [f"{FORMAT_NAME} {FORMAT_VERSION} {HASH_NAME} {self.genesis_digest.hex()}",
+                 f"genesis {self.genesis_json}"]
         prev = GENESIS_PREV
         for tx, state_digest in self.entries:
             line, prev = _line(prev, tx, encode_transaction(tx), state_digest)
@@ -343,12 +405,12 @@ def replay(log: ChainLog, genesis: Optional[TokenLedger] = None,
         raise LedgerError(ErrorCode.STATE_MISMATCH,
                           "supplied genesis state does not match the recorded digest")
     ledger = genesis.copy()
-    for entry in log.entries:
+    for tx, _ in log.entries:
         try:
-            advance(ledger, entry.tx, log, journal)
+            advance(ledger, tx, log, journal)
         except LedgerError as exc:
-            if ledger.seq == entry.seq:     # applied: refused by its digest or books
+            if ledger.seq == tx.seq:        # applied: refused by its digest or books
                 raise
             raise LedgerError(ErrorCode.STATE_MISMATCH,
-                              f"entry {entry.seq} rejected on replay: {exc}") from exc
+                              f"entry {tx.seq} rejected on replay: {exc}") from exc
     return ledger

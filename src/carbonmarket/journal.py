@@ -20,10 +20,12 @@ Policy summary:
   deferred income at the prevailing market price.
 * Transfers release the sender's deferred income at issuance price into an
   "Emission rights" liability; the receiver gains one lot of the transferred
-  quantity with no issue price.
-* Recording emissions releases deferred income at the FIFO issuance price
-  and accrues an "Expenses / Permit surrenderable" pair at the prevailing
-  price for the tonnes emitted.
+  quantity with no issue price.  A transfer to oneself, which the ledger
+  applies as an identity, books nothing and leaves the lots as they are.
+* Recording emissions releases deferred income at the issue price of the
+  first lot, in FIFO order, that carries one (none if no lot does), and
+  accrues an "Expenses / Permit surrenderable" pair at the prevailing price
+  for the tonnes emitted.
 * Exchange trades book the realized cash leg against the permit asset;
   sales additionally release deferred income for the lots sold.
 * Price checkpoints revalue every holder's permits by holdings x (new - old)
@@ -51,6 +53,7 @@ longer mirror the ledger, so the fold stops there (as `run_scenario` and
 
 from __future__ import annotations
 
+from collections import defaultdict
 from enum import Enum
 from functools import partial
 from itertools import groupby
@@ -178,13 +181,14 @@ class Journal:
         """Open the books on `genesis`: an org's genesis permits become one
         lot with no issue price and its genesis emissions its outstanding
         liability at the genesis price.  Opening balances book no entry."""
-        self.books: dict[str, OrgBooks] = {}
+        # an org's books open on first touch, and a revaluation posts in that order
+        self.books: defaultdict[str, OrgBooks] = defaultdict(OrgBooks)
         self.entries: list[JournalEntry] = []
         self._nets: dict[Account, int] = {account: 0 for account in Account}
         for record in genesis.registry.values():
             if record.permit.is_zero and record.emission.is_zero:
                 continue
-            books = self.books_for(record.id)
+            books = self.books[record.id]
             if not record.permit.is_zero:
                 books.add_lot(record.permit, None)
             books.liability_qty = record.emission
@@ -193,13 +197,6 @@ class Journal:
             except OverflowError as exc:
                 raise LedgerError(ErrorCode.INVALID_AMOUNT,
                                   f"cannot open {record.id!r} at genesis: {exc}") from exc
-
-    def books_for(self, org: str) -> OrgBooks:
-        books = self.books.get(org)
-        if books is None:
-            books = OrgBooks()
-            self.books[org] = books
-        return books
 
     # -- event dispatch ----------------------------------------------------
 
@@ -256,7 +253,7 @@ class Journal:
         account = (Account.PERMIT_ALLOWANCES if tx.kind is TxKind.MINT_PERMIT
                    else Account.PERMIT_CREDITS)
         price = event.price_after
-        self.books_for(tx.target).add_lot(tx.amount, price)
+        self.books[tx.target].add_lot(tx.amount, price)
         value = _half_even(tx.amount.micro * price.micro, SCALE)
         self._post(event, tx.target, (account, DR, value),
                    (Account.DEFERRED_INCOME, CR, value))
@@ -264,7 +261,7 @@ class Journal:
     def _on_mint_emission(self, event: AppliedEvent):
         qty = event.tx.amount.micro
         org = event.tx.sender
-        books = self.books_for(org)
+        books = self.books[org]
         issue = next((lot.issue for lot in books.lots if lot.issue is not None), ZERO)
         released = _half_even(qty * issue.micro, SCALE)
         self._post(event, org, (Account.DEFERRED_INCOME, DR, released),
@@ -278,14 +275,16 @@ class Journal:
 
     def _on_transfer(self, event: AppliedEvent):
         tx = event.tx
-        released = self._consume(self.books_for(tx.sender), tx.amount.micro, tx.sender)
-        self.books_for(tx.target).add_lot(tx.amount, None)
+        if tx.sender == tx.target:      # the ledger applies it as an identity
+            return
+        released = self._consume(self.books[tx.sender], tx.amount.micro, tx.sender)
+        self.books[tx.target].add_lot(tx.amount, None)
         self._post(event, tx.sender, (Account.DEFERRED_INCOME, DR, released),
                    (Account.EMISSION_RIGHTS, CR, released))
 
     def _on_trade(self, event: AppliedEvent):
         org = event.tx.sender
-        books = self.books_for(org)
+        books = self.books[org]
         tokens = event.token_delta
         cash = abs(event.cash_delta.micro)
         if tokens.is_positive:
@@ -303,7 +302,7 @@ class Journal:
         qty = event.tx.amount.micro
         price = event.price_after.micro
         retired = event.retired.micro
-        books = self.books_for(org)
+        books = self.books[org]
         # the release books no line here, but its range is checked as it is
         # for a transfer or a sale: the sum only grows, so the final one will do
         _fixed(self._consume(books, qty, org))

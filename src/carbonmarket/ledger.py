@@ -42,14 +42,14 @@ import hashlib
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional, Union
 
+# the log format's vocabulary, whose one home is the chain log; re-exported
+# here, where the state machine uses it
+from .chainlog import STATE_FORMAT, Transaction, TxKind, parse_state
 from .domain import OrgRecord, Role, parse_role, validate_id
 from .errors import ErrorCode, LedgerError
 from .exchange import (ExchangeState, quote_buy_tokens, quote_spend_cash,
                        spot_price, validate_anchor, validate_fraction)
 from .fixed import ZERO, Fixed, Money, Quantity
-# the log format's types, defined apart so that checking a log loads no
-# state machine; re-exported here, where the state machine uses them
-from .txformat import STATE_FORMAT, Transaction, TxKind, parse_state
 
 
 def _org_json(record: OrgRecord) -> str:
@@ -194,7 +194,10 @@ class TokenLedger:
             raise LedgerError(ErrorCode.SCHEMA_ERROR, "negative market price")
         ex = self.exchange
         if ex is not None:
-            validate_fraction(ex.fraction)
+            try:
+                validate_fraction(ex.fraction)
+            except LedgerError as exc:      # a fault of the loaded state, like the rest
+                raise LedgerError(ErrorCode.SCHEMA_ERROR, exc.message) from None
             if ex.reserve.is_negative:
                 raise LedgerError(ErrorCode.SCHEMA_ERROR, "negative exchange reserve")
             # a genesis anchor has a positive supply and `_rebase_supply` only

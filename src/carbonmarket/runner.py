@@ -34,11 +34,10 @@ class StepResult(NamedTuple):
 
 
 class RunResult:
-    __slots__ = ("scenario", "genesis", "final", "chainlog", "journal", "steps", "failure")
+    __slots__ = ("genesis", "final", "chainlog", "journal", "steps", "failure")
 
-    def __init__(self, scenario: Scenario, genesis: TokenLedger, final: TokenLedger,
-                 chainlog: ChainLog, journal: Journal):
-        self.scenario = scenario
+    def __init__(self, genesis: TokenLedger, final: TokenLedger, chainlog: ChainLog,
+                 journal: Journal):
         self.genesis = genesis
         self.final = final
         self.chainlog = chainlog
@@ -56,8 +55,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     chainlog = ChainLog.for_ledger(genesis)
     ledger = genesis.copy()     # copied once genesis is encoded: a warm cache
     journal = Journal(genesis)
-    result = RunResult(scenario=scenario, genesis=genesis, final=ledger,
-                       chainlog=chainlog, journal=journal)
+    result = RunResult(genesis=genesis, final=ledger, chainlog=chainlog, journal=journal)
 
     def record(step: Step, status: str, **fields) -> StepResult:
         entry = StepResult(index=step.index, time=step.time, action=step.action,

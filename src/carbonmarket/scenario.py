@@ -29,12 +29,12 @@ from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
                          ScalarEvent, SequenceEndEvent, SequenceStartEvent,
                          StreamEndEvent)
 
+from .chainlog import Transaction, TxKind
 from .domain import parse_role
 from .errors import ErrorCode, LedgerError
 from .fixed import Fixed
 from .journal import Account, Journal
 from .ledger import TokenLedger
-from .txformat import Transaction, TxKind
 
 # Nesting past this many collections is a syntax error.  Scenarios nest about
 # four deep; a value nested tens of thousands deep would reach `repr` (in the

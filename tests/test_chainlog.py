@@ -155,7 +155,7 @@ def test_genesis_entry_conventions():
     assert lines[0][3] == GENESIS_PREV.hex()
     for prev, line in zip(lines, lines[1:]):
         assert line[3] == prev[5]
-    assert [e.seq for e in log.entries] == [1, 2, 3]
+    assert [e.tx.seq for e in log.entries] == [1, 2, 3]
     assert log.entries[0].tx.time == "t0"
 
 

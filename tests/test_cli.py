@@ -321,7 +321,7 @@ def test_a_payload_number_json_does_not_hold_is_an_invalid_chain(tmp_path, capsy
     entry_hash = hashlib.sha256(struct.pack(">Q", 1) + tx_digest + state + prev).digest()
     chain = ChainLog.for_ledger(genesis)
     log = tmp_path / "chainlog.log"
-    log.write_text(f"{chain.header_line()}\ngenesis {chain.genesis_json}\n1 {blob.hex()} "
+    log.write_text(f"{chain.to_text()}1 {blob.hex()} "
                    f"{tx_digest.hex()} {prev.hex()} {state.hex()} {entry_hash.hex()}\n",
                    encoding="utf-8")
     state_file = tmp_path / "genesis.json"
@@ -513,6 +513,24 @@ def test_an_exchange_anchor_no_state_reaches_is_a_schema_error(tmp_path, capsys,
                     (TxKind.SET_PRICE, "A", "", None, {"price": 3 * TOKEN}))
     state = tmp_path / "genesis.json"
     state.write_text(genesis.state_json() + "\n", encoding="utf-8")
+    assert run_cli(capsys, "verify", log) == (0, "chain valid\n", "")
+    for argv in (["replay", log, str(state)], ["journal", log]):
+        assert run_cli(capsys, *argv) == (2, "", f"error: SchemaError: {detail}\n")
+
+
+@pytest.mark.parametrize("fraction", [0, 2])
+def test_a_loaded_reserve_fraction_outside_the_unit_interval_is_a_schema_error(
+        tmp_path, capsys, fraction):
+    # a fault of a loaded state, like its other faults; the setup call and
+    # `setReserveFraction` report the same range as InvalidFraction
+    genesis = standard_market()
+    genesis.exchange = ExchangeState(fraction=Fixed(fraction * TOKEN), reserve=Fixed(TOKEN),
+                                     baseline_supply=Fixed(TOKEN),
+                                     baseline_reserve=Fixed(TOKEN))
+    log = write_log(tmp_path / "chainlog.log", genesis)
+    state = tmp_path / "genesis.json"
+    state.write_text(genesis.state_json() + "\n", encoding="utf-8")
+    detail = f"reserve fraction must lie in (0, 1], got {fraction}.000000"
     assert run_cli(capsys, "verify", log) == (0, "chain valid\n", "")
     for argv in (["replay", log, str(state)], ["journal", log]):
         assert run_cli(capsys, *argv) == (2, "", f"error: SchemaError: {detail}\n")

@@ -1,11 +1,12 @@
 """What each entry point loads: `import carbonmarket` is lazy, the audit
 commands never load PyYAML, the scenario parser, the runner or the journal,
 `verify` loads no state machine and no decimal parser, no command loads
-`dataclasses`, and the benchmark's traced run still finds every name it
-wraps."""
+`dataclasses`, the benchmark's traced run still finds every name it wraps,
+and the README's package layout names every module."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -144,6 +145,14 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         carbonmarket.no_such_name  # noqa: B018
     assert set(carbonmarket.__all__) <= set(dir(carbonmarket))
+
+
+def test_readme_package_layout_names_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Package layout\n", 1)[1].split("```\n", 2)[1]
+    listed = re.findall(r"^  (\w+\.py) ", block, flags=re.MULTILINE)
+    modules = [path.name for path in (ROOT / "src" / "carbonmarket").glob("*.py")]
+    assert sorted(listed) == sorted(name for name in modules if name != "__init__.py")
 
 
 def _span_names(path: Path) -> set:

@@ -98,6 +98,20 @@ def test_receiver_lot_carries_no_deferred_income():
         (fx(100000), None), (fx(12), None), (fx(25), None)]
 
 
+def test_a_self_transfer_books_nothing():
+    # the ledger applies a transfer to oneself as an identity, and so does
+    # the journal: the lot keeps its issue price for a later emission
+    driver = priced_driver(price=20)
+    journal = Journal(driver.ledger)
+    journal.on_event(driver.mint_permit("A", "E", 10))
+    assert journal.on_event(driver.transfer_permit("E", "E", 10)) == []
+    assert [(lot.qty, lot.issue) for lot in journal.books["E"].lots] == [(fx(10), fx(20))]
+    assert journal.trial_balance()[Account.DEFERRED_INCOME] == fx(-200)
+    released, _ = journal.on_event(driver.mint_emission("E", "V", 5))
+    assert entry_amounts(released) == [(Account.DEFERRED_INCOME, Side.DR, fx(100)),
+                                       (Account.INCOME, Side.CR, fx(100))]
+
+
 def test_two_small_transfers_equal_one_big_one():
     # oracle: FIFO lot simulation is additive in quantity
     def released_total(amounts):
@@ -133,6 +147,20 @@ def test_mint_emission_policy_values(golden_run):
     entries = [e for e in golden_run.journal.entries if e.event_ref == 8]
     assert entry_amounts(entries[0])[0][2] == fx(1400)   # 70 x 20
     assert entry_amounts(entries[1])[0][2] == fx(1540)   # 70 x 22
+
+
+def test_emission_releases_at_the_first_lot_that_carries_an_issue_price():
+    # the head lot is bought and carries no issue price; the emission
+    # releases at the issue price of the minted lot behind it
+    driver = priced_driver(price=20)
+    journal = Journal(driver.ledger)
+    journal.on_event(driver.trade_token("E", 10))
+    journal.on_event(driver.set_price("A", 25))
+    journal.on_event(driver.mint_permit("A", "E", 10))
+    assert [lot.issue for lot in journal.books["E"].lots] == [None, fx(25)]
+    released, _ = journal.on_event(driver.mint_emission("E", "V", 5))
+    assert entry_amounts(released) == [(Account.DEFERRED_INCOME, Side.DR, fx(125)),
+                                       (Account.INCOME, Side.CR, fx(125))]
 
 
 def test_emission_without_lots_accrues_only():
@@ -227,7 +255,7 @@ def test_price_change_lines_by_direction(asset, liability):
                    for account, side in LIABILITY_LINES[liability]])
     assert [(entry.event_ref, entry.org, entry_amounts(entry)) for entry in entries] == (
         [(1, "E", expected)] if expected else [])
-    assert journal.books_for("E").liability_balance == fx(owed * new)
+    assert journal.books["E"].liability_balance == fx(owed * new)
 
 
 # -- trades -----------------------------------------------------------------------
