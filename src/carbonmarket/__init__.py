@@ -12,14 +12,12 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "chainlog": ("ChainLog", "Transaction", "TxKind", "replay", "verify_text"),
-    "domain": ("OrgRecord", "Role"),
     "errors": ("ErrorCode", "LedgerError"),
-    "exchange": ("ExchangeState", "Quote", "quote_buy_tokens", "quote_spend_cash",
-                 "spot_price"),
+    "exchange": ("Quote", "quote_buy_tokens", "quote_spend_cash", "spot_price"),
     "fixed": ("ONE", "ZERO", "Fixed", "Money", "Quantity"),
     "journal": ("Account", "AccountClass", "Journal", "JournalEntry", "JournalLine",
                 "Side"),
-    "ledger": ("AppliedEvent", "TokenLedger"),
+    "ledger": ("AppliedEvent", "ExchangeState", "OrgRecord", "Role", "TokenLedger"),
     "runner": ("RunResult", "StepResult", "run_scenario"),
     "scenario": ("Scenario", "load_scenario", "parse_scenario"),
 }

@@ -268,10 +268,6 @@ class ChainLog:
         self.genesis_seq = _genesis_seq(genesis_json)
         self.entries: list[ChainEntry] = []
 
-    @classmethod
-    def for_ledger(cls, genesis: TokenLedger) -> "ChainLog":
-        return cls(genesis.state_json())
-
     @property
     def head_seq(self) -> int:
         return self.entries[-1].tx.seq if self.entries else self.genesis_seq

@@ -33,24 +33,6 @@ from .errors import ErrorCode, LedgerError
 from .fixed import ONE, ZERO, Fixed, Money, Quantity
 
 
-class ExchangeState:
-    """Curve parameters: reserve fraction, live reserve, and the anchor
-    (baseline) captured at bootstrap or at the last market adjustment."""
-
-    __slots__ = ("fraction", "reserve", "baseline_supply", "baseline_reserve")
-
-    def __init__(self, fraction: Fixed, reserve: Money, baseline_supply: Quantity,
-                 baseline_reserve: Money):
-        self.fraction = fraction
-        self.reserve = reserve
-        self.baseline_supply = baseline_supply
-        self.baseline_reserve = baseline_reserve
-
-    def copy(self) -> "ExchangeState":
-        return ExchangeState(self.fraction, self.reserve,
-                             self.baseline_supply, self.baseline_reserve)
-
-
 class Quote(NamedTuple):
     """One priced trade: its token leg and its cash leg, nothing else.
 

@@ -1,4 +1,5 @@
-"""The token ledger state machine.
+"""The token ledger: the state's records (`Role`, `OrgRecord`,
+`ExchangeState`) and the state machine over them.
 
 A single writer applies :class:`Transaction` values in dense sequence order.
 Every handler validates all preconditions before touching state, so a
@@ -9,7 +10,10 @@ effects (trade legs, burn split, price movement) that downstream consumers
 
 Identities run in simulation mode: a transaction's sender and cosigner
 fields are honoured as already-authenticated identities, and the ledger
-enforces only *who* must sign each operation.
+enforces only *who* must sign each operation.  Three roles exist: the
+authority mints allowances, a verifier grants credits and co-signs
+emissions, and an enterprise trades and surrenders.  A verifier is an
+enterprise too, and an authority is never a verifier.
 
 Every handler checks in one order: it resolves the organisations its kind
 names (an unregistered one is `UnknownOrg`), then checks the amount or
@@ -39,17 +43,101 @@ cosigner before its handler runs).  Code outside the ledger must treat
 from __future__ import annotations
 
 import hashlib
+from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional, Union
 
 # the log format's vocabulary, whose one home is the chain log; re-exported
 # here, where the state machine uses it
 from .chainlog import STATE_FORMAT, Transaction, TxKind, parse_state
-from .domain import OrgRecord, Role, parse_role, validate_id
 from .errors import ErrorCode, LedgerError
-from .exchange import (ExchangeState, quote_buy_tokens, quote_spend_cash,
-                       spot_price, validate_anchor, validate_fraction)
+from .exchange import (quote_buy_tokens, quote_spend_cash, spot_price, validate_anchor,
+                       validate_fraction)
 from .fixed import ZERO, Fixed, Money, Quantity
+
+
+class Role(str, Enum):
+    """Role of a registered organisation; its value is how it is written."""
+
+    AUTHORITY = "authority"
+    ENTERPRISE = "enterprise"
+    VERIFIER = "verifier"
+
+    @property
+    def is_authority(self) -> bool:
+        return self is Role.AUTHORITY
+
+    @property
+    def is_enterprise(self) -> bool:
+        return self is not Role.AUTHORITY
+
+    @property
+    def is_verifier(self) -> bool:
+        return self is Role.VERIFIER
+
+
+def parse_role(name: Union[Role, str]) -> Role:
+    """The role `name` names; any other value is a SchemaError."""
+    try:
+        return Role(name)
+    except ValueError:
+        expected = tuple(role.value for role in Role)
+        raise LedgerError(ErrorCode.SCHEMA_ERROR,
+                          f"unknown role {name!r}; expected one of {expected}") from None
+
+
+def validate_id(value: str, what: str) -> str:
+    """`value` if it is a non-empty string that encodes as UTF-8, as every
+    report and log writes it; a lone surrogate such as JSON's `"\\ud800"`
+    does not.  Any other value is a SchemaError naming `what` it is."""
+    if not isinstance(value, str) or not value:
+        raise LedgerError(ErrorCode.SCHEMA_ERROR, f"{what} must be a non-empty string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise LedgerError(ErrorCode.SCHEMA_ERROR,
+                          f"{what} {value!r} is not encodable as UTF-8") from None
+    return value
+
+
+class OrgRecord:
+    """A registered participant with its balances and project set.
+
+    The emission balance is only ever changed by emission minting and by
+    token burning; every other operation leaves it alone.
+    """
+
+    __slots__ = ("id", "role", "permit", "emission", "cash", "projects")
+
+    def __init__(self, id: str, role: Role, permit: Quantity = ZERO,
+                 emission: Quantity = ZERO, cash: Money = ZERO,
+                 projects: Optional[set[str]] = None):
+        self.id = id
+        self.role = role
+        self.permit = permit
+        self.emission = emission
+        self.cash = cash
+        self.projects: set[str] = set() if projects is None else projects
+
+    @property
+    def compliant(self) -> bool:
+        """The year-end rule: compliant iff every verified emission has been
+        retired by a surrendered permit."""
+        return self.emission.is_zero
+
+
+class ExchangeState:
+    """Curve parameters: reserve fraction, live reserve, and the anchor
+    (baseline) captured at bootstrap or at the last market adjustment."""
+
+    __slots__ = ("fraction", "reserve", "baseline_supply", "baseline_reserve")
+
+    def __init__(self, fraction: Fixed, reserve: Money, baseline_supply: Quantity,
+                 baseline_reserve: Money):
+        self.fraction = fraction
+        self.reserve = reserve
+        self.baseline_supply = baseline_supply
+        self.baseline_reserve = baseline_reserve
 
 
 def _org_json(record: OrgRecord) -> str:
@@ -103,14 +191,18 @@ class TokenLedger:
 
     def copy(self) -> "TokenLedger":
         dup = TokenLedger()
-        dup.registry = {k: v.copy() for k, v in self.registry.items()}
+        dup.registry = {k: OrgRecord(v.id, v.role, v.permit, v.emission, v.cash,
+                                     set(v.projects))
+                        for k, v in self.registry.items()}
         dup._owners = dict(self._owners)
         dup._fragments = dict(self._fragments)
         dup._stale = set(self._stale)
         dup.market_permit = self.market_permit
         dup.market_emission = self.market_emission
         dup.market_price = self.market_price
-        dup.exchange = self.exchange.copy() if self.exchange else None
+        ex = self.exchange
+        dup.exchange = None if ex is None else ExchangeState(
+            ex.fraction, ex.reserve, ex.baseline_supply, ex.baseline_reserve)
         dup.seq = self.seq
         return dup
 

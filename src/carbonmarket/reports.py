@@ -13,10 +13,10 @@ from typing import TYPE_CHECKING
 from .errors import ErrorCode, LedgerError
 from .exchange import spot_price, validate_anchor
 from .fixed import Fixed
-from .ledger import TokenLedger
 
-if TYPE_CHECKING:       # `replay` writes balances without loading these
+if TYPE_CHECKING:       # `price-curve` loads no ledger; `replay` no journal or runner
     from .journal import Journal
+    from .ledger import TokenLedger
     from .runner import RunResult
 
 

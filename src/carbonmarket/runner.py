@@ -52,7 +52,7 @@ class RunResult:
 
 def run_scenario(scenario: Scenario) -> RunResult:
     genesis = scenario.genesis
-    chainlog = ChainLog.for_ledger(genesis)
+    chainlog = ChainLog(genesis.state_json())
     ledger = genesis.copy()     # copied once genesis is encoded: a warm cache
     journal = Journal(genesis)
     result = RunResult(genesis=genesis, final=ledger, chainlog=chainlog, journal=journal)

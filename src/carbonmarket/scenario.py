@@ -30,11 +30,10 @@ from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
                          StreamEndEvent)
 
 from .chainlog import Transaction, TxKind
-from .domain import parse_role
 from .errors import ErrorCode, LedgerError
 from .fixed import Fixed
 from .journal import Account, Journal
-from .ledger import TokenLedger
+from .ledger import TokenLedger, parse_role
 
 # Nesting past this many collections is a syntax error.  Scenarios nest about
 # four deep; a value nested tens of thousands deep would reach `repr` (in the

@@ -217,7 +217,7 @@ def test_criterion_6_tamper_detection_and_replay(golden_run):
     ledger = standard_market()
     genesis = ledger.copy()
     driver = LedgerDriver(ledger)
-    log = ChainLog.for_ledger(genesis)
+    log = ChainLog(genesis.state_json())
     for i in range(100):
         if i % 3 == 2:
             driver.transfer_permit("E", "F", 1)

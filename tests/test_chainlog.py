@@ -20,7 +20,7 @@ from conftest import LedgerDriver, fx, standard_market
 def logged_driver(n_extra_txs=0):
     ledger = standard_market()
     genesis = ledger.copy()
-    log = ChainLog.for_ledger(genesis)
+    log = ChainLog(genesis.state_json())
     steps = [(TxKind.MINT_PERMIT, "A", "E", 100), (TxKind.TRANSFER_PERMIT, "E", "F", 10),
              (TxKind.BURN_TOKEN, "E", "", 5)]
     steps += [(TxKind.MINT_PERMIT, "A", "F", 1 + (i % 7)) for i in range(n_extra_txs)]
@@ -137,7 +137,7 @@ def test_decode_rejects_a_payload_json_cannot_load(payload):
 def test_log_holding_a_removed_kind_is_invalid(kind):
     # genesis creates orgs, projects and the exchange; a hand-built v1 log
     # entry of one of the kinds that once did so no longer decodes
-    log = ChainLog.for_ledger(standard_market())
+    log = ChainLog(standard_market().state_json())
     log.append(Transaction(seq=1, time="t", kind=types.SimpleNamespace(value=kind),
                            sender="A", target="G", payload={}), bytes(32))
     check = verify_text(log.to_text())
@@ -191,7 +191,7 @@ LOGGED_STEPS = st.lists(st.tuples(
 @given(LOGGED_STEPS)
 def test_text_round_trip_keeps_every_entry(steps):
     ledger = standard_market()
-    log = ChainLog.for_ledger(ledger)
+    log = ChainLog(ledger.state_json())
     for (kind, sender, target), amount, time in steps:
         priced = kind is TxKind.SET_PRICE
         tx = Transaction(seq=ledger.seq + 1, time=time, kind=kind, sender=sender,
@@ -247,7 +247,7 @@ def test_replay_accepts_matching_supplied_genesis():
 
 def test_replay_of_empty_log_is_identity():
     genesis = standard_market()
-    log = ChainLog.for_ledger(genesis)
+    log = ChainLog(genesis.state_json())
     assert replay(log).state_json() == genesis.state_json()
 
 

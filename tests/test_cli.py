@@ -152,11 +152,48 @@ def test_running_net_overflow_is_a_typed_failure(tmp_path, capsys):
     assert err.startswith("error: InvalidAmount: cannot book seq 6 (setPrice): ")
 
 
+# Selling the whole supply books proceeds of 4.7e12 and releases deferred
+# income of 4.7e12: every line and every running net stays in range, but the
+# entry's debit total, 9.4e18 micro-units, is past 2**63.
+ENTRY_OVERFLOW = """
+name: entry-overflow
+genesis:
+  orgs:
+    - {id: A, role: authority}
+    - {id: E, role: enterprise}
+  exchange: {fraction: 1, supply: 1000000, reserve: 4700000000000}
+steps:
+  - {time: "t1", action: mintPermit, signer: A, target: E, amount: 1000000}
+  - {time: "t2", action: tradeToken, sender: E, amount: -1000000}
+"""
+
+
+def test_entry_total_overflow_is_a_typed_failure(tmp_path, capsys):
+    scenario = tmp_path / "entry-overflow.yaml"
+    scenario.write_text(ENTRY_OVERFLOW, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    detail = "cannot book seq 2 (tradeToken): amount exceeds the representable range"
+    code, _, err = run_cli(capsys, "run", str(scenario), "--out", str(out_dir))
+    assert code == 1
+    assert err == f"run failed at step 1 (tradeToken): InvalidAmount: {detail}\n"
+    journal = (out_dir / "journal.csv").read_text(encoding="utf-8")
+    assert journal.splitlines()[1:] == [
+        "1,Emission permit-Allowances,Asset,Dr,4700000000000.000000",
+        "1,Deferred income,Liability,Cr,4700000000000.000000"]
+    trial = (out_dir / "trial_balance.csv").read_text(encoding="utf-8")
+    assert "\nCash,Asset,0.000000\n" in trial
+    assert "\nIncome,Equity,0.000000\n" in trial
+    code, out, err = run_cli(capsys, "journal", str(out_dir / "chainlog.log"))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: InvalidAmount: {detail}\n"
+
+
 def write_log(path, genesis, *steps):
     """A hash-correct chain log of `steps` (kind, sender, target, amount,
     payload) applied to `genesis`."""
     ledger = genesis.copy()
-    log = ChainLog.for_ledger(genesis)
+    log = ChainLog(genesis.state_json())
     for kind, sender, target, amount, payload in steps:
         tx = Transaction(seq=ledger.seq + 1, time="t", kind=kind, sender=sender,
                          target=target, amount=None if amount is None else fx(amount),
@@ -177,7 +214,7 @@ def test_replay_divergence_is_a_state_mismatch(tmp_path, capsys, sender, digest,
     # both logs are hash-correct, so `verify` passes them; `replay` and
     # `journal` re-run the entry and find it does not give the logged state
     genesis = standard_market()
-    chain = ChainLog.for_ledger(genesis)
+    chain = ChainLog(genesis.state_json())
     chain.append(Transaction(seq=1, time="t", kind=TxKind.MINT_PERMIT, sender=sender,
                              target="E", amount=fx(10)),
                  genesis.state_digest() if digest is None else digest)
@@ -194,7 +231,7 @@ def test_an_entry_with_several_faults_is_refused_for_the_first_checked(tmp_path,
     # a mintPermit of 0 signed by an unregistered org: the ledger resolves
     # the orgs before it checks the amount, so the unknown signer is named
     genesis = standard_market()
-    chain = ChainLog.for_ledger(genesis)
+    chain = ChainLog(genesis.state_json())
     chain.append(Transaction(seq=1, time="t", kind=TxKind.MINT_PERMIT, sender="Z",
                              target="E", amount=fx(0)), genesis.state_digest())
     log = tmp_path / "chainlog.log"
@@ -288,7 +325,7 @@ def test_minimum_amount_is_an_invalid_chain(tmp_path, capsys):
     # i64 -2**63 fits the amount field but is no amount: a hash-correct
     # entry holding it is invalid, not a traceback
     genesis = standard_market()
-    chain = ChainLog.for_ledger(genesis)
+    chain = ChainLog(genesis.state_json())
     chain.append(Transaction(seq=1, time="t", kind=TxKind.BURN_TOKEN, sender="E",
                              amount=types.SimpleNamespace(micro=-2**63)), bytes(32))
     log = tmp_path / "chainlog.log"
@@ -319,7 +356,7 @@ def test_a_payload_number_json_does_not_hold_is_an_invalid_chain(tmp_path, capsy
     state, prev = genesis.state_digest(), bytes(32)
     tx_digest = hashlib.sha256(blob).digest()
     entry_hash = hashlib.sha256(struct.pack(">Q", 1) + tx_digest + state + prev).digest()
-    chain = ChainLog.for_ledger(genesis)
+    chain = ChainLog(genesis.state_json())
     log = tmp_path / "chainlog.log"
     log.write_text(f"{chain.to_text()}1 {blob.hex()} "
                    f"{tx_digest.hex()} {prev.hex()} {state.hex()} {entry_hash.hex()}\n",
@@ -340,7 +377,7 @@ def test_log_anchored_at_a_later_genesis(tmp_path, capsys):
     driver.transfer_permit("E", "F", 10)
     driver.set_price("A", 20)
     genesis = ledger.copy()
-    chain = ChainLog.for_ledger(genesis)
+    chain = ChainLog(genesis.state_json())
     advance(ledger, Transaction(seq=4, time="t", kind=TxKind.MINT_PERMIT, sender="A",
                                 target="F", amount=fx(5)), chain)
     advance(ledger, Transaction(seq=5, time="t", kind=TxKind.SET_PRICE, sender="A",
@@ -382,7 +419,7 @@ def test_payload_field_of_the_wrong_type_is_refused_on_replay(tmp_path, capsys, 
     # the hash links are correct, so only re-applying the entry finds it
     genesis = standard_market()
     genesis.setup_init_exchange(fx("0.5"), fx(1000), fx(10000))
-    chain = ChainLog.for_ledger(genesis)
+    chain = ChainLog(genesis.state_json())
     chain.append(Transaction(seq=1, time="t", kind=kind, sender="A",
                              target="E" if kind is TxKind.SET_ROLE else "", payload=payload),
                  genesis.state_digest())
@@ -791,14 +828,14 @@ def test_replay_refuses_an_inconsistent_genesis_file(tmp_path, capsys, corrupt, 
      "second line must carry the genesis state"),
 ])
 def test_verify_refuses_a_malformed_log(tmp_path, capsys, damage, detail):
-    text = ChainLog.for_ledger(standard_market()).to_text()
+    text = ChainLog(standard_market().state_json()).to_text()
     log = tmp_path / "chainlog.log"
     log.write_text(damage(text), encoding="utf-8")
     assert run_cli(capsys, "verify", str(log)) == (1, "", f"chain INVALID at seq ?: {detail}\n")
 
 
 def test_verify_refuses_a_short_state_digest(tmp_path, capsys):
-    chain = ChainLog.for_ledger(standard_market())
+    chain = ChainLog(standard_market().state_json())
     chain.append(Transaction(seq=1, time="t", kind=TxKind.MINT_PERMIT, sender="A",
                              target="E", amount=fx(10)), bytes(31))
     log = tmp_path / "chainlog.log"

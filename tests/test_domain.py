@@ -1,7 +1,7 @@
 import pytest
 
 from carbonmarket import ErrorCode, LedgerError, Role, TokenLedger
-from carbonmarket.domain import parse_role
+from carbonmarket.ledger import parse_role
 from carbonmarket.fixed import ZERO
 
 from conftest import LedgerDriver, fx

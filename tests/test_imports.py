@@ -1,8 +1,9 @@
 """What each entry point loads: `import carbonmarket` is lazy, the audit
 commands never load PyYAML, the scenario parser, the runner or the journal,
-`verify` loads no state machine and no decimal parser, no command loads
-`dataclasses`, the benchmark's traced run still finds every name it wraps,
-and the README's package layout names every module."""
+`verify` loads no state machine and no decimal parser, `price-curve` loads
+no ledger, no command loads `dataclasses`, the benchmark's traced run still
+finds every name it wraps, the README's package layout names every module,
+and no source line is longer than 99 characters."""
 
 import json
 import os
@@ -25,8 +26,7 @@ ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1"
 
 RUN_ONLY = ("yaml", "carbonmarket.scenario", "carbonmarket.runner", "carbonmarket.journal")
 # what applying transactions and writing reports needs; the log format does not
-STATE_MACHINE = ("carbonmarket.ledger", "carbonmarket.exchange", "carbonmarket.domain",
-                 "carbonmarket.reports")
+STATE_MACHINE = ("carbonmarket.ledger", "carbonmarket.exchange", "carbonmarket.reports")
 # what only parsing an amount from text needs; a log holds micro-units
 TEXT_AMOUNTS = ("decimal",)
 
@@ -55,6 +55,18 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(cli.main(["journal", {log!r}]))
     stage("journal")
 print(json.dumps({{"codes": codes, "loaded": loaded, "state": state, "text": text}}))
+"""
+
+
+# Runs in a fresh interpreter: `price-curve`, then its exit code and which of
+# STATE_MACHINE are loaded.
+PRICE_CURVE = """
+import contextlib, io, json, sys
+from carbonmarket import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["price-curve", "--f", "0.5", "--s0", "1000", "--c0", "10000",
+                     "--min", "500", "--max", "2000", "--points", "4"])
+print(json.dumps([code, [module for module in {state_machine!r} if module in sys.modules]]))
 """
 
 
@@ -116,6 +128,16 @@ def test_verify_loads_no_decimal_parser(footprint):
         assert footprint["text"][stage] == [], stage
 
 
+def test_price_curve_loads_no_ledger():
+    # the curve math and the table writer only; `cli` itself loads the log
+    # format, whose names the benchmark's traced run wraps
+    script = PRICE_CURVE.format(state_machine=STATE_MACHINE)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, ["carbonmarket.exchange", "carbonmarket.reports"]]
+
+
 def test_no_command_loads_dataclasses(golden_run):
     log, genesis = str(golden_run / "chainlog.log"), str(golden_run / "genesis.json")
     commands = [["verify", log], ["replay", log, genesis], ["journal", log],
@@ -153,6 +175,16 @@ def test_readme_package_layout_names_every_module():
     listed = re.findall(r"^  (\w+\.py) ", block, flags=re.MULTILINE)
     modules = [path.name for path in (ROOT / "src" / "carbonmarket").glob("*.py")]
     assert sorted(listed) == sorted(name for name in modules if name != "__init__.py")
+
+
+@pytest.mark.parametrize("pattern", ["src/carbonmarket/*.py", "demos/*.py"])
+def test_source_lines_fit_99_columns(pattern):
+    long_lines = [f"{path.relative_to(ROOT)}:{number}"
+                  for path in sorted(ROOT.glob(pattern))
+                  for number, line in enumerate(
+                      path.read_text(encoding="utf-8").splitlines(), start=1)
+                  if len(line) > 99]
+    assert long_lines == []
 
 
 def _span_names(path: Path) -> set:
