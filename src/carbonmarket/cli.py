@@ -257,5 +257,19 @@ def main(argv=None) -> int:
         gc.set_threshold(*thresholds)
 
 
+def console_main():
+    """The process entry point: run one command, then exit with its code.
+
+    A process ends right after its command, and the interpreter's shutdown
+    runs full collections over every object still alive: the modules, the
+    parsed log, the ledger and the journal, none of them garbage.  Freezing
+    moves them to the permanent generation, which those collections skip;
+    shutdown still flushes the streams, runs `atexit` and tears the modules
+    down.  `main` stays free of it, so callers in process keep their heap."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

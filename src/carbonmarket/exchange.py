@@ -16,7 +16,12 @@ path independent.  Raw results are computed in double precision via
 expm1/log1p (no cancellation for small trades) and then rounded onto the
 1e-6 grid in the exchange-conservative direction: cash the user pays rounds
 up, cash or tokens the user receives round down, tokens the user surrenders
-round up.  That one-sided policy is what keeps the reserve solvent.
+round up.  That one-sided policy is what keeps the reserve solvent; it holds
+only while a double resolves the grid, below about 5e5 units a leg, since
+`Fixed.from_float` rounds larger values to nearest.  At every magnitude, two
+guarantees are exact, in integers: a sale of the whole supply pays exactly
+the reserve and no sale pays more, and a withdrawal of the whole reserve
+surrenders exactly the supply and none surrenders more.
 
 Sign conventions follow the quote object: ``tokens_delta`` is positive when
 the caller buys tokens, ``cash_delta`` is positive when the caller pays
@@ -135,7 +140,8 @@ def quote_buy_tokens(fraction: Fixed, supply: Quantity, reserve: Money,
                      tokens: Quantity) -> Quote:
     """Cash required (or owed) for a signed token amount.
 
-    Rounding: a buyer's cash rounds up, a seller's proceeds round down.  A
+    Rounding: a buyer's cash rounds up, a seller's proceeds round down, and
+    never past the reserve.  A sale of the whole supply pays the reserve.  A
     sell so small that its proceeds round to zero is rejected rather than
     quoted with a one-sided zero leg.
     """
@@ -145,12 +151,17 @@ def quote_buy_tokens(fraction: Fixed, supply: Quantity, reserve: Money,
     if tokens.is_negative and -tokens > supply:
         raise LedgerError(ErrorCode.INVALID_AMOUNT,
                           f"cannot sell {-tokens} tokens against a supply of {supply}")
+    # compared as ints: this runs on every trade
+    if tokens.micro == -supply.micro:
+        return Quote(tokens, -reserve)
     with _priced(f"a trade of {tokens} tokens"):
         raw = cash_for_tokens_raw(fraction.to_float(), supply.to_float(),
                                   reserve.to_float(), tokens.to_float())
         cash = Fixed.from_float(raw, "ceil")
         if cash.is_zero:
             raise LedgerError(ErrorCode.INVALID_AMOUNT, "trade too small to price")
+    if cash.micro < -reserve.micro:
+        cash = -reserve
     return Quote(tokens, cash)
 
 
@@ -158,8 +169,10 @@ def quote_spend_cash(fraction: Fixed, supply: Quantity, reserve: Money,
                      cash: Money) -> Quote:
     """Tokens received (or surrendered) for a signed cash amount.
 
-    Rounding: tokens received round down, tokens surrendered round up.  A
-    spend so small that the tokens received round to zero is rejected.
+    Rounding: tokens received round down, tokens surrendered round up, and
+    never past the supply.  A withdrawal of the whole reserve surrenders the
+    supply.  A spend so small that the tokens received round to zero is
+    rejected.
     """
     if cash.is_zero:
         raise LedgerError(ErrorCode.INVALID_AMOUNT, "cash amount must be nonzero")
@@ -167,10 +180,14 @@ def quote_spend_cash(fraction: Fixed, supply: Quantity, reserve: Money,
     if cash.is_negative and -cash > reserve:
         raise LedgerError(ErrorCode.RESERVE_EXHAUSTED,
                           f"cannot withdraw {-cash} from a reserve of {reserve}")
+    if cash.micro == -reserve.micro:
+        return Quote(-supply, cash)
     with _priced(f"a trade of {cash} cash"):
         raw = tokens_for_cash_raw(fraction.to_float(), supply.to_float(),
                                   reserve.to_float(), cash.to_float())
         tokens = Fixed.from_float(raw, "floor")
         if tokens.is_zero:
             raise LedgerError(ErrorCode.INVALID_AMOUNT, "trade too small to price")
+    if tokens.micro < -supply.micro:
+        tokens = -supply
     return Quote(tokens, cash)

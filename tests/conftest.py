@@ -26,6 +26,21 @@ steps:
   - {time: "t3", action: mintPermit, signer: A, target: E, amount: 5}
 """
 
+# A sale of the whole supply against a reserve of 8.85e15 micro-units, which
+# a double cannot hold: priced in floats, it paid one micro-unit more than
+# the reserve and left it negative.
+RESERVE_OVERDRAW = """
+name: reserve-overdraw
+genesis:
+  orgs:
+    - {id: A, role: authority}
+    - {id: E, role: enterprise}
+  exchange: {fraction: 1, supply: 1, reserve: 8851588849.812711}
+steps:
+  - {time: "t1", action: mintPermit, signer: A, target: E, amount: 0.000001}
+  - {time: "t2", action: tradeToken, sender: E, amount: -0.000001}
+"""
+
 
 def fx(value) -> Fixed:
     return Fixed.parse(value)

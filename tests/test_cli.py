@@ -17,13 +17,13 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from carbonmarket import (ChainLog, ExchangeState, TokenLedger, Transaction, TxKind,
                           parse_scenario, run_scenario)
-from carbonmarket.chainlog import advance, encode_transaction
+from carbonmarket.chainlog import advance, encode_transaction, replay
 from carbonmarket.cli import main
 from carbonmarket.fixed import Fixed
 from carbonmarket.reports import MAX_CURVE_POINTS
 
-from conftest import (GOLDEN_SCENARIO, JOURNAL_OVERFLOW, SCENARIO_DIR, LedgerDriver,
-                      endowed_genesis, fx, standard_market)
+from conftest import (GOLDEN_SCENARIO, JOURNAL_OVERFLOW, RESERVE_OVERDRAW, SCENARIO_DIR,
+                      LedgerDriver, endowed_genesis, fx, standard_market)
 
 TOKEN = 10**6   # micro-units per token
 
@@ -32,6 +32,16 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+PROCESS_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def run_process(*args) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh interpreter, with the package on its path."""
+    return subprocess.run([sys.executable, *args], env=PROCESS_ENV, capture_output=True,
+                          timeout=60)
 
 
 def test_run_golden_scenario(tmp_path, capsys):
@@ -114,6 +124,22 @@ def test_journal_overflow_is_a_typed_failure(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "InvalidAmount" in err
+
+
+def test_a_full_sell_off_empties_the_reserve_exactly(tmp_path, capsys):
+    scenario = tmp_path / "overdraw.yaml"
+    scenario.write_text(RESERVE_OVERDRAW, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "run", str(scenario), "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    assert "reserve,0.000000\n" in (out_dir / "market.csv").read_text(encoding="utf-8")
+    assert "E,enterprise,0.000000,0.000000,8851588849.812711,\n" in out
+    chainlog, genesis = str(out_dir / "chainlog.log"), str(out_dir / "genesis.json")
+    assert run_cli(capsys, "verify", chainlog) == (0, "chain valid\n", "")
+    code, out, _ = run_cli(capsys, "replay", chainlog, genesis)
+    assert code == 0 and out.startswith("replay ok: 2 transactions")
+    final = replay(ChainLog.from_text(Path(chainlog).read_text(encoding="utf-8")))
+    assert TokenLedger.from_state_json(final.state_json()).exchange.reserve == Fixed(0)
 
 
 # E's one token revalued up by about 4e12 three times: every entry fits the
@@ -661,7 +687,8 @@ OPTIONAL_FIELDS = {
     "cash": "genesis: {{orgs: [{{id: A, role: authority, cash: {}}}]}}\n",
     "exchange": "genesis: {{orgs: [{{id: A, role: authority}}], exchange: {}}}\n",
     "steps": "genesis: {{orgs: [{{id: A, role: authority}}]}}\nsteps: {}\n",
-    "expect_fail": ("genesis: {{orgs: [{{id: A, role: authority}}, {{id: E, role: enterprise}}]}}\n"
+    "expect_fail": ("genesis: {{orgs: [{{id: A, role: authority}},"
+                    " {{id: E, role: enterprise}}]}}\n"
                     "steps: [{{time: t1, action: mintPermit, signer: A, target: E, amount: 1,"
                     " expect_fail: {}}}]\n"),
     "expect step's expect_fail": (
@@ -695,7 +722,8 @@ WRONGLY_TYPED_OPTIONAL_FIELDS = [
 
 
 @pytest.mark.parametrize("field, value, detail", WRONGLY_TYPED_OPTIONAL_FIELDS,
-                         ids=[f"{field}: {value}" for field, value, _ in WRONGLY_TYPED_OPTIONAL_FIELDS])
+                         ids=[f"{field}: {value}"
+                              for field, value, _ in WRONGLY_TYPED_OPTIONAL_FIELDS])
 def test_an_optional_field_of_another_type_returns_two(tmp_path, capsys, field, value, detail):
     scenario = tmp_path / "bad.yaml"
     scenario.write_text("name: x\n" + OPTIONAL_FIELDS[field].format(value), encoding="utf-8")
@@ -1129,13 +1157,10 @@ def test_deeply_nested_scenario_is_a_syntax_error(tmp_path):
     # libyaml's composer recursed once per level and ended the process
     scenario = tmp_path / "deep.yaml"
     scenario.write_text("name: x\nsteps: " + "[" * 40000 + "]" * 40000 + "\n", encoding="utf-8")
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-m", "carbonmarket.cli", "run", str(scenario)],
-                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
-                          capture_output=True, text=True, timeout=60)
+    proc = run_process("-m", "carbonmarket.cli", "run", str(scenario))
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: SyntaxError: bad scenario file at line 2, column ")
-    assert "nesting deeper than" in proc.stderr
+    assert proc.stderr.startswith(b"error: SyntaxError: bad scenario file at line 2, column ")
+    assert b"nesting deeper than" in proc.stderr
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -1157,3 +1182,56 @@ def test_main_leaves_the_gc_state_as_it_found_it(tmp_path, capsys, golden_run,
         assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == before
     finally:
         gc.set_threshold(*thresholds)
+
+
+@pytest.fixture
+def golden_files(tmp_path, golden_run):
+    """The golden run's chain log and genesis state, and a tampered copy of
+    the log, as files."""
+    text = golden_run.chainlog.to_text()
+    middle = len(text) // 2
+    files = {"LOG": text, "GENESIS": golden_run.chainlog.genesis_json,
+             "TAMPERED": text[:middle] + chr(ord(text[middle]) ^ 1) + text[middle + 1:]}
+    for name, content in files.items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "LOG"], 0),
+    (["replay", "LOG", "GENESIS"], 0),
+    (["journal", "LOG"], 0),
+    (["verify", "TAMPERED"], 1),
+    (["journal"], 2),
+], ids=["verify", "replay", "journal", "tampered", "usage-error"])
+def test_the_process_exits_as_main_returns(capsys, golden_files, argv, expected):
+    """`python -m carbonmarket.cli` writes what `main` writes in process and
+    exits with the code it returns."""
+    argv = [str(golden_files / arg) if arg.isupper() else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected
+    proc = run_process("-m", "carbonmarket.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+
+# registers an exit-time probe of the frozen generation, then runs the
+# module as `python -m carbonmarket.cli` does, with the probe's arguments
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+report = lambda when: print(when, gc.get_freeze_count() > 0, file=sys.stderr)
+report("frozen at start:")
+atexit.register(report, "frozen at exit:")
+runpy.run_module("carbonmarket.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_the_process_entry_point_freezes_the_heap_before_exit(golden_files):
+    proc = run_process("-c", FREEZE_PROBE, "verify", str(golden_files / "LOG"))
+    assert (proc.returncode, proc.stdout) == (0, b"chain valid\n")
+    assert proc.stderr == b"frozen at start: False\nfrozen at exit: True\n"
+
+
+def test_the_console_script_is_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["scripts"] == {"carbonmarket": "carbonmarket.cli:console_main"}

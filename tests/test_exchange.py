@@ -1,10 +1,11 @@
 """Exchange curve oracles: finite differences, numerical integration,
 inversion, path independence, and the conservative-rounding quote layer."""
 
+import contextlib
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -140,6 +141,41 @@ def test_full_drain_is_exact():
     assert quote.cash_delta == fx(-10000)
     quote = quote_spend_cash(fx("0.5"), fx(1000), fx(10000), fx(-10000))
     assert quote.tokens_delta == fx(-1000)
+
+
+# F = 1, one micro-token out and a reserve of 8.85e15 micro-units, which a
+# double cannot hold: a priced full sell-off used to pay one micro-unit more
+# than the reserve
+OVERDRAW_ANCHOR = (fx(1), Fixed(1), fx("8851588849.812711"))
+
+
+@pytest.mark.parametrize("fraction, supply, reserve", [
+    OVERDRAW_ANCHOR,
+    (fx("0.25"), Fixed(2**62), Fixed(2**62 - 7)),
+    (fx("0.3"), Fixed(3), Fixed(2**53 + 1)),
+])
+def test_a_full_sell_off_and_a_full_withdrawal_are_exact(fraction, supply, reserve):
+    assert quote_buy_tokens(fraction, supply, reserve, -supply) == (-supply, -reserve)
+    assert quote_spend_cash(fraction, supply, reserve, -reserve) == (-supply, -reserve)
+
+
+MICRO_AMOUNTS = st.integers(1, 2**62)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["1", "0.5", "0.25", "0.3", "0.000001"]),
+       MICRO_AMOUNTS, MICRO_AMOUNTS, st.floats(0, 1))
+@example("1", 1, 8851588849812711, 1.0)
+def test_no_sale_pays_more_than_the_reserve(fraction, supply, reserve, share):
+    """Whatever the rounding does at large magnitudes, a sale takes at most
+    the reserve and a withdrawal at most the supply."""
+    fraction, supply, reserve = fx(fraction), Fixed(supply), Fixed(reserve)
+    with contextlib.suppress(LedgerError):
+        sold = Fixed(-max(1, round(supply.micro * share)))
+        assert -quote_buy_tokens(fraction, supply, reserve, sold).cash_delta <= reserve
+    with contextlib.suppress(LedgerError):
+        withdrawn = Fixed(-max(1, round(reserve.micro * share)))
+        assert -quote_spend_cash(fraction, supply, reserve, withdrawn).tokens_delta <= supply
 
 
 def test_dust_trades_rejected_rather_than_zero_legged():

@@ -177,7 +177,7 @@ def test_readme_package_layout_names_every_module():
     assert sorted(listed) == sorted(name for name in modules if name != "__init__.py")
 
 
-@pytest.mark.parametrize("pattern", ["src/carbonmarket/*.py", "demos/*.py"])
+@pytest.mark.parametrize("pattern", ["src/carbonmarket/*.py", "demos/*.py", "tests/*.py"])
 def test_source_lines_fit_99_columns(pattern):
     long_lines = [f"{path.relative_to(ROOT)}:{number}"
                   for path in sorted(ROOT.glob(pattern))

@@ -10,13 +10,15 @@ after every step with the whole state encoded from scratch.
 import hashlib
 import json
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from carbonmarket import LedgerError, TokenLedger, Transaction, TxKind
+from carbonmarket import (LedgerError, TokenLedger, Transaction, TxKind, parse_scenario,
+                          run_scenario)
 from carbonmarket.fixed import Fixed
 from carbonmarket.ledger import STATE_FORMAT
 
-from conftest import standard_market
+from conftest import RESERVE_OVERDRAW, SCENARIO_DIR, standard_market
 
 TOKEN = 10**6   # micro-units per token
 
@@ -167,3 +169,13 @@ def test_state_json_matches_full_encoding(sequence, exchange):
     # the copies' later steps left the ledgers they were copied from alone
     for original, expected in detached:
         assert original.state_json() == expected
+
+
+@pytest.mark.parametrize("text", [
+    *(pytest.param(path.read_text(encoding="utf-8"), id=path.stem)
+      for path in sorted(SCENARIO_DIR.glob("*.yaml"))),
+    pytest.param(RESERVE_OVERDRAW, id="reserve-overdraw"),
+])
+def test_every_state_the_engine_writes_it_loads(text):
+    final = run_scenario(parse_scenario(text)).final.state_json()
+    assert TokenLedger.from_state_json(final).state_json() == final

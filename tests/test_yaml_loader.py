@@ -40,7 +40,8 @@ BASES = [
     pytest.param((LOADER, C_LOADER and type("CReference", (C_LOADER,), {
                       "yaml_implicit_resolvers": Reference.yaml_implicit_resolvers})),
                  id="CSafeLoader",
-                 marks=pytest.mark.skipif(C_LOADER is None, reason="PyYAML built without libyaml")),
+                 marks=pytest.mark.skipif(C_LOADER is None,
+                                          reason="PyYAML built without libyaml")),
 ]
 
 
