@@ -42,8 +42,8 @@ transaction bytes must be the encoding of the transaction they decode to,
 and every digest and hash is recomputed, never trusted.
 
 Integrity is a property of the text.  In memory a log is its genesis and,
-per entry, the transaction and the state digest after it; `to_text` alone
-computes the hashes, chaining them from the all-zero digest, and
+per entry, the transaction and the state digest after it; `text_lines`
+alone computes the hashes, chaining them from the all-zero digest, and
 `from_text` / `verify_text` check them.  `replay` re-applies each entry's
 transaction and requires its logged state digest, for a parsed log and an
 in-memory one alike.
@@ -56,7 +56,7 @@ import json
 import struct
 from enum import Enum
 from functools import partial
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .errors import ErrorCode, LedgerError
 from .fixed import Fixed, _fixed
@@ -280,14 +280,19 @@ class ChainLog:
 
     # -- text round trip --------------------------------------------------
 
-    def to_text(self) -> str:
-        lines = [f"{FORMAT_NAME} {FORMAT_VERSION} {HASH_NAME} {self.genesis_digest.hex()}",
-                 f"genesis {self.genesis_json}"]
+    def text_lines(self) -> Iterator[str]:
+        """The log's text one line at a time, each with its newline: the
+        header, the genesis line, then one line per entry.  A writer streams
+        these, so no copy of the whole text is ever held."""
+        yield f"{FORMAT_NAME} {FORMAT_VERSION} {HASH_NAME} {self.genesis_digest.hex()}\n"
+        yield f"genesis {self.genesis_json}\n"
         prev = GENESIS_PREV
         for tx, state_digest in self.entries:
             line, prev = _line(prev, tx, encode_transaction(tx), state_digest)
-            lines.append(line)
-        return "\n".join(lines) + "\n"
+            yield line + "\n"
+
+    def to_text(self) -> str:
+        return "".join(self.text_lines())
 
     @classmethod
     def from_text(cls, text: str) -> "ChainLog":

@@ -17,6 +17,7 @@ import argparse
 import gc
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .chainlog import ChainLog, VerifyResult, replay as replay_chain, verify_text
 from .errors import ErrorCode, LedgerError
@@ -79,8 +80,8 @@ def _cmd_run(args) -> int:
     run_csv = reports.run_report_csv(result)
     balances = reports.balances_csv(result.final)
     compliance = reports.compliance_csv(result.final)
-    sys.stdout.write(f"{run_csv}\n{balances}\n{compliance}"
-                     f"\nstate-digest {result.final.state_digest().hex()}\n")
+    sys.stdout.writelines((run_csv, "\n", balances, "\n", compliance,
+                           f"\nstate-digest {result.final.state_digest().hex()}\n"))
     if args.out:
         try:
             _write_reports(Path(args.out), result, run_csv, balances, compliance)
@@ -96,21 +97,25 @@ def _cmd_run(args) -> int:
 
 
 def _write_reports(directory: Path, result, run_csv: str, balances: str, compliance: str):
-    """The `--out` files, reusing the three reports `run` already printed."""
+    """The `--out` files, reusing the three reports `run` already printed.
+    The chain log and the journal are written as they are rendered, one
+    entry or one event at a time, so neither text is ever held whole."""
     from . import reports
 
-    def write(name: str, text: str):
-        (directory / name).write_text(text, encoding="utf-8")
+    def write(name: str, chunks: Iterable[str]):
+        # opened as Path.write_text opens a file: UTF-8, default newline handling
+        with open(directory / name, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
 
     directory.mkdir(parents=True, exist_ok=True)
-    write("genesis.json", result.chainlog.genesis_json + "\n")
-    write("chainlog.log", result.chainlog.to_text())
-    write("journal.csv", result.journal.export_csv())
-    write("trial_balance.csv", reports.trial_balance_csv(result.journal))
-    write("balances.csv", balances)
-    write("compliance.csv", compliance)
-    write("market.csv", reports.market_csv(result.final))
-    write("run.csv", run_csv)
+    write("genesis.json", (result.chainlog.genesis_json, "\n"))
+    write("chainlog.log", result.chainlog.text_lines())
+    write("journal.csv", result.journal.csv_chunks())
+    write("trial_balance.csv", (reports.trial_balance_csv(result.journal),))
+    write("balances.csv", (balances,))
+    write("compliance.csv", (compliance,))
+    write("market.csv", (reports.market_csv(result.final),))
+    write("run.csv", (run_csv,))
 
 
 def _cmd_verify(args) -> int:
@@ -148,7 +153,7 @@ def _cmd_journal(args) -> int:
     genesis = TokenLedger.from_state_json(log.genesis_json)
     journal = Journal(genesis)
     replay_chain(log, genesis, journal)
-    sys.stdout.write(journal.export_csv())
+    sys.stdout.writelines(journal.csv_chunks())
     return EXIT_OK
 
 

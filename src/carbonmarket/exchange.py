@@ -110,29 +110,32 @@ def spot_price(fraction: Fixed, supply0: Quantity, reserve0: Money,
     """Spot price at `supply` against the anchor (s0, C0), grid-rounded."""
     if supply <= ZERO:
         raise LedgerError(ErrorCode.INVALID_SUPPLY, f"supply must be positive, got {supply}")
-    with _priced(f"the spot price at supply {supply}"):
+    with _priced("the spot price at supply {}", supply):
         raw = spot_price_raw(fraction.to_float(), supply0.to_float(),
                              reserve0.to_float(), supply.to_float())
         return Fixed.from_float(raw, "nearest")
 
 
 @contextmanager
-def _priced(what: str):
+def _priced(what: str, amount: Fixed):
     """Turn an overflow or a non-finite result of the curve math, or of
-    rounding it onto the grid, into a typed rejection."""
+    rounding it onto the grid, into a typed rejection naming `what`, a
+    format with one field for `amount`.  The name is formatted only then:
+    a quote runs on every trade."""
     try:
         yield
     except (OverflowError, ValueError) as exc:
-        raise LedgerError(ErrorCode.INVALID_AMOUNT, f"{what} cannot be priced: {exc}") from exc
+        raise LedgerError(ErrorCode.INVALID_AMOUNT,
+                          f"{what.format(amount)} cannot be priced: {exc}") from exc
 
 
 def _check_live(supply: Quantity, reserve: Money):
     """The curve prices a trade only from a positive supply and reserve: it
     divides by both.  A loaded state, or a `setPrice` whose F * s * P rounds
     to zero, can leave the reserve empty with tokens out."""
-    if supply <= ZERO:
+    if supply.micro <= 0:
         raise LedgerError(ErrorCode.INVALID_SUPPLY, "exchange has no outstanding supply")
-    if reserve <= ZERO:
+    if reserve.micro <= 0:
         raise LedgerError(ErrorCode.RESERVE_EXHAUSTED, "the exchange reserve is empty")
 
 
@@ -145,20 +148,20 @@ def quote_buy_tokens(fraction: Fixed, supply: Quantity, reserve: Money,
     sell so small that its proceeds round to zero is rejected rather than
     quoted with a one-sided zero leg.
     """
-    if tokens.is_zero:
+    # compared as ints: this runs on every trade
+    if tokens.micro == 0:
         raise LedgerError(ErrorCode.INVALID_AMOUNT, "token amount must be nonzero")
     _check_live(supply, reserve)
-    if tokens.is_negative and -tokens > supply:
+    if tokens.micro < -supply.micro:
         raise LedgerError(ErrorCode.INVALID_AMOUNT,
                           f"cannot sell {-tokens} tokens against a supply of {supply}")
-    # compared as ints: this runs on every trade
     if tokens.micro == -supply.micro:
         return Quote(tokens, -reserve)
-    with _priced(f"a trade of {tokens} tokens"):
+    with _priced("a trade of {} tokens", tokens):
         raw = cash_for_tokens_raw(fraction.to_float(), supply.to_float(),
                                   reserve.to_float(), tokens.to_float())
         cash = Fixed.from_float(raw, "ceil")
-        if cash.is_zero:
+        if cash.micro == 0:
             raise LedgerError(ErrorCode.INVALID_AMOUNT, "trade too small to price")
     if cash.micro < -reserve.micro:
         cash = -reserve
@@ -174,19 +177,19 @@ def quote_spend_cash(fraction: Fixed, supply: Quantity, reserve: Money,
     supply.  A spend so small that the tokens received round to zero is
     rejected.
     """
-    if cash.is_zero:
+    if cash.micro == 0:
         raise LedgerError(ErrorCode.INVALID_AMOUNT, "cash amount must be nonzero")
     _check_live(supply, reserve)
-    if cash.is_negative and -cash > reserve:
+    if cash.micro < -reserve.micro:
         raise LedgerError(ErrorCode.RESERVE_EXHAUSTED,
                           f"cannot withdraw {-cash} from a reserve of {reserve}")
     if cash.micro == -reserve.micro:
         return Quote(-supply, cash)
-    with _priced(f"a trade of {cash} cash"):
+    with _priced("a trade of {} cash", cash):
         raw = tokens_for_cash_raw(fraction.to_float(), supply.to_float(),
                                   reserve.to_float(), cash.to_float())
         tokens = Fixed.from_float(raw, "floor")
-        if tokens.is_zero:
+        if tokens.micro == 0:
             raise LedgerError(ErrorCode.INVALID_AMOUNT, "trade too small to price")
     if tokens.micro < -supply.micro:
         tokens = -supply

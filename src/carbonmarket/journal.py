@@ -58,7 +58,7 @@ from enum import Enum
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import ErrorCode, LedgerError
 from .fixed import _LIMIT, SCALE, ZERO, Money, Quantity, _fixed, _half_even
@@ -383,19 +383,25 @@ class Journal:
         carry a negative net under this convention."""
         return {account: _fixed(net) for account, net in self._nets.items()}
 
-    def export_csv(self) -> str:
+    def csv_chunks(self) -> Iterator[str]:
         """The lines as CSV, ordered by event, then debits before credits,
-        then account name; ties keep their booking order."""
-        out = ["event,account,class,side,amount\n"]
+        then account name; ties keep their booking order.  Yields the header
+        row, then one chunk per event holding that event's rows, so a writer
+        streams them without holding the whole text."""
+        yield "event,account,class,side,amount\n"
         # the entries are in event order, so only each event's lines are sorted
         for event_ref, entries in groupby(self.entries, _EVENT_REF):
             rows = [(*_ROW[account, side], amount.micro)
                     for _, _, lines in entries for account, side, amount in lines]
             rows.sort(key=_RANK)                # by rank; a stable sort
+            chunk = []
             for _, text, micro in rows:
                 digits = str(micro).zfill(7)    # a line amount is positive
-                out.append(f"{event_ref},{text},{digits[:-6]}.{digits[-6:]}\n")
-        return "".join(out)
+                chunk.append(f"{event_ref},{text},{digits[:-6]}.{digits[-6:]}\n")
+            yield "".join(chunk)
+
+    def export_csv(self) -> str:
+        return "".join(self.csv_chunks())
 
 
 _JOURNAL_HANDLERS = {

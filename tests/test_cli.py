@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -17,13 +18,14 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from carbonmarket import (ChainLog, ExchangeState, TokenLedger, Transaction, TxKind,
                           parse_scenario, run_scenario)
+from carbonmarket import cli
 from carbonmarket.chainlog import advance, encode_transaction, replay
 from carbonmarket.cli import main
 from carbonmarket.fixed import Fixed
 from carbonmarket.reports import MAX_CURVE_POINTS
 
 from conftest import (GOLDEN_SCENARIO, JOURNAL_OVERFLOW, RESERVE_OVERDRAW, SCENARIO_DIR,
-                      LedgerDriver, endowed_genesis, fx, standard_market)
+                      LedgerDriver, endowed_genesis, fx, load_gen, standard_market)
 
 TOKEN = 10**6   # micro-units per token
 
@@ -923,6 +925,96 @@ def test_out_path_that_is_a_file_is_an_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", str(GOLDEN_SCENARIO), "--out", str(taken))
     assert code == 2
     assert err.startswith(f"error: SyntaxError: cannot write {str(taken)!r}")
+
+
+@pytest.mark.parametrize("taken", ["chainlog.log", "journal.csv"])
+def test_an_out_file_that_is_a_directory_is_an_input_error(tmp_path, capsys, taken):
+    """The streamed outputs map a failed open to the same typed error as the
+    files written whole."""
+    out_dir = tmp_path / "out"
+    (out_dir / taken).mkdir(parents=True)
+    code, _, err = run_cli(capsys, "run", str(GOLDEN_SCENARIO), "--out", str(out_dir))
+    assert code == 2
+    assert err.startswith(f"error: SyntaxError: cannot write {str(out_dir)!r}: ")
+    assert f"Is a directory: {str(out_dir / taken)!r}" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_the_streamed_outputs_are_the_whole_texts(tmp_path, capsys, golden_run):
+    out_dir = tmp_path / "out"
+    assert run_cli(capsys, "run", str(GOLDEN_SCENARIO), "--out", str(out_dir))[0] == 0
+    assert (out_dir / "chainlog.log").read_text(encoding="utf-8") \
+        == golden_run.chainlog.to_text()
+    assert (out_dir / "journal.csv").read_text(encoding="utf-8") \
+        == golden_run.journal.export_csv()
+    code, out, _ = run_cli(capsys, "journal", str(out_dir / "chainlog.log"))
+    assert code == 0 and out == golden_run.journal.export_csv()
+
+
+def added_peak(monkeypatch, name: str, argv: list[str], after_return=False) -> int:
+    """The most bytes `main(argv)` holds at any one time beyond what it held
+    when it entered `cli.<name>`, or when that returned."""
+    hooked = getattr(cli, name)
+    start = []
+
+    def mark():
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0])
+
+    def traced(*args):
+        if not after_return:
+            mark()
+            return hooked(*args)
+        result = hooked(*args)
+        mark()
+        return result
+
+    monkeypatch.setattr(cli, name, traced)
+    was_tracing = tracemalloc.is_tracing()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return peak - start[0]
+
+
+@pytest.fixture(scope="module")
+def long_run(tmp_path_factory) -> Path:
+    """orgs10-mixed at seed 1, whose chain log is ≈0.4 MB, run with `--out`."""
+    root = tmp_path_factory.mktemp("long-run")
+    scenario = root / "orgs10-mixed.yaml"
+    scenario.write_text(load_gen().generate("orgs10-mixed", 1), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(scenario), "--out", str(root / "out")]) == 0
+    return root
+
+
+def test_writing_the_out_files_holds_no_copy_of_the_log(monkeypatch, long_run):
+    """The chain log and the journal go to their files as they are rendered:
+    the writes add a bounded amount to the peak, not copies of the texts."""
+    out_dir = long_run / "again"
+    with contextlib.redirect_stdout(io.StringIO()):
+        added = added_peak(monkeypatch, "_write_reports",
+                           ["run", str(long_run / "orgs10-mixed.yaml"), "--out", str(out_dir)])
+    log_bytes = (out_dir / "chainlog.log").stat().st_size
+    assert log_bytes > 300_000
+    assert added < log_bytes / 2, (added, log_bytes)
+
+
+def test_the_journal_command_streams_its_csv(monkeypatch, long_run):
+    """`journal` writes its CSV to stdout one event at a time; rendered whole
+    it adds more than three times the text's size to the peak."""
+    out_path = long_run / "journal.out"
+    with open(out_path, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+        added = added_peak(monkeypatch, "replay_chain",
+                           ["journal", str(long_run / "out" / "chainlog.log")], after_return=True)
+    csv_bytes = out_path.stat().st_size
+    assert out_path.read_bytes() == (long_run / "out" / "journal.csv").read_bytes()
+    assert csv_bytes > 100_000
+    assert added < csv_bytes / 2, (added, csv_bytes)
 
 
 def test_quote_buy_and_spend(capsys):
