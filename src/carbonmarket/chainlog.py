@@ -221,6 +221,8 @@ class ChainEntry(NamedTuple):
     state_digest: bytes
 
 
+_chain_entry = partial(tuple.__new__, ChainEntry)
+
 def _line(prev: bytes, tx: Transaction, tx_bytes: bytes,
           state_digest: bytes) -> tuple[str, bytes]:
     """The entry line for `tx`, encoded as `tx_bytes`, after the entry
@@ -276,7 +278,7 @@ class ChainLog:
         if tx.seq != self.head_seq + 1:
             raise LedgerError(ErrorCode.SEQ_GAP,
                               f"expected seq {self.head_seq + 1}, got {tx.seq}")
-        self.entries.append(ChainEntry(tx, state_digest))
+        self.entries.append(_chain_entry((tx, state_digest)))
 
     # -- text round trip --------------------------------------------------
 
@@ -359,7 +361,7 @@ def _parse_and_check(text: str) -> ChainLog:
         rewritten, prev = _line(prev, tx, tx_bytes, state_digest)
         if rewritten != line:
             raise _Defect(seq, _mismatch(seq, rewritten, line))
-        log.entries.append(ChainEntry(tx, state_digest))
+        log.entries.append(_chain_entry((tx, state_digest)))
     return log
 
 

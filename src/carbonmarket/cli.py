@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -80,14 +81,16 @@ def _cmd_run(args) -> int:
     run_csv = reports.run_report_csv(result)
     balances = reports.balances_csv(result.final)
     compliance = reports.compliance_csv(result.final)
-    sys.stdout.writelines((run_csv, "\n", balances, "\n", compliance,
-                           f"\nstate-digest {result.final.state_digest().hex()}\n"))
+    # the files first: a reader that closes standard output early, as
+    # `| head` does, must not cost them
     if args.out:
         try:
             _write_reports(Path(args.out), result, run_csv, balances, compliance)
         except OSError as exc:
             raise LedgerError(ErrorCode.SYNTAX_ERROR,
                               f"cannot write {args.out!r}: {exc}") from exc
+    sys.stdout.writelines((run_csv, "\n", balances, "\n", compliance,
+                           f"\nstate-digest {result.final.state_digest().hex()}\n"))
     if not result.ok:
         failure = result.failure
         print(f"run failed at step {failure.index} ({failure.action}): "
@@ -97,7 +100,7 @@ def _cmd_run(args) -> int:
 
 
 def _write_reports(directory: Path, result, run_csv: str, balances: str, compliance: str):
-    """The `--out` files, reusing the three reports `run` already printed.
+    """The `--out` files, reusing the three reports `run` then prints.
     The chain log and the journal are written as they are rendered, one
     entry or one event at a time, so neither text is ever held whole."""
     from . import reports
@@ -270,8 +273,17 @@ def console_main():
     parsed log, the ledger and the journal, none of them garbage.  Freezing
     moves them to the permanent generation, which those collections skip;
     shutdown still flushes the streams, runs `atexit` and tears the modules
-    down.  `main` stays free of it, so callers in process keep their heap."""
-    code = main()
+    down.  `main` stays free of it, so callers in process keep their heap.
+
+    A reader that closes standard output early, as `| head` does, ends the
+    command with exit code 1 and no traceback.  What is left unwritten goes
+    to the null device, so the flush at shutdown fails no more."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAILURE
     gc.freeze()
     sys.exit(code)
 

@@ -34,9 +34,19 @@ _LIMIT = 2**63
 _SNAP_REL = 1e-12
 _SNAP_ABS = 1e-6
 
-# How an amount is written.  Decimal also reads "1_000", " 2 " and digits
-# outside ASCII, which are no amounts.
-_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+# How an amount is written: sign, whole part, fraction and exponent, with a
+# digit in the whole part or the fraction.  Decimal also reads "1_000",
+# " 2 " and digits outside ASCII, which are no amounts.
+_DECIMAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)\.?([0-9]*)(?:[eE]([+-]?[0-9]+))?")
+
+# The exponents a decimal spelling may carry, as `decimal` reads it: past
+# them it refuses the spelling.  With e = the exponent less the fraction's
+# length, it needs MIN_ETINY <= e, the adjusted exponent (e plus the
+# coefficient's digits after leading zeros, less one) at most MAX_EMAX, and
+# at most 19 significant exponent digits.
+_MAX_EMAX = 999999999999999999
+_MIN_ETINY = -1999999999999999997
+_EXPONENT_DIGITS = 19
 
 
 def _half_even(num: int, den: int) -> int:
@@ -68,31 +78,40 @@ class Fixed:
     @classmethod
     def parse(cls, value: Union[str, int, Decimal, "Fixed"]) -> "Fixed":
         """Parse an exact decimal literal, the text `str(value)` writes;
-        finer than 1e-6 is an error."""
+        finer than 1e-6 is an error.  The text is read by `_DECIMAL` in
+        integer arithmetic, and a value or message is the one `decimal`
+        gives for the same spelling."""
         if isinstance(value, bool):
             raise ValueError("booleans are not amounts")
-        # imported here: checking a chain log makes every amount from its
-        # micro-units and never parses text
-        from decimal import Decimal, InvalidOperation
         text = str(value)
-        try:
-            number = Decimal(text)
-        except InvalidOperation as exc:
-            raise ValueError(f"not a decimal amount: {value!r}") from exc
-        if not number.is_finite():
-            raise ValueError(f"not a finite amount: {value!r}")
-        if not _DECIMAL.fullmatch(text):
+        match = _DECIMAL.fullmatch(text)
+        if match is None:
+            raise _refusal(value, text)
+        sign, whole, fraction, exponent = match.groups()
+        e = -len(fraction)
+        if exponent is not None:
+            # stripped first: int() refuses a spelling of more than 4300 digits
+            significant = exponent.lstrip("+-").lstrip("0") or "0"
+            if len(significant) > _EXPONENT_DIGITS:
+                raise ValueError(f"not a decimal amount: {value!r}")
+            e += -int(significant) if exponent[0] == "-" else int(significant)
+        digits = (whole + fraction).lstrip("0")
+        # the adjusted exponent: where the leading digit sits
+        magnitude = e + len(digits) - 1 if digits else e
+        if e < _MIN_ETINY or magnitude > _MAX_EMAX:
             raise ValueError(f"not a decimal amount: {value!r}")
-        # magnitude first: the exact ratio has as many digits as the exponent
-        magnitude = number.adjusted() if number else 0
+        if not digits:
+            return _fixed(0)
         if magnitude > 12:          # 1e13 and up: past 2**63 micro-units
             raise OverflowError("amount exceeds the representable range")
-        if magnitude >= -6:
-            num, den = number.as_integer_ratio()
-            micro, rest = divmod(num * SCALE, den)
-            if not rest:
-                return cls(micro)
-        raise ValueError(f"amount {value!r} is finer than the 1e-6 resolution")
+        # trailing zeros move into the exponent, which then counts from the
+        # 1e-6 grid; what is left has at most 19 digits when on the grid
+        coefficient = digits.rstrip("0")
+        e += len(digits) - len(coefficient) + 6
+        if e < 0:
+            raise ValueError(f"amount {value!r} is finer than the 1e-6 resolution")
+        micro = int(coefficient) * 10**e
+        return _fixed(-micro if sign == "-" else micro)
 
     @classmethod
     def from_float(cls, value: float, rounding: str = "nearest") -> "Fixed":
@@ -181,6 +200,18 @@ class Fixed:
 
     def __repr__(self) -> str:
         return f"Fixed('{self}')"
+
+
+def _refusal(value, text: str) -> ValueError:
+    """The refusal of `text`, written for `value`, which `_DECIMAL` does not
+    match: a spelling `decimal` reads as NaN or an infinity is not finite,
+    any other is not a decimal amount.  Only a refusal loads `decimal`."""
+    from decimal import Decimal, InvalidOperation
+    try:
+        finite = Decimal(text).is_finite()
+    except InvalidOperation:
+        finite = True
+    return ValueError(f"not a {'decimal' if finite else 'finite'} amount: {value!r}")
 
 
 _new = object.__new__

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 from enum import Enum
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -166,6 +167,8 @@ class AppliedEvent(NamedTuple):
     cash_delta: Money = ZERO       # exchange trades: signed cash leg
     retired: Quantity = ZERO       # burns: emission tonnes actually retired
 
+
+_applied = partial(tuple.__new__, AppliedEvent)
 
 class TokenLedger:
     """Registry, balances, market totals, and the exchange, as one state."""
@@ -410,9 +413,10 @@ class TokenLedger:
                               f"{tx.kind.value} payload field {key!r} must be a non-empty string")
         return value
 
-    def _event(self, tx: Transaction, **effects) -> AppliedEvent:
-        return AppliedEvent(tx=tx, price_before=self.market_price,
-                            price_after=self.market_price, **effects)
+    def _event(self, tx: Transaction, token_delta: Quantity = ZERO,
+               cash_delta: Money = ZERO, retired: Quantity = ZERO) -> AppliedEvent:
+        price = self.market_price
+        return _applied((tx, price, price, token_delta, cash_delta, retired))
 
     # -- handlers -------------------------------------------------------------
 
@@ -557,7 +561,7 @@ class TokenLedger:
             exchange.baseline_supply = supply
             exchange.reserve = exchange.baseline_reserve = reserve
         self.market_price = price
-        return AppliedEvent(tx=tx, price_before=price_before, price_after=price)
+        return _applied((tx, price_before, price, ZERO, ZERO, ZERO))
 
 
 _HANDLERS: dict[TxKind, Callable[[TokenLedger, Transaction], AppliedEvent]] = {

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ErrorCode, LedgerError
 from .exchange import spot_price, validate_anchor
@@ -20,7 +20,7 @@ if TYPE_CHECKING:       # `price-curve` loads no ledger; `replay` no journal or 
     from .runner import RunResult
 
 
-def _csv(rows: list[list[str]], header: list[str]) -> str:
+def _csv(rows: Iterable[Sequence[str]], header: list[str]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -63,9 +63,10 @@ def trial_balance_csv(journal: Journal) -> str:
 
 
 def run_report_csv(result: RunResult) -> str:
-    rows = [[str(s.index), s.time, s.action, s.status,
-             "" if s.seq is None else str(s.seq), s.error or "", s.detail]
-            for s in result.steps]
+    # one row at a time: a run of many steps holds no list of all the rows
+    rows = ((str(s.index), s.time, s.action, s.status,
+             "" if s.seq is None else str(s.seq), s.error or "", s.detail)
+            for s in result.steps)
     return _csv(rows, ["step", "time", "action", "status", "seq", "error", "detail"])
 
 

@@ -14,9 +14,10 @@ the chain log replays to the run's final state.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple, Optional
 
-from .chainlog import ChainLog, advance
+from .chainlog import ChainLog, _transaction, advance
 from .errors import ErrorCode, LedgerError
 from .journal import Journal
 from .ledger import TokenLedger
@@ -31,6 +32,9 @@ class StepResult(NamedTuple):
     seq: Optional[int] = None
     error: Optional[str] = None      # error code name for rejections/failures
     detail: str = ""
+
+
+_step_result = partial(tuple.__new__, StepResult)
 
 
 class RunResult:
@@ -57,9 +61,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
     journal = Journal(genesis)
     result = RunResult(genesis=genesis, final=ledger, chainlog=chainlog, journal=journal)
 
-    def record(step: Step, status: str, **fields) -> StepResult:
-        entry = StepResult(index=step.index, time=step.time, action=step.action,
-                           status=status, **fields)
+    def record(step: Step, status: str, seq: Optional[int] = None,
+               error: Optional[str] = None, detail: str = "") -> StepResult:
+        entry = _step_result((step.index, step.time, step.action, status, seq, error, detail))
         result.steps.append(entry)
         return entry
 
@@ -79,7 +83,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
         seq = ledger.seq + 1
         try:
-            advance(ledger, step.tx._replace(seq=seq), chainlog, journal)
+            advance(ledger, _transaction((seq, *step.tx[1:])), chainlog, journal)
         except LedgerError as exc:
             if ledger.seq == seq:       # applied and logged, but not booked
                 fail(step, exc.code, exc.message, seq=seq)

@@ -22,6 +22,7 @@ log or journal.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, NamedTuple, Optional, Union
 
 import yaml
@@ -29,7 +30,7 @@ from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
                          ScalarEvent, SequenceEndEvent, SequenceStartEvent,
                          StreamEndEvent)
 
-from .chainlog import Transaction, TxKind
+from .chainlog import _KINDS, Transaction, _transaction
 from .errors import ErrorCode, LedgerError
 from .fixed import Fixed
 from .journal import Account, Journal
@@ -162,6 +163,8 @@ EXPECT_MARKETS = {"permit": "market_permit", "emission": "market_emission"}
 # journal accounts by the name an `expect` step gives them
 _ACCOUNTS = {account.value: account for account in Account}
 _ERROR_CODES = frozenset(code.value for code in ErrorCode)
+# the payload every transaction without one shares, as `Transaction` builds it
+_NO_PAYLOAD = Transaction._field_defaults["payload"]
 
 
 class Expectation(NamedTuple):
@@ -187,6 +190,9 @@ class Step(NamedTuple):
     tx: Optional[Transaction] = None    # at seq 0; the runner gives it the next seq
     expect: Optional[Expectation] = None
     expect_fail: Optional[str] = None   # error code name, or "" for any
+
+
+_step = partial(tuple.__new__, Step)
 
 
 class Scenario(NamedTuple):
@@ -336,11 +342,11 @@ def _parse_step(index: int, raw: Any, declared: dict) -> Step:
     if action == "expect":
         if raw.get("expect_fail") is not None:
             raise _schema_error(where, "expect steps cannot carry expect_fail")
-        return Step(index=index, time=time, action=action,
-                    expect=_parse_expect(where, raw, declared))
+        return _step((index, time, action, None,
+                      _parse_expect(where, raw, declared), None))
 
     spec = ACTIONS[action]
-    parties: dict[str, str] = {}
+    parties = {"sender": "", "target": "", "cosigner": ""}
     for key, tx_field in spec.orgs.items():
         org = _as_str(where, key, raw.get(key))
         if org not in declared:
@@ -352,10 +358,12 @@ def _parse_step(index: int, raw: Any, declared: dict) -> Step:
     else:
         value = _as_amount(where, spec.value, raw.get(spec.value))
     if spec.in_payload:
+        amount = None
         payload = {spec.value: value.micro if isinstance(value, Fixed) else value}
-        tx = Transaction(0, time, TxKind(action), payload=payload, **parties)
     else:
-        tx = Transaction(0, time, TxKind(action), amount=value, **parties)
+        amount, payload = value, _NO_PAYLOAD
+    tx = _transaction((0, time, _KINDS[action], parties["sender"], parties["target"],
+                       parties["cosigner"], amount, payload))
 
     expect_fail: Optional[str] = None
     value = raw.get("expect_fail")
@@ -366,7 +374,7 @@ def _parse_step(index: int, raw: Any, declared: dict) -> Step:
     elif value is not None:
         raise _schema_error(where, "expect_fail must be true or a known error code")
 
-    return Step(index=index, time=time, action=action, tx=tx, expect_fail=expect_fail)
+    return _step((index, time, action, tx, None, expect_fail))
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -1323,6 +1323,34 @@ def test_the_process_entry_point_freezes_the_heap_before_exit(golden_files):
     assert proc.stderr == b"frozen at start: False\nfrozen at exit: True\n"
 
 
+def closed_stdout(*argv) -> tuple[int, bytes]:
+    """`python -m carbonmarket.cli ARGV` whose reader closes its standard
+    output at once, as `| head -0` would: the exit code and standard error."""
+    proc = subprocess.Popen([sys.executable, "-m", "carbonmarket.cli", *argv],
+                            env=PROCESS_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    return proc.returncode, err
+
+
+def test_run_with_a_closed_stdout_still_writes_its_files(tmp_path, capsys):
+    normal, closed = tmp_path / "normal", tmp_path / "closed"
+    assert run_cli(capsys, "run", str(GOLDEN_SCENARIO), "--out", str(normal))[0] == 0
+    code, err = closed_stdout("run", str(GOLDEN_SCENARIO), "--out", str(closed))
+    assert code == 1
+    assert b"Traceback" not in err, err.decode()
+    names = sorted(path.name for path in normal.iterdir())
+    assert sorted(path.name for path in closed.iterdir()) == names
+    for name in names:
+        assert (closed / name).read_bytes() == (normal / name).read_bytes(), name
+
+
+def test_journal_with_a_closed_stdout_exits_without_a_traceback(golden_files):
+    code, err = closed_stdout("journal", str(golden_files / "LOG"))
+    assert code == 1
+    assert b"Traceback" not in err, err.decode()
+
+
 def test_the_console_script_is_the_process_entry_point():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]

@@ -1,7 +1,8 @@
 import math
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from carbonmarket.fixed import SCALE, ZERO, Fixed
@@ -185,3 +186,124 @@ def test_mul_sign_symmetry(a, b):
     x, y = Fixed(a), Fixed(b)
     assert x.mul(y) == y.mul(x)
     assert (-x).mul(y) == -(x.mul(y))
+
+
+# `Fixed.parse` as it read amounts through `decimal`, kept verbatim as the
+# reference the integer-arithmetic parser must agree with.
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def decimal_parse(cls, value):
+    """Parse an exact decimal literal, the text `str(value)` writes;
+    finer than 1e-6 is an error."""
+    if isinstance(value, bool):
+        raise ValueError("booleans are not amounts")
+    # imported here: checking a chain log makes every amount from its
+    # micro-units and never parses text
+    from decimal import Decimal, InvalidOperation
+    text = str(value)
+    try:
+        number = Decimal(text)
+    except InvalidOperation as exc:
+        raise ValueError(f"not a decimal amount: {value!r}") from exc
+    if not number.is_finite():
+        raise ValueError(f"not a finite amount: {value!r}")
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal amount: {value!r}")
+    # magnitude first: the exact ratio has as many digits as the exponent
+    magnitude = number.adjusted() if number else 0
+    if magnitude > 12:          # 1e13 and up: past 2**63 micro-units
+        raise OverflowError("amount exceeds the representable range")
+    if magnitude >= -6:
+        num, den = number.as_integer_ratio()
+        micro, rest = divmod(num * SCALE, den)
+        if not rest:
+            return cls(micro)
+    raise ValueError(f"amount {value!r} is finer than the 1e-6 resolution")
+
+
+def parsed(parse, value):
+    """The micro-units `parse` reads from `value`, or its exception's type
+    and message."""
+    try:
+        return parse(value).micro
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# the exponent limits of `decimal`: largest adjusted exponent, smallest exponent
+MAX_EMAX, MIN_ETINY = 999999999999999999, -1999999999999999997
+
+signs = st.sampled_from(["", "+", "-"])
+zeros = st.sampled_from(["", "0", "00", "000"])
+# digit runs, now and then one longer than the 4300 digits int() reads
+long_runs = st.builds(str.__mul__, st.sampled_from("019"), st.integers(4290, 4400))
+short_runs = st.one_of(st.text("0123456789", max_size=20),
+                       st.sampled_from(["0", "1", "5", "25", "999"]))
+runs = st.integers(0, 7).flatmap(lambda k: long_runs if k == 0 else short_runs)
+
+
+def exponent_text(draw, value: int) -> str:
+    """`value` written as an exponent, with leading zeros, now and then more
+    than int() reads."""
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    padding = "0" * draw(st.sampled_from([0, 0, 1, 3, 4400]))
+    return draw(st.sampled_from("eE")) + sign + padding + str(abs(value))
+
+
+@st.composite
+def spellings(draw) -> str:
+    """An amount as a scenario may spell it: sign, whole part with leading
+    zeros, fraction with trailing zeros, in the `5`, `5.`, `.5` and `5.5`
+    forms, and an exponent, small, near 2^63 or 10^19, or a long digit run;
+    now and then with one stray character (whitespace, `_`, a non-ASCII
+    digit) put in."""
+    whole, fraction = draw(zeros) + draw(runs), draw(runs) + draw(zeros)
+    text = draw(signs) + draw(st.sampled_from([whole, whole + ".", "." + fraction,
+                                               whole + "." + fraction]))
+    exponent = draw(st.integers(0, 3))
+    if exponent == 1:
+        text += exponent_text(draw, draw(st.integers(-30, 30)))
+    elif exponent == 2:
+        edge = draw(st.sampled_from([2**63, -(2**63), 10**19, -(10**19)]))
+        text += exponent_text(draw, edge + draw(st.integers(-2, 2)))
+    elif exponent == 3:
+        text += draw(st.sampled_from("eE")) + draw(signs) + draw(long_runs)
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(text)))
+        stray = draw(st.sampled_from([" ", "\n", "\t", "_", "\u0661", "\uff15", "e", "."]))
+        text = text[:at] + stray + text[at:]
+    return text
+
+
+@st.composite
+def edge_spellings(draw) -> str:
+    """A short coefficient, zero a third of the time, with the exponent that
+    puts its exponent (the written one less the fraction's digits) or its
+    adjusted exponent at a limit of `decimal` or of the grid, or one off."""
+    coefficient = draw(st.sampled_from(["0", "000", "0.00", "1", "10", "1.5", "00.100",
+                                        "1." + "0" * 19 + "1", "12345678901234",
+                                        "9223372036854.775807"]))
+    after_point = len(coefficient.partition(".")[2])
+    leading = (len(coefficient.replace(".", "").lstrip("0")) or 1) - 1
+    adjusted, edge = draw(st.sampled_from([(False, MIN_ETINY), (True, MAX_EMAX),
+                                           (True, 12), (False, -6)]))
+    value = edge + draw(st.integers(-1, 1)) + after_point - (leading if adjusted else 0)
+    return draw(signs) + coefficient + exponent_text(draw, value)
+
+
+non_finite = st.builds(str.__add__, signs,
+                       st.sampled_from(["nan", "NaN", "sNaN", "snan", "nan12", "inf",
+                                        "Inf", "Infinity", "-infinity", "INFINITY"]))
+amount_inputs = st.one_of(
+    spellings(), edge_spellings(), non_finite,
+    st.integers(-(10**20), 10**20), st.just(10**4400),
+    st.decimals(), st.integers(-(2**63) + 1, 2**63 - 1).map(Fixed))
+
+
+# no shrinking: a failing spelling is reported as drawn, in well under a second
+@settings(max_examples=300, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(amount_inputs)
+def test_parse_agrees_with_decimal(value):
+    assert parsed(Fixed.parse, value) == parsed(lambda text: decimal_parse(Fixed, text), value)

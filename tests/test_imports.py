@@ -1,6 +1,7 @@
 """What each entry point loads: `import carbonmarket` is lazy, the audit
 commands never load PyYAML, the scenario parser, the runner or the journal,
-`verify` loads no state machine and no decimal parser, `price-curve` loads
+`verify` loads no state machine and no decimal parser, `run` of a corpus
+scenario loads no decimal parser either, `price-curve` loads
 no ledger, no command loads `dataclasses`, the benchmark's traced run still
 finds every name it wraps, the README's package layout names every module,
 and no source line is longer than 99 characters."""
@@ -18,7 +19,7 @@ import pytest
 import carbonmarket
 from carbonmarket.cli import main
 
-from conftest import GOLDEN_SCENARIO
+from conftest import GOLDEN_SCENARIO, SCENARIO_DIR
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -67,6 +68,18 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["price-curve", "--f", "0.5", "--s0", "1000", "--c0", "10000",
                      "--min", "500", "--max", "2000", "--points", "4"])
 print(json.dumps([code, [module for module in {state_machine!r} if module in sys.modules]]))
+"""
+
+
+# Runs in a fresh interpreter: `run` of one scenario, then its exit code and
+# which of the decimal modules are loaded.
+RUN_DECIMAL = """
+import contextlib, io, json, sys
+from carbonmarket import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["run", {scenario!r}])
+print(json.dumps([code, [module for module in ("decimal", "_decimal", "_pydecimal")
+                         if module in sys.modules]]))
 """
 
 
@@ -136,6 +149,17 @@ def test_price_curve_loads_no_ledger():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, ["carbonmarket.exchange", "carbonmarket.reports"]]
+
+
+@pytest.mark.parametrize("scenario", sorted(path.name for path in SCENARIO_DIR.glob("*.yaml")))
+def test_run_loads_no_decimal_parser(scenario):
+    """Every amount a scenario writes is read in integer arithmetic; only a
+    refused spelling loads `decimal`, to name what is wrong with it."""
+    script = RUN_DECIMAL.format(scenario=str(SCENARIO_DIR / scenario))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
 
 
 def test_no_command_loads_dataclasses(golden_run):
