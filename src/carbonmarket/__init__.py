@@ -4,7 +4,7 @@ carbon-accounting journal, driven by declarative scenario files.
 
 `import carbonmarket` loads no submodule: each public name below is imported
 from its home submodule on first access (PEP 562), so a command that only
-checks a chain log never loads PyYAML, the scenario runner or the journal."""
+checks a chain log never loads PyYAML, the scenario module or the journal."""
 
 from importlib import import_module
 
@@ -18,8 +18,8 @@ _EXPORTS = {
     "journal": ("Account", "AccountClass", "Journal", "JournalEntry", "JournalLine",
                 "Side"),
     "ledger": ("AppliedEvent", "ExchangeState", "OrgRecord", "Role", "TokenLedger"),
-    "runner": ("RunResult", "StepResult", "run_scenario"),
-    "scenario": ("Scenario", "load_scenario", "parse_scenario"),
+    "scenario": ("RunResult", "Scenario", "StepResult", "load_scenario", "parse_scenario",
+                 "run_scenario"),
 }
 
 # public name -> the submodule that defines it

@@ -61,17 +61,17 @@ def _amount(text: str) -> Fixed:
 
 # Each command imports the modules it runs when it runs: `verify` reads only
 # the log format and loads no state machine, exchange or reports, and only
-# `run` loads the scenario parser (and PyYAML) and the runner.  These two
-# stay names in this module, looked up when `run` calls them, so that the
-# benchmark's `perfbench/traced.py` can replace them in place to time the
-# parse and the run; do not inline them.
+# `run` loads the scenario module (and PyYAML), which parses and runs a
+# scenario.  These two stay names in this module, looked up when `run` calls
+# them, so that the benchmark's `perfbench/traced.py` can replace them in
+# place to time the parse and the run; do not inline them.
 def load_scenario(path):
     from .scenario import load_scenario
     return load_scenario(path)
 
 
 def run_scenario(scenario):
-    from .runner import run_scenario
+    from .scenario import run_scenario
     return run_scenario(scenario)
 
 

@@ -143,9 +143,6 @@ class Fixed:
     def __neg__(self) -> "Fixed":
         return _fixed(-self.micro)
 
-    def __abs__(self) -> "Fixed":
-        return _fixed(abs(self.micro))
-
     def mul(self, other: "Fixed") -> "Fixed":
         """Product of two amounts (e.g. quantity x unit price), half-even."""
         return _fixed(_half_even(self.micro * other.micro, SCALE))

@@ -12,12 +12,12 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ErrorCode, LedgerError
 from .exchange import spot_price, validate_anchor
-from .fixed import Fixed
+from .fixed import Fixed, _half_even
 
-if TYPE_CHECKING:       # `price-curve` loads no ledger; `replay` no journal or runner
+if TYPE_CHECKING:       # `price-curve` loads no ledger; `replay` no journal or scenario
     from .journal import Journal
     from .ledger import TokenLedger
-    from .runner import RunResult
+    from .scenario import RunResult
 
 
 def _csv(rows: Iterable[Sequence[str]], header: list[str]) -> str:
@@ -79,7 +79,9 @@ def price_curve_rows(fraction: Fixed, supply0: Fixed, reserve0: Fixed,
                      supply_min: Fixed, supply_max: Fixed,
                      points: int) -> list[tuple[Fixed, Fixed]]:
     """Evenly spaced (supply, spot price) table for external plotting, of 2
-    to `MAX_CURVE_POINTS` points."""
+    to `MAX_CURVE_POINTS` points.  Each supply is exact: the first and last
+    are `supply_min` and `supply_max`, and one between them rounds to the
+    nearest micro-unit, ties to even."""
     if points < 2:
         raise LedgerError(ErrorCode.INVALID_RANGE, "need at least 2 points")
     if points > MAX_CURVE_POINTS:
@@ -88,11 +90,11 @@ def price_curve_rows(fraction: Fixed, supply0: Fixed, reserve0: Fixed,
         raise LedgerError(ErrorCode.INVALID_RANGE,
                           "need 0 < min supply < max supply")
     validate_anchor(fraction, supply0, reserve0)
-    lo = supply_min.to_float()
-    hi = supply_max.to_float()
+    lo = supply_min.micro
+    span = supply_max.micro - lo
     rows = []
     for i in range(points):
-        supply = Fixed.from_float(lo + (hi - lo) * i / (points - 1), "nearest")
+        supply = Fixed(lo + _half_even(span * i, points - 1))
         rows.append((supply, spot_price(fraction, supply0, reserve0, supply)))
     return rows
 

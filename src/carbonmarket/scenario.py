@@ -1,4 +1,4 @@
-"""Declarative scenario files: schema, validation, and what the runner runs.
+"""Declarative scenario files: schema, validation, and the run.
 
 A scenario is a YAML document with a genesis block (organisations, projects,
 cash endowments, optional exchange bootstrap) and an ordered list of steps.
@@ -8,12 +8,22 @@ assertion.  Scenario YAML is read as written: a scalar is its text, except
 the plain spellings of null and the booleans, so an amount, quoted or not,
 is read by `Fixed.parse` alone.
 
-Parsing builds what the runner executes.  The genesis block becomes the
+Parsing builds what a run executes.  The genesis block becomes the
 genesis `TokenLedger` through the ledger's `setup_*` calls, the same calls
 that load a state from JSON; this module checks only the block's shape, and
 an organisation or project those calls refuse is a SchemaError at its path
 (`genesis.projects[0]: ...`).  Each action step becomes its `Transaction`,
-built once here at seq 0; the runner gives it the next seq.
+built once here at seq 0.
+
+`run_scenario` is the single writer: it gives each transaction the next seq
+and commits it to a copy of the genesis ledger, the chain log and the
+journal with `chainlog.advance`, the step `replay` repeats.  Inline
+expectations are evaluated against the live state.  The run stops at the
+first failure (unexpected rejection, failed expectation, a step that was
+marked expect_fail but succeeded, or an applied transaction the journal
+cannot book); everything before the failure remains valid.  A transaction
+the ledger applied is always logged and booked, even when its step fails,
+so the chain log replays to the run's final state.
 
 Any transaction step may carry `expect_fail: <ErrorCode>` (or `true`) to
 assert that the ledger rejects it; such steps leave no trace in the chain
@@ -30,7 +40,7 @@ from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
                          ScalarEvent, SequenceEndEvent, SequenceStartEvent,
                          StreamEndEvent)
 
-from .chainlog import _KINDS, Transaction, _transaction
+from .chainlog import _KINDS, ChainLog, Transaction, _transaction, advance
 from .errors import ErrorCode, LedgerError
 from .fixed import Fixed
 from .journal import Account, Journal
@@ -187,7 +197,7 @@ class Step(NamedTuple):
     index: int
     time: str
     action: str
-    tx: Optional[Transaction] = None    # at seq 0; the runner gives it the next seq
+    tx: Optional[Transaction] = None    # at seq 0; the run gives it the next seq
     expect: Optional[Expectation] = None
     expect_fail: Optional[str] = None   # error code name, or "" for any
 
@@ -417,3 +427,82 @@ def load_scenario(path: str) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise LedgerError(ErrorCode.SYNTAX_ERROR, f"cannot read scenario {path!r}: {exc}") from exc
     return parse_scenario(text)
+
+
+class StepResult(NamedTuple):
+    index: int
+    time: str
+    action: str
+    status: str                      # applied | rejected | assert-ok | failed
+    seq: Optional[int] = None
+    error: Optional[str] = None      # error code name for rejections/failures
+    detail: str = ""
+
+
+_step_result = partial(tuple.__new__, StepResult)
+
+
+class RunResult:
+    __slots__ = ("genesis", "final", "chainlog", "journal", "steps", "failure")
+
+    def __init__(self, genesis: TokenLedger, final: TokenLedger, chainlog: ChainLog,
+                 journal: Journal):
+        self.genesis = genesis
+        self.final = final
+        self.chainlog = chainlog
+        self.journal = journal
+        self.steps: list[StepResult] = []
+        self.failure: Optional[StepResult] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
+
+
+def run_scenario(scenario: Scenario) -> RunResult:
+    genesis = scenario.genesis
+    chainlog = ChainLog(genesis.state_json())
+    ledger = genesis.copy()     # copied once genesis is encoded: a warm cache
+    journal = Journal(genesis)
+    result = RunResult(genesis=genesis, final=ledger, chainlog=chainlog, journal=journal)
+
+    def record(step: Step, status: str, seq: Optional[int] = None,
+               error: Optional[str] = None, detail: str = "") -> StepResult:
+        entry = _step_result((step.index, step.time, step.action, status, seq, error, detail))
+        result.steps.append(entry)
+        return entry
+
+    def fail(step: Step, code: ErrorCode, detail: str, seq: Optional[int] = None):
+        result.failure = record(step, "failed", seq=seq, error=code.value, detail=detail)
+
+    for step in scenario.steps:
+        if step.action == "expect":
+            exp = step.expect
+            actual = exp.read(ledger, journal)
+            detail = f"{exp.label} {actual}"
+            if actual != exp.equals:
+                fail(step, ErrorCode.ASSERTION_FAILED, f"expected {exp.equals}, got {detail}")
+                break
+            record(step, "assert-ok", detail=detail)
+            continue
+
+        seq = ledger.seq + 1
+        try:
+            advance(ledger, _transaction((seq, *step.tx[1:])), chainlog, journal)
+        except LedgerError as exc:
+            if ledger.seq == seq:       # applied and logged, but not booked
+                fail(step, exc.code, exc.message, seq=seq)
+            elif step.expect_fail in ("", exc.code.value):
+                record(step, "rejected", seq=seq, error=exc.code.value, detail=exc.message)
+                continue
+            else:
+                fail(step, ErrorCode.TRANSACTION_REJECTED,
+                     f"seq {seq} ({step.action}) rejected: {exc}", seq=seq)
+            break
+        if step.expect_fail is not None:
+            fail(step, ErrorCode.ASSERTION_FAILED,
+                 f"step was expected to fail with "
+                 f"{step.expect_fail or 'any error'} but was applied", seq=seq)
+            break
+        record(step, "applied", seq=seq)
+    return result

@@ -135,7 +135,7 @@ def test_criterion_3_closed_form_matches_integration():
         e_grid = Fixed.from_float(e, "nearest")
         cash_raw = cash_for_tokens_raw(f, s0, c0, e_grid.to_float())
         back = Fixed.from_float(tokens_for_cash_raw(f, s0, c0, cash_raw), "floor")
-        drift = abs(back - e_grid).micro
+        drift = abs((back - e_grid).micro)
         worst_inv = max(worst_inv, drift)
         assert drift <= 2, (f, s0, c0, e)
     elapsed = time.perf_counter() - started

@@ -1072,6 +1072,22 @@ def test_price_curve_points_are_bounded(capsys):
     assert lines[1].startswith("500.000000,") and lines[-1].startswith("2000.000000,")
 
 
+@pytest.mark.parametrize("bounds, supplies", [
+    # spaced in floats, the last point of a large range missed --max
+    (("1", "12345678901.234567", "2"), ["1.000000", "12345678901.234567"]),
+    # 3 micro-units over 4 intervals: 0.75, 1.5 and 2.25 round to 1, 2 and 2
+    (("1", "1.000003", "5"), ["1.000000", "1.000001", "1.000002", "1.000002", "1.000003"]),
+    # a tie at half a micro-unit rounds to even
+    (("1", "1.000001", "3"), ["1.000000", "1.000000", "1.000001"]),
+])
+def test_price_curve_supplies_are_exact(capsys, bounds, supplies):
+    low, high, points = bounds
+    code, out, _ = run_cli(capsys, "price-curve", "--f", "1", "--s0", "1", "--c0", "1",
+                           "--min", low, "--max", high, "--points", points)
+    assert code == 0
+    assert out == "supply,price\n" + "".join(f"{s},1.000000\n" for s in supplies)
+
+
 def test_quote_at_zero_supply_is_an_input_error(capsys):
     assert run_cli(capsys, "quote", "--f", "0.5", "--s0", "0", "--c0", "10000",
                    "--spend-cash", "10") == (

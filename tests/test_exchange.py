@@ -239,7 +239,7 @@ def test_inverse_consistency_within_two_ulp(params, e_ppm):
     e = Fixed.from_float(e_units, "nearest")
     quote = quote_buy_tokens(fraction, s0, c0, e)
     back = quote_spend_cash(fraction, s0, c0, quote.cash_delta)
-    assert abs(back.tokens_delta - e).micro <= 2
+    assert abs((back.tokens_delta - e).micro) <= 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -264,7 +264,7 @@ def test_path_independence_within_three_ulp(params, ppm1, ppm2):
     q2 = quote_buy_tokens(fraction, s0 + e1, c0 + q1.cash_delta, e2)
     combined = quote_buy_tokens(fraction, s0, c0, e1 + e2)
     split_total = q1.cash_delta + q2.cash_delta
-    assert abs(split_total - combined.cash_delta).micro <= 3
+    assert abs((split_total - combined.cash_delta).micro) <= 3
 
 
 # -- ledger-level trades ----------------------------------------------------------
@@ -325,8 +325,8 @@ def test_buy_sell_round_trip_within_two_ulp():
     cash_before = driver.ledger.org("E").cash
     driver.trade_token("E", 313)
     driver.trade_token("E", -313)
-    drift = abs(driver.ledger.org("E").cash - cash_before)
-    assert drift.micro <= 2
+    drift = abs((driver.ledger.org("E").cash - cash_before).micro)
+    assert drift <= 2
     assert driver.ledger.exchange.reserve >= fx(10061)
 
 
@@ -335,8 +335,8 @@ def test_convert_cash_round_trip_within_two_ulp():
     permit_before = driver.ledger.org("E").permit
     driver.convert_cash("E", 1777)
     driver.convert_cash("E", -1777)
-    drift = abs(driver.ledger.org("E").permit - permit_before)
-    assert drift.micro <= 2
+    drift = abs((driver.ledger.org("E").permit - permit_before).micro)
+    assert drift <= 2
 
 
 def test_convert_cash_gates():
@@ -416,7 +416,7 @@ def test_cash_out_on_a_large_convex_market():
     # flat, so cashing out 240 at spot 24 surrenders 10 tokens to within a
     # sub-token rounding margin
     quote = quote_spend_cash(fx("0.5"), fx(1_000_000), fx(12_000_000), fx(-240))
-    assert abs(quote.tokens_delta + fx(10)) <= fx("0.001")
+    assert abs((quote.tokens_delta + fx(10)).micro) <= fx("0.001").micro
 
 
 def test_reserve_never_negative_under_random_trading():

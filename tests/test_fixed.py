@@ -73,7 +73,6 @@ def test_arithmetic_and_comparison():
     assert a + b == Fixed.parse("3.25")
     assert a - b == Fixed.parse("1.75")
     assert -b == Fixed.parse("-0.75")
-    assert abs(Fixed.parse("-3")) == Fixed.parse(3)
     assert b < a <= a
     assert a.is_positive and (-a).is_negative and ZERO.is_zero
 
@@ -139,7 +138,6 @@ def test_a_result_at_the_range_edge_is_an_amount():
     top = Fixed(MAX_MICRO - 1) + Fixed(1)
     assert type(top) is Fixed and top.micro == MAX_MICRO
     assert (Fixed(-MAX_MICRO + 1) - Fixed(1)).micro == (-top).micro == -MAX_MICRO
-    assert abs(-top) == top
     with pytest.raises(AttributeError):
         top.micro = 0
 

@@ -1,7 +1,8 @@
 """What each entry point loads: `import carbonmarket` is lazy, the audit
-commands never load PyYAML, the scenario parser, the runner or the journal,
-`verify` loads no state machine and no decimal parser, `run` of a corpus
-scenario loads no decimal parser either, `price-curve` loads
+commands never load PyYAML, the scenario module or the journal, `verify`
+loads no state machine and no decimal parser, running a parsed scenario
+loads no module that parsing it did not, `run` of a corpus scenario loads
+no decimal parser either, `price-curve` loads
 no ledger, no command loads `dataclasses`, the benchmark's traced run still
 finds every name it wraps, the README's package layout names every module,
 and no source line is longer than 99 characters."""
@@ -25,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
 
-RUN_ONLY = ("yaml", "carbonmarket.scenario", "carbonmarket.runner", "carbonmarket.journal")
+RUN_ONLY = ("yaml", "carbonmarket.scenario", "carbonmarket.journal")
 # what applying transactions and writing reports needs; the log format does not
 STATE_MACHINE = ("carbonmarket.ledger", "carbonmarket.exchange", "carbonmarket.reports")
 # what only parsing an amount from text needs; a log holds micro-units
@@ -68,6 +69,21 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["price-curve", "--f", "0.5", "--s0", "1000", "--c0", "10000",
                      "--min", "500", "--max", "2000", "--points", "4"])
 print(json.dumps([code, [module for module in {state_machine!r} if module in sys.modules]]))
+"""
+
+
+# Runs in a fresh interpreter: the two calls `run` makes, then the
+# carbonmarket modules each one loaded.
+PARSE_THEN_RUN = """
+import json, sys
+from carbonmarket import cli
+def package():
+    return {{name for name in sys.modules if name.startswith("carbonmarket.")}}
+before = package()
+scenario = cli.load_scenario({scenario!r})
+parsed = package()
+result = cli.run_scenario(scenario)
+print(json.dumps([result.ok, sorted(parsed - before), sorted(package() - parsed)]))
 """
 
 
@@ -149,6 +165,18 @@ def test_price_curve_loads_no_ledger():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, ["carbonmarket.exchange", "carbonmarket.reports"]]
+
+
+def test_running_a_parsed_scenario_loads_no_module():
+    """Parsing a scenario loads everything its run needs: the parser and the
+    run are one module."""
+    script = PARSE_THEN_RUN.format(scenario=str(GOLDEN_SCENARIO))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    ok, parsed, ran = json.loads(proc.stdout)
+    assert ok and "carbonmarket.scenario" in parsed
+    assert ran == []
 
 
 @pytest.mark.parametrize("scenario", sorted(path.name for path in SCENARIO_DIR.glob("*.yaml")))
