@@ -13,12 +13,14 @@ an anchor point (s0, C0):
 Quotes anchor the formulas at the exchange's *current* supply and reserve,
 which always lie on the curve (within rounding), so consecutive quotes are
 path independent.  Raw results are computed in double precision via
-expm1/log1p (no cancellation for small trades) and then rounded onto the
-1e-6 grid in the exchange-conservative direction: cash the user pays rounds
-up, cash or tokens the user receives round down, tokens the user surrenders
-round up.  That one-sided policy is what keeps the reserve solvent; it holds
-only while a double resolves the grid, below about 5e5 units a leg, since
-`Fixed.from_float` rounds larger values to nearest.  At every magnitude, two
+expm1/log1p (no cancellation for small trades), and `to_grid` rounds them
+onto the 1e-6 grid in the exchange-conservative direction: cash the user
+pays rounds up, cash or tokens the user receives round down, tokens the user
+surrenders round up.  The direction yields to a snap: a leg of y micro-units
+within max(1e-6, |y| * 1e-12) micro-units of a grid point rounds to that
+point, whichever side it lies on, so a snapped leg can favour the user by up
+to that bound.  Past about 5e5 units a leg the bound reaches half a
+micro-unit and every leg rounds to nearest.  At every magnitude, two
 guarantees are exact, in integers: a sale of the whole supply pays exactly
 the reserve and no sale pays more, and a withdrawal of the whole reserve
 surrenders exactly the supply and none surrenders more.
@@ -32,10 +34,10 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ErrorCode, LedgerError
-from .fixed import ONE, ZERO, Fixed, Money, Quantity
+from .fixed import _LIMIT, ONE, SCALE, ZERO, Fixed, Money, Quantity, _fixed
 
 
 class Quote(NamedTuple):
@@ -105,6 +107,30 @@ def tokens_for_cash_raw(fraction: float, supply: float, reserve: float,
 # Grid-rounded quotes
 # ---------------------------------------------------------------------------
 
+# The snap window, in grid units per grid unit of the leg: three orders of
+# magnitude above double-precision noise, six below the grid itself.
+_SNAP_REL = 1e-12
+_SNAP_ABS = 1e-6
+
+
+def to_grid(raw: float, rounding: Callable[[float], int]) -> Fixed:
+    """`raw` units on the 1e-6 grid.  A value of y micro-units within
+    max(_SNAP_ABS, |y| * _SNAP_REL) of a grid point snaps to it, so an exact
+    2100 that `pow` returns as 2100.0000000000018 does not round up a whole
+    unit; any other is rounded by `rounding`: `math.ceil`, `math.floor` or
+    `round`.  A non-finite `raw`, or one past the 64-bit range, is refused
+    before any rounding."""
+    if not math.isfinite(raw):
+        raise ValueError(f"non-finite amount: {raw!r}")
+    y = raw * SCALE
+    if not -_LIMIT < y < _LIMIT:
+        raise OverflowError("amount exceeds the representable range")
+    nearest = round(y)
+    if abs(y - nearest) <= max(_SNAP_ABS, abs(y) * _SNAP_REL):
+        return _fixed(nearest)
+    return _fixed(rounding(y))
+
+
 def spot_price(fraction: Fixed, supply0: Quantity, reserve0: Money,
                supply: Quantity) -> Money:
     """Spot price at `supply` against the anchor (s0, C0), grid-rounded."""
@@ -113,14 +139,14 @@ def spot_price(fraction: Fixed, supply0: Quantity, reserve0: Money,
     with _priced("the spot price at supply {}", supply):
         raw = spot_price_raw(fraction.to_float(), supply0.to_float(),
                              reserve0.to_float(), supply.to_float())
-        return Fixed.from_float(raw, "nearest")
+        return to_grid(raw, round)
 
 
 @contextmanager
 def _priced(what: str, amount: Fixed):
-    """Turn an overflow or a non-finite result of the curve math, or of
-    rounding it onto the grid, into a typed rejection naming `what`, a
-    format with one field for `amount`.  The name is formatted only then:
+    """Turn an overflow in the curve math, or `to_grid`'s refusal of a
+    non-finite or out-of-range result, into a typed rejection naming `what`,
+    a format with one field for `amount`.  The name is formatted only then:
     a quote runs on every trade."""
     try:
         yield
@@ -160,7 +186,7 @@ def quote_buy_tokens(fraction: Fixed, supply: Quantity, reserve: Money,
     with _priced("a trade of {} tokens", tokens):
         raw = cash_for_tokens_raw(fraction.to_float(), supply.to_float(),
                                   reserve.to_float(), tokens.to_float())
-        cash = Fixed.from_float(raw, "ceil")
+        cash = to_grid(raw, math.ceil)
         if cash.micro == 0:
             raise LedgerError(ErrorCode.INVALID_AMOUNT, "trade too small to price")
     if cash.micro < -reserve.micro:
@@ -188,7 +214,7 @@ def quote_spend_cash(fraction: Fixed, supply: Quantity, reserve: Money,
     with _priced("a trade of {} cash", cash):
         raw = tokens_for_cash_raw(fraction.to_float(), supply.to_float(),
                                   reserve.to_float(), cash.to_float())
-        tokens = Fixed.from_float(raw, "floor")
+        tokens = to_grid(raw, math.floor)
         if tokens.micro == 0:
             raise LedgerError(ErrorCode.INVALID_AMOUNT, "trade too small to price")
     if tokens.micro < -supply.micro:

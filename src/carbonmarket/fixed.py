@@ -2,22 +2,15 @@
 
 Token quantities (1 token = 1 tCO2e) and stablecoin amounts share one
 representation: an integer count of 1e-6 units.  Integer storage makes
-conservation checks exact and replay byte-stable; binary floating point is
-used only transiently for the exchange's fractional powers, after which the
-result is pulled back onto the 1e-6 grid.
-
-Grid rounding is direction-aware.  ``from_float(..., "ceil")`` and
-``("floor")`` implement the exchange-conservative policy (a buyer's cash is
-rounded up, a seller's proceeds down), but both first *snap* to the nearest
-grid point when the float sits within a tiny relative tolerance of it.
-Without the snap, a mathematically exact result such as 2100 would come out
-of ``pow`` as 2100.0000000000018 and get conservatively rounded to
-2100.000001, which is wrong by a full unit of resolution.
+conservation checks exact and replay byte-stable.  Every amount here is
+exact: parsing refuses a spelling finer than the grid, and only `mul`
+rounds, half-even in integers.  Binary floating point enters only in the
+exchange's fractional powers, whose results `exchange.to_grid` rounds onto
+the grid; `to_float` is the view that feeds them.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from typing import TYPE_CHECKING, Union
 
@@ -28,11 +21,6 @@ SCALE = 10**6
 
 # Fixed amounts must survive a signed 64-bit micro-unit encoding.
 _LIMIT = 2**63
-
-# Relative snap tolerance, in grid units per grid unit: three orders of
-# magnitude above double-precision noise, six below the grid itself.
-_SNAP_REL = 1e-12
-_SNAP_ABS = 1e-6
 
 # How an amount is written: sign, whole part, fraction and exponent, with a
 # digit in the whole part or the fraction.  Decimal also reads "1_000",
@@ -112,25 +100,6 @@ class Fixed:
             raise ValueError(f"amount {value!r} is finer than the 1e-6 resolution")
         micro = int(coefficient) * 10**e
         return _fixed(-micro if sign == "-" else micro)
-
-    @classmethod
-    def from_float(cls, value: float, rounding: str = "nearest") -> "Fixed":
-        """Round a float onto the grid, snapping near-exact values first."""
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite amount: {value!r}")
-        y = value * SCALE
-        if not -_LIMIT < y < _LIMIT:
-            raise OverflowError("amount exceeds the representable range")
-        nearest = round(y)
-        if abs(y - nearest) <= max(_SNAP_ABS, abs(y) * _SNAP_REL):
-            return cls(int(nearest))
-        if rounding == "ceil":
-            return cls(math.ceil(y))
-        if rounding == "floor":
-            return cls(math.floor(y))
-        if rounding == "nearest":
-            return cls(int(nearest))
-        raise ValueError(f"unknown rounding mode {rounding!r}")
 
     # -- arithmetic ----------------------------------------------------
 

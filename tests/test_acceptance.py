@@ -12,6 +12,7 @@ Criteria covered:
  8. price-curve report: constant at full reserve fraction, else increasing
 """
 
+import math
 import random
 import time
 
@@ -20,7 +21,7 @@ from scipy.integrate import quad
 from carbonmarket import Account, ErrorCode, Side
 from carbonmarket.chainlog import ChainLog, replay, verify_text
 from carbonmarket.exchange import (cash_for_tokens_raw, spot_price_raw,
-                                   tokens_for_cash_raw)
+                                   to_grid, tokens_for_cash_raw)
 from carbonmarket.fixed import ZERO, Fixed
 from carbonmarket.reports import price_curve_rows
 
@@ -132,9 +133,9 @@ def test_criterion_3_closed_form_matches_integration():
         worst_rel = max(worst_rel, rel)
         assert rel <= 1e-8, (f, s0, c0, e, rel)
 
-        e_grid = Fixed.from_float(e, "nearest")
+        e_grid = Fixed(round(e * 10**6))
         cash_raw = cash_for_tokens_raw(f, s0, c0, e_grid.to_float())
-        back = Fixed.from_float(tokens_for_cash_raw(f, s0, c0, cash_raw), "floor")
+        back = to_grid(tokens_for_cash_raw(f, s0, c0, cash_raw), math.floor)
         drift = abs((back - e_grid).micro)
         worst_inv = max(worst_inv, drift)
         assert drift <= 2, (f, s0, c0, e)

@@ -1121,6 +1121,18 @@ def test_quote_whose_price_after_is_beyond_the_range_is_an_input_error(capsys, a
         2, "", f"error: InvalidAmount: {detail}: amount exceeds the representable range\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the cash leg is a finite float whose micro-units pass 2**63
+    (("--f", "0.01", "--s0", "1", "--c0", "997", "--buy-tokens", "1000"),
+     "a trade of 1000.000000 tokens cannot be priced: amount exceeds the representable range"),
+    # the cash leg overflows the float itself
+    (("--f", "0.00099", "--s0", "1", "--c0", "9000000000000", "--buy-tokens", "1"),
+     "a trade of 1.000000 tokens cannot be priced: non-finite amount: inf"),
+])
+def test_a_leg_the_grid_cannot_hold_is_an_input_error(capsys, argv, message):
+    assert run_cli(capsys, "quote", *argv) == (2, "", f"error: InvalidAmount: {message}\n")
+
+
 # each of --s0, --c0 and the amount: negative, zero, one micro-unit,
 # ordinary, or 1e12
 QUOTE_AMOUNTS = st.one_of(st.integers(-10**6, -1).map(str), st.just("0"), st.just("0.000001"),
