@@ -390,6 +390,38 @@ def test_running_net_overflow_is_refused_and_undone():
     assert journal.trial_balance() == nets
 
 
+# Books pushed past the 64-bit range by synthetic events, which skip the
+# ledger's own range checks.  E's genesis permits and emissions are in
+# micro-units; the market price is the genesis price, and every event's.
+@pytest.mark.parametrize("permit, emission, price, kind, amounts", [
+    # holdings: E holds 2**63 - 1 micro-tokens, and an issue at price 0 adds one
+    pytest.param(2**63 - 1, 0, 0, TxKind.MINT_PERMIT, [1], id="holdings"),
+    # liability quantity: E owes 2**63 - 1 micro-tonnes, and emits one more
+    pytest.param(0, 2**63 - 1, 0, TxKind.MINT_EMISSION, [1], id="liability-quantity"),
+    # liability balance: at price 2, E owes 2**61 micro-tonnes marked at 2**62;
+    # each accrual of 2**60 adds 2**61, so the second takes the balance to 2**63
+    pytest.param(0, 2**61, 2 * TOKEN, TxKind.MINT_EMISSION, [2**60, 2**60],
+                 id="liability-balance"),
+])
+def test_books_past_the_amount_range_are_refused(permit, emission, price, kind, amounts):
+    journal = Journal(endowed_genesis(standard_market(), price, E=(permit, emission)))
+    for seq, amount in enumerate(amounts, start=1):
+        tx = Transaction(seq=seq, time="t", kind=kind, sender="E", target="E", cosigner="V",
+                         amount=Fixed(amount))
+        event = AppliedEvent(tx, Fixed(price), Fixed(price))
+        if seq < len(amounts):
+            assert journal.on_event(event)
+            continue
+        before, nets = list(journal.entries), journal.trial_balance()
+        with pytest.raises(LedgerError) as err:
+            journal.on_event(event)
+        assert err.value.code is ErrorCode.INVALID_AMOUNT
+        assert err.value.message == (f"cannot book seq {seq} ({kind.value}): "
+                                     "amount exceeds the representable range")
+        assert journal.entries == before
+        assert journal.trial_balance() == nets
+
+
 # -- global invariants ------------------------------------------------------------------
 
 def test_every_entry_balances(golden_run):
@@ -449,27 +481,43 @@ def test_lot_conservation_under_random_activity():
 
 
 endowment = st.tuples(st.integers(0, 2000 * TOKEN), st.integers(0, 500 * TOKEN))
-
-
-# at least ten transactions per example, so that most examples apply some;
+# a genesis's permit and emission balances, its market price and whether it
+# has an exchange, then at least ten transactions, so that most examples
+# apply some
+GENESIS_AND_TRANSACTIONS = (st.fixed_dictionaries({org: endowment for org in "EFV"}),
+                            st.sampled_from((0, 20 * TOKEN, 7_654_321)), st.booleans(),
+                            st.lists(transactions, min_size=10, max_size=40))
 # no shrinking: shrinking a failing sequence takes minutes, the unshrunk
 # example is reported in seconds
-@settings(max_examples=100, deadline=None,
-          phases=[phase for phase in Phase if phase is not Phase.shrink])
-@given(st.fixed_dictionaries({org: endowment for org in "EFV"}),
-       st.sampled_from((0, 20 * TOKEN, 7_654_321)), st.booleans(),
-       st.lists(transactions, min_size=10, max_size=40))
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+
+
+def drawn_genesis(balances, price, exchange) -> TokenLedger:
+    """The genesis ledger of a draw of `GENESIS_AND_TRANSACTIONS`."""
+    ledger = standard_market()
+    if exchange:
+        ledger.setup_init_exchange(Fixed(TOKEN // 2), Fixed(2000 * TOKEN),
+                                   Fixed(20000 * TOKEN))
+    return endowed_genesis(ledger, price, **balances)
+
+
+def drawn_transaction(ledger: TokenLedger, drawn) -> Transaction:
+    """A drawn transaction of `transactions`, at the ledger's next seq."""
+    _, kind, sender, target, cosigner, amount, payload = drawn
+    return Transaction(seq=ledger.seq + 1, time="t", kind=kind, sender=sender, target=target,
+                       cosigner=cosigner, amount=None if amount is None else Fixed(amount),
+                       payload=payload)
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@given(*GENESIS_AND_TRANSACTIONS)
 def test_journal_mirrors_ledger_from_genesis(balances, price, exchange, sequence):
     """From a genesis with permit and emission balances, through random
     transactions: each org's running holdings, its lots and its ledger
     permits agree, its outstanding liability is its ledger emissions, the
     journal's debits equal its credits, and after every event, booked or
     refused, the trial balance is the exact fold of the entries kept."""
-    ledger = standard_market()
-    if exchange:
-        ledger.setup_init_exchange(Fixed(TOKEN // 2), Fixed(2000 * TOKEN),
-                                   Fixed(20000 * TOKEN))
-    ledger = endowed_genesis(ledger, price, **balances)
+    ledger = drawn_genesis(balances, price, exchange)
     journal = Journal(ledger)
 
     def check():
@@ -494,12 +542,9 @@ def test_journal_mirrors_ledger_from_genesis(balances, price, exchange, sequence
         assert {account: net.micro for account, net in journal.trial_balance().items()} == nets
 
     check()
-    for _, kind, sender, target, cosigner, amount, payload in sequence:
+    for drawn in sequence:
         try:
-            event = ledger.apply(Transaction(
-                seq=ledger.seq + 1, time="t", kind=kind, sender=sender, target=target,
-                cosigner=cosigner, amount=None if amount is None else Fixed(amount),
-                payload=payload))
+            event = ledger.apply(drawn_transaction(ledger, drawn))
         except LedgerError:
             continue
         try:
