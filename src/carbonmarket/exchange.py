@@ -147,10 +147,14 @@ def _priced(what: str, amount: Fixed):
     """Turn an overflow in the curve math, or `to_grid`'s refusal of a
     non-finite or out-of-range result, into a typed rejection naming `what`,
     a format with one field for `amount`.  The name is formatted only then:
-    a quote runs on every trade."""
+    a quote runs on every trade.  An overflow reads as `to_grid`'s does,
+    not in the words `**` or `math.expm1` give it."""
     try:
         yield
-    except (OverflowError, ValueError) as exc:
+    except OverflowError as exc:
+        raise LedgerError(ErrorCode.INVALID_AMOUNT, f"{what.format(amount)} cannot be "
+                          f"priced: amount exceeds the representable range") from exc
+    except ValueError as exc:
         raise LedgerError(ErrorCode.INVALID_AMOUNT,
                           f"{what.format(amount)} cannot be priced: {exc}") from exc
 

@@ -1133,6 +1133,21 @@ def test_a_leg_the_grid_cannot_hold_is_an_input_error(capsys, argv, message):
     assert run_cli(capsys, "quote", *argv) == (2, "", f"error: InvalidAmount: {message}\n")
 
 
+@pytest.mark.parametrize("argv, detail", [
+    # math.expm1 overflows the float in the cash leg
+    (("quote", "--f", "0.00099", "--s0", "17330506.01", "--c0", "899534.73",
+      "--buy-tokens", "3227662893719"),
+     "a trade of 3227662893719.000000 tokens cannot be priced"),
+    # ** overflows the float in the spot price
+    (("price-curve", "--f", "0.00099", "--s0", "0.07", "--c0", "11913", "--min", "1",
+      "--max", "204991", "--points", "5"),
+     "the spot price at supply 1.000000 cannot be priced"),
+])
+def test_a_curve_overflow_reads_as_the_range_refusal(capsys, argv, detail):
+    assert run_cli(capsys, *argv) == (
+        2, "", f"error: InvalidAmount: {detail}: amount exceeds the representable range\n")
+
+
 # each of --s0, --c0 and the amount: negative, zero, one micro-unit,
 # ordinary, or 1e12
 QUOTE_AMOUNTS = st.one_of(st.integers(-10**6, -1).map(str), st.just("0"), st.just("0.000001"),
