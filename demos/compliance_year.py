@@ -7,7 +7,7 @@ ledger, the chain log, and the accounting journal recorded at each step.
 
 from pathlib import Path
 
-from carbonmarket import Side, load_scenario, run_scenario
+from carbonmarket import Fixed, Side, load_scenario, run_scenario
 from carbonmarket.chainlog import replay
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "app-rec-2020.yaml"
@@ -36,10 +36,10 @@ def main():
 
     print("\n== journal ==")
     for entry in result.journal.entries:
-        for line in entry.lines:
-            indent = "    " if line.side is Side.CR else "  "
+        for account, side, micro in entry.lines:
+            indent = "    " if side is Side.CR else "  "
             print(f"  seq {entry.event_ref:2d} [{entry.org}]{indent}"
-                  f"{line.side.value} {line.account.value:28s} {line.amount}")
+                  f"{side.value} {account.value:28s} {Fixed(micro)}")
 
     print("\n== trial balance (net debit) ==")
     for account, net in result.journal.trial_balance().items():

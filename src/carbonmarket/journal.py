@@ -37,18 +37,17 @@ Policy summary:
   at its balance); permits surrendered beyond outstanding emissions are
   expensed outright.
 
-The handlers compute on the amounts' integer micro-units, rounding
-products as `Fixed.mul` does, and build a `Fixed` only for a value the
-journal keeps: a line amount, a lot's quantity, an org's holdings and its
-liability.  Each of those keeps `Fixed`'s 64-bit range check.  Every handler
-books through `Journal._post`, which drops non-positive lines, checks that
-the entry balances exactly, and carries each line into a running net per
-account; `trial_balance()` returns those nets.  An event whose booking
-leaves the 64-bit amount range (a line, an entry's total or an account's
-running net) is refused with `InvalidAmount` and records no entry and no
-net change, even if it posted one before overflowing; the lots may then no
-longer mirror the ledger, so the fold stops there (as `run_scenario` and
-`journal` do).
+Every amount the journal keeps is an int count of micro-units, products
+rounded as `Fixed.mul` rounds them: lots, books, and each line, the plain
+triple (account, side, micro); only `trial_balance()` hands out `Fixed`s.
+Every handler books through `Journal._post`, which drops non-positive
+lines, checks that the entry balances exactly, and carries each line into
+a running net per account.  An event whose booking leaves the 64-bit
+amount range (a line, an entry's total, a running net, an org's holdings or
+its liability) is refused with `InvalidAmount`, in the words of `Fixed`'s
+own refusal, and records no entry and no net change, even if it posted one
+before overflowing; the lots may then no longer mirror the ledger, so the
+fold stops there (as `run_scenario` and `journal` do).
 """
 
 from __future__ import annotations
@@ -58,10 +57,10 @@ from enum import Enum
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .errors import ErrorCode, LedgerError
-from .fixed import _LIMIT, SCALE, ZERO, Money, Quantity, _fixed, _half_even
+from .fixed import _LIMIT, SCALE, Money, _fixed, _half_even
 from .ledger import AppliedEvent, TokenLedger, TxKind
 
 
@@ -128,10 +127,7 @@ _EVENT_REF = itemgetter(0)      # of a JournalEntry
 _RANK = itemgetter(0)           # of an export row: (rank, text, micro)
 
 
-class JournalLine(NamedTuple):
-    account: Account
-    side: Side
-    amount: Money
+JournalLine = Tuple[Account, Side, int]        # a positive amount in micro-units
 
 
 class JournalEntry(NamedTuple):
@@ -143,19 +139,26 @@ class JournalEntry(NamedTuple):
     lines: tuple[JournalLine, ...]
 
 
-# the records built straight from a tuple, skipping the Python-level __new__
-_line = partial(tuple.__new__, JournalLine)
+# an entry built straight from a tuple, skipping the Python-level __new__
 _entry = partial(tuple.__new__, JournalEntry)
+_OUT_OF_RANGE = "amount exceeds the representable range"       # as `Fixed` words it
+
+
+def _fits(micro: int) -> int:
+    """`micro`, refused past the 64-bit amount range as a `Fixed` would be."""
+    if not -_LIMIT < micro < _LIMIT:
+        raise OverflowError(_OUT_OF_RANGE)
+    return micro
 
 
 class Lot:
     """A FIFO holding slice: a quantity, with the issuance price attached
     while deferred income remains to release (None for purchased and
-    transferred-in lots)."""
+    transferred-in lots); both in micro-units."""
 
     __slots__ = ("qty", "issue")
 
-    def __init__(self, qty: Quantity, issue: Optional[Money]):
+    def __init__(self, qty: int, issue: Optional[int]):
         self.qty = qty
         self.issue = issue
 
@@ -165,13 +168,13 @@ class OrgBooks:
 
     def __init__(self):
         self.lots: list[Lot] = []
-        self.holdings: Quantity = ZERO             # running sum of the lots' qty
-        self.liability_qty: Quantity = ZERO        # outstanding emission tonnes
-        self.liability_balance: Money = ZERO       # Permit surrenderable at marked price
+        self.holdings = 0               # running sum of the lots' qty
+        self.liability_qty = 0          # outstanding emission tonnes
+        self.liability_balance = 0      # Permit surrenderable at marked price
 
-    def add_lot(self, qty: Quantity, issue: Optional[Money]):
+    def add_lot(self, qty: int, issue: Optional[int]):
         self.lots.append(Lot(qty, issue))
-        self.holdings = _fixed(self.holdings.micro + qty.micro)
+        self.holdings = _fits(self.holdings + qty)
 
 
 class Journal:
@@ -185,15 +188,16 @@ class Journal:
         self.books: defaultdict[str, OrgBooks] = defaultdict(OrgBooks)
         self.entries: list[JournalEntry] = []
         self._nets: dict[Account, int] = {account: 0 for account in Account}
+        price = genesis.market_price.micro
         for record in genesis.registry.values():
             if record.permit.is_zero and record.emission.is_zero:
                 continue
             books = self.books[record.id]
             if not record.permit.is_zero:
-                books.add_lot(record.permit, None)
-            books.liability_qty = record.emission
+                books.add_lot(record.permit.micro, None)
+            owed = books.liability_qty = record.emission.micro
             try:
-                books.liability_balance = record.emission.mul(genesis.market_price)
+                books.liability_balance = _fits(_half_even(owed * price, SCALE))
             except OverflowError as exc:
                 raise LedgerError(ErrorCode.INVALID_AMOUNT,
                                   f"cannot open {record.id!r} at genesis: {exc}") from exc
@@ -217,44 +221,40 @@ class Journal:
                                   f"cannot book seq {tx.seq} ({tx.kind.value}): {exc}") from exc
         return self.entries[start:]
 
-    def _post(self, event: AppliedEvent, org: str, *lines: tuple[Account, Side, int]):
+    def _post(self, event: AppliedEvent, org: str, *lines: JournalLine):
         """Append one entry of the positive (account, side, micro) `lines`,
         if there are any, and carry them into the running nets."""
+        posted = [line for line in lines if line[2] > 0]
+        if not posted:
+            return
         nets = self._nets
-        posted = []
         debits = credits = 0
-        amount = ZERO
-        for account, side, micro in lines:
-            if micro <= 0:
-                continue
-            if micro != amount.micro:      # the two lines of a pair share one amount
-                amount = _fixed(micro)
-            posted.append(_line((account, side, amount)))
+        for account, side, micro in posted:
+            if micro >= _LIMIT:
+                raise OverflowError(_OUT_OF_RANGE)
             if side is DR:
                 debits += micro
                 net = nets[account] + micro
             else:
                 credits += micro
                 net = nets[account] - micro
-            if not -_LIMIT < net < _LIMIT:
+            if abs(net) >= _LIMIT:
                 raise OverflowError(f"the running net of {account.value!r} "
                                     f"exceeds the representable range")
             nets[account] = net
-        if not posted:
-            return
         if debits != credits:
             raise ValueError(f"unbalanced journal entry for event {event.tx.seq}")
         if debits >= _LIMIT:    # an entry's total must fit the amount range, like its lines
-            raise OverflowError("amount exceeds the representable range")
+            raise OverflowError(_OUT_OF_RANGE)
         self.entries.append(_entry((event.tx.seq, org, tuple(posted))))
 
     def _on_issue(self, event: AppliedEvent):
         tx = event.tx
         account = (Account.PERMIT_ALLOWANCES if tx.kind is TxKind.MINT_PERMIT
                    else Account.PERMIT_CREDITS)
-        price = event.price_after
-        self.books[tx.target].add_lot(tx.amount, price)
-        value = _half_even(tx.amount.micro * price.micro, SCALE)
+        qty, price = tx.amount.micro, event.price_after.micro
+        self.books[tx.target].add_lot(qty, price)
+        value = _half_even(qty * price, SCALE)
         self._post(event, tx.target, (account, DR, value),
                    (Account.DEFERRED_INCOME, CR, value))
 
@@ -262,14 +262,14 @@ class Journal:
         qty = event.tx.amount.micro
         org = event.tx.sender
         books = self.books[org]
-        issue = next((lot.issue for lot in books.lots if lot.issue is not None), ZERO)
-        released = _half_even(qty * issue.micro, SCALE)
+        issue = next((lot.issue for lot in books.lots if lot.issue is not None), 0)
+        released = _half_even(qty * issue, SCALE)
         self._post(event, org, (Account.DEFERRED_INCOME, DR, released),
                    (Account.INCOME, CR, released))
 
         accrual = _half_even(qty * event.price_after.micro, SCALE)
-        books.liability_qty = _fixed(books.liability_qty.micro + qty)
-        books.liability_balance = _fixed(books.liability_balance.micro + accrual)
+        books.liability_qty = _fits(books.liability_qty + qty)
+        books.liability_balance = _fits(books.liability_balance + accrual)
         self._post(event, org, (Account.EXPENSES_EMISSIONS, DR, accrual),
                    (Account.PERMIT_SURRENDERABLE, CR, accrual))
 
@@ -278,21 +278,21 @@ class Journal:
         if tx.sender == tx.target:      # the ledger applies it as an identity
             return
         released = self._consume(self.books[tx.sender], tx.amount.micro, tx.sender)
-        self.books[tx.target].add_lot(tx.amount, None)
+        self.books[tx.target].add_lot(tx.amount.micro, None)
         self._post(event, tx.sender, (Account.DEFERRED_INCOME, DR, released),
                    (Account.EMISSION_RIGHTS, CR, released))
 
     def _on_trade(self, event: AppliedEvent):
         org = event.tx.sender
         books = self.books[org]
-        tokens = event.token_delta
+        tokens = event.token_delta.micro
         cash = abs(event.cash_delta.micro)
-        if tokens.is_positive:
+        if tokens > 0:
             books.add_lot(tokens, None)
             self._post(event, org, (Account.EMISSION_PERMIT, DR, cash),
                        (Account.CASH, CR, cash))
         else:
-            released = self._consume(books, -tokens.micro, org)
+            released = self._consume(books, -tokens, org)
             self._post(event, org,
                        (Account.CASH, DR, cash), (Account.EMISSION_PERMIT, CR, cash),
                        (Account.DEFERRED_INCOME, DR, released), (Account.INCOME, CR, released))
@@ -305,13 +305,13 @@ class Journal:
         books = self.books[org]
         # the release books no line here, but its range is checked as it is
         # for a transfer or a sale: the sum only grows, so the final one will do
-        _fixed(self._consume(books, qty, org))
+        _fits(self._consume(books, qty, org))
 
-        balance = books.liability_balance.micro
+        balance = books.liability_balance
         surrender = min(_half_even(retired * price, SCALE), balance)
         total_value = _half_even(qty * price, SCALE)
-        books.liability_qty = _fixed(books.liability_qty.micro - retired)
-        books.liability_balance = _fixed(balance - surrender)
+        books.liability_qty = _fits(books.liability_qty - retired)
+        books.liability_balance = _fits(balance - surrender)
         self._post(event, org, (Account.PERMIT_SURRENDERABLE, DR, surrender),
                    (Account.EXPENSES_EMISSIONS, DR, total_value - surrender),
                    (Account.EMISSION_PERMIT, CR, total_value))
@@ -322,9 +322,9 @@ class Journal:
             return
         delta = new - old
         for org, books in self.books.items():
-            held = books.holdings.micro
-            owed = books.liability_qty.micro
-            balance = books.liability_balance.micro
+            held = books.holdings
+            owed = books.liability_qty
+            balance = books.liability_balance
             if not (held or owed or balance):
                 continue        # nothing to revalue or re-mark
             asset_delta = _half_even(held * delta, SCALE)
@@ -340,7 +340,7 @@ class Journal:
                 lines += ((Account.LOSS_ON_REVALUATION, DR, -asset_delta),
                           (Account.EMISSION_PERMIT, CR, -asset_delta))
             if liability_delta:
-                books.liability_balance = _fixed(remeasured)
+                books.liability_balance = _fits(remeasured)
                 if liability_delta > 0:
                     lines += ((Account.LOSS_ON_REVALUATION, DR, liability_delta),
                               (Account.PERMIT_SURRENDERABLE, CR, liability_delta))
@@ -364,16 +364,16 @@ class Journal:
                 raise ValueError(f"lot underflow for {org!r}: "
                                  f"{_fixed(remaining)} tokens unaccounted")
             head = lots[0]
-            held = head.qty.micro
+            held = head.qty
             take = min(held, remaining)
             if head.issue is not None:
-                released += _half_even(take * head.issue.micro, SCALE)
+                released += _half_even(take * head.issue, SCALE)
             remaining -= take
             if take == held:
                 lots.pop(0)
             else:
-                head.qty = _fixed(held - take)
-        books.holdings = _fixed(books.holdings.micro - qty)
+                head.qty = held - take
+        books.holdings -= qty       # the lots held it: it stays in range
         return released
 
     # -- reporting -----------------------------------------------------------------
@@ -391,8 +391,8 @@ class Journal:
         yield "event,account,class,side,amount\n"
         # the entries are in event order, so only each event's lines are sorted
         for event_ref, entries in groupby(self.entries, _EVENT_REF):
-            rows = [(*_ROW[account, side], amount.micro)
-                    for _, _, lines in entries for account, side, amount in lines]
+            rows = [(*_ROW[account, side], micro)
+                    for _, _, lines in entries for account, side, micro in lines]
             rows.sort(key=_RANK)                # by rank; a stable sort
             chunk = []
             for _, text, micro in rows:

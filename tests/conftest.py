@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from carbonmarket import (Fixed, Role, TokenLedger, Transaction, TxKind, load_scenario,
-                          run_scenario)
+from carbonmarket import (Fixed, LedgerError, Role, TokenLedger, Transaction, TxKind,
+                          load_scenario, parse_scenario, run_scenario)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_SCENARIO = SCENARIO_DIR / "app-rec-2020.yaml"
@@ -156,3 +156,18 @@ def load_gen():
         sys.modules[spec.name] = module     # dataclasses look their module up
         spec.loader.exec_module(module)
     return module
+
+
+def applied_events(text: str):
+    """The genesis of scenario `text` and the events its steps apply, in
+    order; a step the ledger rejects applies none."""
+    scenario = parse_scenario(text)
+    ledger = scenario.genesis.copy()
+    events = []
+    for step in scenario.steps:
+        if step.tx is not None:
+            try:
+                events.append(ledger.apply(step.tx._replace(seq=ledger.seq + 1)))
+            except LedgerError:
+                continue
+    return scenario.genesis, events

@@ -97,8 +97,8 @@ POLICY_ROWS = [
 
 
 def test_criterion_2_golden_journal_rows(golden_run):
-    lines = [(entry.event_ref, entry.org, line.account, line.side, line.amount)
-             for entry in golden_run.journal.entries for line in entry.lines]
+    lines = [(entry.event_ref, entry.org, account, side, Fixed(micro))
+             for entry in golden_run.journal.entries for account, side, micro in entry.lines]
     for ref, account, side, units in GOLDEN_ROWS + POLICY_ROWS:
         assert (ref, "E", account, side, fx(units)) in lines, (ref, account.value, units)
     assert golden_run.journal.trial_balance()[Account.PERMIT_SURRENDERABLE] == ZERO

@@ -12,28 +12,35 @@ from carbonmarket import (Account, AccountClass, AppliedEvent, ErrorCode, Journa
 from carbonmarket.chainlog import replay
 from carbonmarket.fixed import ZERO, Fixed
 
-from conftest import LedgerDriver, endowed_genesis, fx, standard_market
+from conftest import (LedgerDriver, applied_events, endowed_genesis, fx, load_gen,
+                      standard_market)
 from test_state_cache import TOKEN, transactions
 
 
 def entry_amounts(entry):
-    return [(line.account, line.side, line.amount) for line in entry.lines]
+    return [(account, side, Fixed(micro)) for account, side, micro in entry.lines]
 
 
 def is_balanced(entry) -> bool:
     """Whether the entry's debit lines sum to its credit lines."""
-    return (sum(line.amount.micro for line in entry.lines if line.side is Side.DR)
-            == sum(line.amount.micro for line in entry.lines if line.side is Side.CR))
+    return (sum(micro for _, side, micro in entry.lines if side is Side.DR)
+            == sum(micro for _, side, micro in entry.lines if side is Side.CR))
 
 
 def find_rows(journal, account, side):
-    return [line.amount for entry in journal.entries for line in entry.lines
-            if line.account is account and line.side is side]
+    return [Fixed(micro) for entry in journal.entries for line_account, line_side, micro
+            in entry.lines if line_account is account and line_side is side]
 
 
 def holdings(journal, org):
     books = journal.books.get(org)
-    return books.holdings if books else ZERO
+    return Fixed(books.holdings) if books else ZERO
+
+
+def lots(journal, org):
+    """The org's lots as (quantity, issue price) amounts, None for no price."""
+    return [(Fixed(lot.qty), None if lot.issue is None else Fixed(lot.issue))
+            for lot in journal.books[org].lots]
 
 
 def priced_driver(price=20, supply=100000):
@@ -86,16 +93,14 @@ def test_receiver_lot_carries_no_deferred_income():
     journal.on_event(driver.mint_permit("A", "E", 30))
     journal.on_event(driver.set_price("A", 24))
     journal.on_event(driver.transfer_permit("E", "F", 12))
-    opening, lot = journal.books["F"].lots     # F's genesis supply, then E's 12
-    assert (opening.qty, opening.issue) == (fx(100000), None)
-    assert lot.qty == fx(12)
-    assert lot.issue is None  # deferred income does not travel with the lot
+    opening, lot = lots(journal, "F")     # F's genesis supply, then E's 12
+    assert opening == (fx(100000), None)
+    assert lot == (fx(12), None)  # deferred income does not travel with the lot
     # a transfer that consumes two of E's lots (issued at 20 and at 24)
     # still gives F one lot of the transferred quantity
     journal.on_event(driver.mint_permit("A", "E", 10))
     journal.on_event(driver.transfer_permit("E", "F", 25))
-    assert [(lot.qty, lot.issue) for lot in journal.books["F"].lots] == [
-        (fx(100000), None), (fx(12), None), (fx(25), None)]
+    assert lots(journal, "F") == [(fx(100000), None), (fx(12), None), (fx(25), None)]
 
 
 def test_a_self_transfer_books_nothing():
@@ -105,7 +110,7 @@ def test_a_self_transfer_books_nothing():
     journal = Journal(driver.ledger)
     journal.on_event(driver.mint_permit("A", "E", 10))
     assert journal.on_event(driver.transfer_permit("E", "E", 10)) == []
-    assert [(lot.qty, lot.issue) for lot in journal.books["E"].lots] == [(fx(10), fx(20))]
+    assert lots(journal, "E") == [(fx(10), fx(20))]
     assert journal.trial_balance()[Account.DEFERRED_INCOME] == fx(-200)
     released, _ = journal.on_event(driver.mint_emission("E", "V", 5))
     assert entry_amounts(released) == [(Account.DEFERRED_INCOME, Side.DR, fx(100)),
@@ -157,7 +162,7 @@ def test_emission_releases_at_the_first_lot_that_carries_an_issue_price():
     journal.on_event(driver.trade_token("E", 10))
     journal.on_event(driver.set_price("A", 25))
     journal.on_event(driver.mint_permit("A", "E", 10))
-    assert [lot.issue for lot in journal.books["E"].lots] == [None, fx(25)]
+    assert [issue for _, issue in lots(journal, "E")] == [None, fx(25)]
     released, _ = journal.on_event(driver.mint_emission("E", "V", 5))
     assert entry_amounts(released) == [(Account.DEFERRED_INCOME, Side.DR, fx(125)),
                                        (Account.INCOME, Side.CR, fx(125))]
@@ -255,7 +260,7 @@ def test_price_change_lines_by_direction(asset, liability):
                    for account, side in LIABILITY_LINES[liability]])
     assert [(entry.event_ref, entry.org, entry_amounts(entry)) for entry in entries] == (
         [(1, "E", expected)] if expected else [])
-    assert journal.books["E"].liability_balance == fx(owed * new)
+    assert journal.books["E"].liability_balance == fx(owed * new).micro
 
 
 # -- trades -----------------------------------------------------------------------
@@ -286,7 +291,7 @@ def test_purchased_lots_carry_no_deferred_income():
     assert lot.issue is None
     # selling them back releases no deferred income
     entries = journal.on_event(driver.trade_token("E", -50))
-    accounts = {line.account for line in entries[0].lines}
+    accounts = {account for account, _, _ in entries[0].lines}
     assert Account.DEFERRED_INCOME not in accounts
 
 
@@ -318,8 +323,8 @@ def test_partial_burn_keeps_liability_marked():
     journal.on_event(driver.mint_emission("E", "V", 60))
     journal.on_event(driver.burn_token("E", 25))
     books = journal.books["E"]
-    assert books.liability_qty == fx(35)
-    assert books.liability_balance == fx(700)  # 35 tonnes at 20
+    assert books.liability_qty == fx(35).micro
+    assert books.liability_balance == fx(700).micro  # 35 tonnes at 20
 
 
 def test_reprice_clears_a_balance_left_without_tonnes():
@@ -335,13 +340,13 @@ def test_reprice_clears_a_balance_left_without_tonnes():
     journal.on_event(driver.burn_token("E", "0.000003"))
     journal.on_event(driver.burn_token("E", "0.999997"))
     books = journal.books["E"]
-    assert (books.holdings, books.liability_qty) == (ZERO, ZERO)
-    assert books.liability_balance == fx("0.000002")
+    assert (books.holdings, books.liability_qty) == (0, 0)
+    assert books.liability_balance == fx("0.000002").micro
     entries = journal.on_event(driver.set_price("A", 2))
     assert [entry_amounts(entry) for entry in entries] == [[
         (Account.PERMIT_SURRENDERABLE, Side.DR, fx("0.000002")),
         (Account.GAIN_ON_REVALUATION, Side.CR, fx("0.000002"))]]
-    assert books.liability_balance == ZERO
+    assert books.liability_balance == 0
 
 
 # -- numeric edges -------------------------------------------------------------------
@@ -422,12 +427,27 @@ def test_books_past_the_amount_range_are_refused(permit, emission, price, kind, 
         assert journal.trial_balance() == nets
 
 
+def test_the_journal_keeps_plain_ints():
+    # a Fixed or a record per line would cost the fold a third of its time
+    genesis, events = applied_events(load_gen().generate("orgs10-reprice", 1))
+    journal = Journal(genesis)
+    for event in events:
+        journal.on_event(event)
+    amounts = [micro for entry in journal.entries for _, _, micro in entry.lines]
+    for books in journal.books.values():
+        amounts += [books.holdings, books.liability_qty, books.liability_balance]
+        amounts += [lot.qty for lot in books.lots]
+        amounts += [lot.issue for lot in books.lots if lot.issue is not None]
+    assert len(amounts) > 13728
+    assert {type(amount) for amount in amounts} == {int}
+
+
 # -- global invariants ------------------------------------------------------------------
 
 def test_every_entry_balances(golden_run):
     for entry in golden_run.journal.entries:
         assert is_balanced(entry)
-        assert all(line.amount > ZERO for line in entry.lines)
+        assert all(micro > 0 for _, _, micro in entry.lines)
 
 
 def test_trial_balance_closure(golden_run):
@@ -523,22 +543,21 @@ def test_journal_mirrors_ledger_from_genesis(balances, price, exchange, sequence
     def check():
         for org_id, record in ledger.registry.items():
             books = journal.books.get(org_id)
-            held = books.holdings if books else ZERO
-            lots = sum((lot.qty for lot in books.lots), ZERO) if books else ZERO
-            assert held == lots == record.permit, org_id
-            assert (books.liability_qty if books else ZERO) == record.emission, org_id
+            held = books.holdings if books else 0
+            in_lots = sum(lot.qty for lot in books.lots) if books else 0
+            assert held == in_lots == record.permit.micro, org_id
+            assert (books.liability_qty if books else 0) == record.emission.micro, org_id
         # summed exactly: a per-account net may leave the 64-bit amount range
-        assert sum(line.amount.micro if line.side is Side.DR else -line.amount.micro
-                   for entry in journal.entries for line in entry.lines) == 0
+        assert sum(micro if side is Side.DR else -micro
+                   for entry in journal.entries for _, side, micro in entry.lines) == 0
         check_nets()
 
     def check_nets():
         # the running nets are an exact fold over the entries kept
         nets = dict.fromkeys(Account, 0)
         for entry in journal.entries:
-            for line in entry.lines:
-                nets[line.account] += (line.amount.micro if line.side is Side.DR
-                                       else -line.amount.micro)
+            for account, side, micro in entry.lines:
+                nets[account] += micro if side is Side.DR else -micro
         assert {account: net.micro for account, net in journal.trial_balance().items()} == nets
 
     check()
@@ -583,9 +602,9 @@ def test_export_names_need_no_csv_quoting():
 def test_export_matches_a_csv_writer(golden_run):
     # oracle: csv.writer over the lines, stably sorted by event, then debits
     # before credits, then account name
-    rows = [(entry.event_ref, line.account.value, line.account.account_class.value,
-             line.side.value, str(line.amount), line.side is Side.CR)
-            for entry in golden_run.journal.entries for line in entry.lines]
+    rows = [(entry.event_ref, account.value, account.account_class.value,
+             side.value, str(Fixed(micro)), side is Side.CR)
+            for entry in golden_run.journal.entries for account, side, micro in entry.lines]
     rows.sort(key=lambda row: (row[0], row[5], row[1]))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

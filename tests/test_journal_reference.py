@@ -10,31 +10,16 @@ workloads and hypothesis-drawn transaction sequences.
 import pytest
 from hypothesis import given, settings
 
-from carbonmarket import ErrorCode, Journal, LedgerError, parse_scenario
+from carbonmarket import ErrorCode, Journal, LedgerError
 
-from conftest import JOURNAL_OVERFLOW, SCENARIO_DIR, load_gen
+from conftest import JOURNAL_OVERFLOW, SCENARIO_DIR, applied_events, load_gen
 from reference_journal import ReferenceJournal, Refused
 from test_journal import GENESIS_AND_TRANSACTIONS, NO_SHRINK, drawn_genesis, drawn_transaction
 
 
-def scenario_events(text: str):
-    """The scenario's genesis and its applied events, in order."""
-    scenario = parse_scenario(text)
-    ledger = scenario.genesis.copy()
-    events = []
-    for step in scenario.steps:
-        if step.tx is not None:
-            try:
-                events.append(ledger.apply(step.tx._replace(seq=ledger.seq + 1)))
-            except LedgerError:
-                continue
-    return scenario.genesis, events
-
-
 def booked(entries) -> list:
     return [(entry.event_ref, entry.org,
-             tuple((account.value, side.value, amount.micro)
-                   for account, side, amount in entry.lines))
+             tuple((account.value, side.value, micro) for account, side, micro in entry.lines))
             for entry in entries]
 
 
@@ -69,14 +54,14 @@ def assert_agree(genesis, events) -> int:
     pytest.param(JOURNAL_OVERFLOW, id="journal-overflow"),
 ])
 def test_journal_matches_the_reference_on_the_corpus(text):
-    genesis, events = scenario_events(text)
+    genesis, events = applied_events(text)
     assert assert_agree(genesis, events) == (1 if "overflow" in text else len(events))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("workload", sorted(load_gen().WORKLOADS))
 def test_journal_matches_the_reference_on_the_workloads(workload, seed):
-    genesis, events = scenario_events(load_gen().generate(workload, seed))
+    genesis, events = applied_events(load_gen().generate(workload, seed))
     assert assert_agree(genesis, events) == len(events)
 
 
