@@ -151,12 +151,11 @@ def _priced(what: str, amount: Fixed):
     not in the words `**` or `math.expm1` give it."""
     try:
         yield
-    except OverflowError as exc:
-        raise LedgerError(ErrorCode.INVALID_AMOUNT, f"{what.format(amount)} cannot be "
-                          f"priced: amount exceeds the representable range") from exc
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:
+        reason = ("amount exceeds the representable range" if isinstance(exc, OverflowError)
+                  else exc)
         raise LedgerError(ErrorCode.INVALID_AMOUNT,
-                          f"{what.format(amount)} cannot be priced: {exc}") from exc
+                          f"{what.format(amount)} cannot be priced: {reason}") from exc
 
 
 def _check_live(supply: Quantity, reserve: Money):

@@ -57,7 +57,7 @@ from enum import Enum
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import ErrorCode, LedgerError
 from .fixed import _LIMIT, SCALE, Money, _fixed, _half_even
@@ -127,7 +127,7 @@ _EVENT_REF = itemgetter(0)      # of a JournalEntry
 _RANK = itemgetter(0)           # of an export row: (rank, text, micro)
 
 
-JournalLine = Tuple[Account, Side, int]        # a positive amount in micro-units
+JournalLine = tuple[Account, Side, int]        # a positive amount in micro-units
 
 
 class JournalEntry(NamedTuple):
