@@ -14,7 +14,7 @@ _EXPORTS = {
     "chainlog": ("ChainLog", "Transaction", "TxKind", "replay", "verify_text"),
     "errors": ("ErrorCode", "LedgerError"),
     "exchange": ("Quote", "quote_buy_tokens", "quote_spend_cash", "spot_price"),
-    "fixed": ("ONE", "ZERO", "Fixed", "Money", "Quantity"),
+    "fixed": ("ONE", "ZERO", "Fixed"),
     "journal": ("Account", "AccountClass", "Journal", "JournalEntry", "JournalLine",
                 "Side"),
     "ledger": ("AppliedEvent", "ExchangeState", "OrgRecord", "Role", "TokenLedger"),

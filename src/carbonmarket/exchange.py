@@ -23,7 +23,8 @@ to that bound.  Past about 5e5 units a leg the bound reaches half a
 micro-unit and every leg rounds to nearest.  At every magnitude, two
 guarantees are exact, in integers: a sale of the whole supply pays exactly
 the reserve and no sale pays more, and a withdrawal of the whole reserve
-surrenders exactly the supply and none surrenders more.
+surrenders exactly the supply and none surrenders more.  `fixed.py` bounds,
+refuses and writes every amount: `to_grid` checks a result with `fits`.
 
 Sign conventions follow the quote object: ``tokens_delta`` is positive when
 the caller buys tokens, ``cash_delta`` is positive when the caller pays
@@ -37,7 +38,7 @@ from contextlib import contextmanager
 from typing import Callable, NamedTuple
 
 from .errors import ErrorCode, LedgerError
-from .fixed import _LIMIT, ONE, SCALE, ZERO, Fixed, Money, Quantity, _fixed
+from .fixed import ONE, OUT_OF_RANGE, SCALE, ZERO, Fixed, _fixed, fits
 
 
 class Quote(NamedTuple):
@@ -48,8 +49,8 @@ class Quote(NamedTuple):
     legs, and the spot price after it, when wanted, is `spot_price` anchored
     at the pre-trade supply and reserve, taken at the new supply."""
 
-    tokens_delta: Quantity
-    cash_delta: Money
+    tokens_delta: Fixed
+    cash_delta: Fixed
 
 
 def validate_fraction(fraction: Fixed) -> Fixed:
@@ -59,7 +60,7 @@ def validate_fraction(fraction: Fixed) -> Fixed:
     return fraction
 
 
-def validate_anchor(fraction: Fixed, supply: Quantity, reserve: Money):
+def validate_anchor(fraction: Fixed, supply: Fixed, reserve: Fixed):
     """Check a curve anchor (F, s0, C0) before any curve math runs on it."""
     validate_fraction(fraction)
     if supply <= ZERO:
@@ -122,17 +123,14 @@ def to_grid(raw: float, rounding: Callable[[float], int]) -> Fixed:
     before any rounding."""
     if not math.isfinite(raw):
         raise ValueError(f"non-finite amount: {raw!r}")
-    y = raw * SCALE
-    if not -_LIMIT < y < _LIMIT:
-        raise OverflowError("amount exceeds the representable range")
+    y = fits(raw * SCALE)
     nearest = round(y)
     if abs(y - nearest) <= max(_SNAP_ABS, abs(y) * _SNAP_REL):
         return _fixed(nearest)
     return _fixed(rounding(y))
 
 
-def spot_price(fraction: Fixed, supply0: Quantity, reserve0: Money,
-               supply: Quantity) -> Money:
+def spot_price(fraction: Fixed, supply0: Fixed, reserve0: Fixed, supply: Fixed) -> Fixed:
     """Spot price at `supply` against the anchor (s0, C0), grid-rounded."""
     if supply <= ZERO:
         raise LedgerError(ErrorCode.INVALID_SUPPLY, f"supply must be positive, got {supply}")
@@ -152,13 +150,12 @@ def _priced(what: str, amount: Fixed):
     try:
         yield
     except (OverflowError, ValueError) as exc:
-        reason = ("amount exceeds the representable range" if isinstance(exc, OverflowError)
-                  else exc)
+        reason = OUT_OF_RANGE if isinstance(exc, OverflowError) else exc
         raise LedgerError(ErrorCode.INVALID_AMOUNT,
                           f"{what.format(amount)} cannot be priced: {reason}") from exc
 
 
-def _check_live(supply: Quantity, reserve: Money):
+def _check_live(supply: Fixed, reserve: Fixed):
     """The curve prices a trade only from a positive supply and reserve: it
     divides by both.  A loaded state, or a `setPrice` whose F * s * P rounds
     to zero, can leave the reserve empty with tokens out."""
@@ -168,8 +165,7 @@ def _check_live(supply: Quantity, reserve: Money):
         raise LedgerError(ErrorCode.RESERVE_EXHAUSTED, "the exchange reserve is empty")
 
 
-def quote_buy_tokens(fraction: Fixed, supply: Quantity, reserve: Money,
-                     tokens: Quantity) -> Quote:
+def quote_buy_tokens(fraction: Fixed, supply: Fixed, reserve: Fixed, tokens: Fixed) -> Quote:
     """Cash required (or owed) for a signed token amount.
 
     Rounding: a buyer's cash rounds up, a seller's proceeds round down, and
@@ -197,8 +193,7 @@ def quote_buy_tokens(fraction: Fixed, supply: Quantity, reserve: Money,
     return Quote(tokens, cash)
 
 
-def quote_spend_cash(fraction: Fixed, supply: Quantity, reserve: Money,
-                     cash: Money) -> Quote:
+def quote_spend_cash(fraction: Fixed, supply: Fixed, reserve: Fixed, cash: Fixed) -> Quote:
     """Tokens received (or surrendered) for a signed cash amount.
 
     Rounding: tokens received round down, tokens surrendered round up, and

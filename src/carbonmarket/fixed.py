@@ -6,7 +6,9 @@ conservation checks exact and replay byte-stable.  Every amount here is
 exact: parsing refuses a spelling finer than the grid, and only `mul`
 rounds, half-even in integers.  Binary floating point enters only in the
 exchange's fractional powers, whose results `exchange.to_grid` rounds onto
-the grid; `to_float` is the view that feeds them.
+the grid; `to_float` is the view that feeds them.  This module alone
+bounds, refuses and writes an amount (a signed 64-bit count of micro-units):
+`fits` refuses one in the words of `OUT_OF_RANGE`, `micro_text` writes one.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ SCALE = 10**6
 
 # Fixed amounts must survive a signed 64-bit micro-unit encoding.
 _LIMIT = 2**63
+OUT_OF_RANGE = "amount exceeds the representable range"
 
 # How an amount is written: sign, whole part, fraction and exponent, with a
 # digit in the whole part or the fraction.  Decimal also reads "1_000",
@@ -46,6 +49,22 @@ def _half_even(num: int, den: int) -> int:
     return q
 
 
+def fits(micro: int) -> int:
+    """`micro`, refused with `OverflowError` past the signed 64-bit range.
+    A float compares exactly against the bound, so one is checked too."""
+    if not -_LIMIT < micro < _LIMIT:
+        raise OverflowError(OUT_OF_RANGE)
+    return micro
+
+
+def micro_text(micro: int) -> str:
+    """`micro` units written as an amount: sign, whole units, six decimals."""
+    if micro < 0:
+        return f"-{micro_text(-micro)}"
+    digits = str(micro).zfill(7)
+    return f"{digits[:-6]}.{digits[-6:]}"
+
+
 class Fixed:
     """An immutable fixed-point amount with 1e-6 resolution."""
 
@@ -54,9 +73,7 @@ class Fixed:
     def __init__(self, micro: int):
         if not isinstance(micro, int) or isinstance(micro, bool):
             raise TypeError(f"micro units must be int, got {type(micro).__name__}")
-        if not -_LIMIT < micro < _LIMIT:
-            raise OverflowError("amount exceeds the representable range")
-        object.__setattr__(self, "micro", micro)
+        object.__setattr__(self, "micro", fits(micro))
 
     def __setattr__(self, name, value):
         raise AttributeError("Fixed amounts are immutable")
@@ -91,7 +108,7 @@ class Fixed:
         if not digits:
             return _fixed(0)
         if magnitude > 12:          # 1e13 and up: past 2**63 micro-units
-            raise OverflowError("amount exceeds the representable range")
+            raise OverflowError(OUT_OF_RANGE)
         # trailing zeros move into the exponent, which then counts from the
         # 1e-6 grid; what is left has at most 19 digits when on the grid
         coefficient = digits.rstrip("0")
@@ -160,9 +177,7 @@ class Fixed:
         return self.micro / SCALE
 
     def __str__(self) -> str:
-        sign = "-" if self.micro < 0 else ""
-        units, frac = divmod(abs(self.micro), SCALE)
-        return f"{sign}{units}.{frac:06d}"
+        return micro_text(self.micro)
 
     def __repr__(self) -> str:
         return f"Fixed('{self}')"
@@ -188,7 +203,7 @@ def _fixed(micro: int) -> Fixed:
     """The amount of `micro` units, an int the package computed itself: only
     the 64-bit range is checked, and `Fixed.__init__`'s type check skipped."""
     if not -_LIMIT < micro < _LIMIT:
-        raise OverflowError("amount exceeds the representable range")
+        raise OverflowError(OUT_OF_RANGE)
     amount = _new(Fixed)
     _set_micro(amount, micro)
     return amount
@@ -196,7 +211,3 @@ def _fixed(micro: int) -> Fixed:
 
 ZERO = Fixed(0)
 ONE = Fixed(SCALE)
-
-# Semantic aliases: tokens (tCO2e) vs stablecoin cash. One representation.
-Quantity = Fixed
-Money = Fixed

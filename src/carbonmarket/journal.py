@@ -42,12 +42,14 @@ rounded as `Fixed.mul` rounds them: lots, books, and each line, the plain
 triple (account, side, micro); only `trial_balance()` hands out `Fixed`s.
 Every handler books through `Journal._post`, which drops non-positive
 lines, checks that the entry balances exactly, and carries each line into
-a running net per account.  An event whose booking leaves the 64-bit
-amount range (a line, an entry's total, a running net, an org's holdings or
-its liability) is refused with `InvalidAmount`, in the words of `Fixed`'s
-own refusal, and records no entry and no net change, even if it posted one
-before overflowing; the lots may then no longer mirror the ledger, so the
-fold stops there (as `run_scenario` and `journal` do).
+a running net per account.  `fixed.py` bounds, refuses and writes every
+amount: an event whose booking leaves its 64-bit range (a line, an entry's
+total, a running net, an org's holdings or its liability) is refused with
+`InvalidAmount` in the words of `fixed.OUT_OF_RANGE` (a running net names
+its account), and records no entry and no net change, even if it posted
+one before overflowing; the lots may then no longer mirror the ledger, so
+the fold stops there (as `run_scenario` and `journal` do).  The export
+writes each amount with `fixed.micro_text`.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import ErrorCode, LedgerError
-from .fixed import _LIMIT, SCALE, Money, _fixed, _half_even
+from .fixed import _LIMIT, OUT_OF_RANGE, SCALE, Fixed, _fixed, _half_even, fits, micro_text
 from .ledger import AppliedEvent, TokenLedger, TxKind
 
 
@@ -119,10 +121,12 @@ DR, CR = Side.DR, Side.CR
 # The export order of the lines of one event: debits first, then by account name.
 _EXPORT_KEYS = sorted(((account, side) for side in Side for account in Account),
                       key=lambda key: (key[1] is Side.CR, key[0].value))
-# Per (account, side): its rank in that order and its "account,class,side"
-# text, which needs no CSV quoting: no name holds a comma, quote or line break.
-_ROW = {(account, side): (rank, f"{account.value},{account.account_class.value},{side.value}")
-        for rank, (account, side) in enumerate(_EXPORT_KEYS)}
+# Per side, then per account, so that a lookup builds no key tuple: its rank
+# in that order and its "account,class,side" text, which needs no CSV
+# quoting: no name holds a comma, quote or line break.
+_ROW = {side: {account: (_EXPORT_KEYS.index((account, side)),
+                         f"{account.value},{account.account_class.value},{side.value}")
+               for account in Account} for side in Side}
 _EVENT_REF = itemgetter(0)      # of a JournalEntry
 _RANK = itemgetter(0)           # of an export row: (rank, text, micro)
 
@@ -141,14 +145,6 @@ class JournalEntry(NamedTuple):
 
 # an entry built straight from a tuple, skipping the Python-level __new__
 _entry = partial(tuple.__new__, JournalEntry)
-_OUT_OF_RANGE = "amount exceeds the representable range"       # as `Fixed` words it
-
-
-def _fits(micro: int) -> int:
-    """`micro`, refused past the 64-bit amount range as a `Fixed` would be."""
-    if not -_LIMIT < micro < _LIMIT:
-        raise OverflowError(_OUT_OF_RANGE)
-    return micro
 
 
 class Lot:
@@ -174,7 +170,7 @@ class OrgBooks:
 
     def add_lot(self, qty: int, issue: Optional[int]):
         self.lots.append(Lot(qty, issue))
-        self.holdings = _fits(self.holdings + qty)
+        self.holdings = fits(self.holdings + qty)
 
 
 class Journal:
@@ -197,7 +193,7 @@ class Journal:
                 books.add_lot(record.permit.micro, None)
             owed = books.liability_qty = record.emission.micro
             try:
-                books.liability_balance = _fits(_half_even(owed * price, SCALE))
+                books.liability_balance = fits(_half_even(owed * price, SCALE))
             except OverflowError as exc:
                 raise LedgerError(ErrorCode.INVALID_AMOUNT,
                                   f"cannot open {record.id!r} at genesis: {exc}") from exc
@@ -231,7 +227,7 @@ class Journal:
         debits = credits = 0
         for account, side, micro in posted:
             if micro >= _LIMIT:
-                raise OverflowError(_OUT_OF_RANGE)
+                raise OverflowError(OUT_OF_RANGE)
             if side is DR:
                 debits += micro
                 net = nets[account] + micro
@@ -245,7 +241,7 @@ class Journal:
         if debits != credits:
             raise ValueError(f"unbalanced journal entry for event {event.tx.seq}")
         if debits >= _LIMIT:    # an entry's total must fit the amount range, like its lines
-            raise OverflowError(_OUT_OF_RANGE)
+            raise OverflowError(OUT_OF_RANGE)
         self.entries.append(_entry((event.tx.seq, org, tuple(posted))))
 
     def _on_issue(self, event: AppliedEvent):
@@ -268,8 +264,8 @@ class Journal:
                    (Account.INCOME, CR, released))
 
         accrual = _half_even(qty * event.price_after.micro, SCALE)
-        books.liability_qty = _fits(books.liability_qty + qty)
-        books.liability_balance = _fits(books.liability_balance + accrual)
+        books.liability_qty = fits(books.liability_qty + qty)
+        books.liability_balance = fits(books.liability_balance + accrual)
         self._post(event, org, (Account.EXPENSES_EMISSIONS, DR, accrual),
                    (Account.PERMIT_SURRENDERABLE, CR, accrual))
 
@@ -305,13 +301,13 @@ class Journal:
         books = self.books[org]
         # the release books no line here, but its range is checked as it is
         # for a transfer or a sale: the sum only grows, so the final one will do
-        _fits(self._consume(books, qty, org))
+        fits(self._consume(books, qty, org))
 
         balance = books.liability_balance
         surrender = min(_half_even(retired * price, SCALE), balance)
         total_value = _half_even(qty * price, SCALE)
-        books.liability_qty = _fits(books.liability_qty - retired)
-        books.liability_balance = _fits(balance - surrender)
+        books.liability_qty = fits(books.liability_qty - retired)
+        books.liability_balance = fits(balance - surrender)
         self._post(event, org, (Account.PERMIT_SURRENDERABLE, DR, surrender),
                    (Account.EXPENSES_EMISSIONS, DR, total_value - surrender),
                    (Account.EMISSION_PERMIT, CR, total_value))
@@ -340,7 +336,7 @@ class Journal:
                 lines += ((Account.LOSS_ON_REVALUATION, DR, -asset_delta),
                           (Account.EMISSION_PERMIT, CR, -asset_delta))
             if liability_delta:
-                books.liability_balance = _fits(remeasured)
+                books.liability_balance = fits(remeasured)
                 if liability_delta > 0:
                     lines += ((Account.LOSS_ON_REVALUATION, DR, liability_delta),
                               (Account.PERMIT_SURRENDERABLE, CR, liability_delta))
@@ -378,7 +374,7 @@ class Journal:
 
     # -- reporting -----------------------------------------------------------------
 
-    def trial_balance(self) -> dict[Account, Money]:
+    def trial_balance(self) -> dict[Account, Fixed]:
         """Per-account net debit (Dr - Cr); liabilities and equity normally
         carry a negative net under this convention."""
         return {account: _fixed(net) for account, net in self._nets.items()}
@@ -391,14 +387,11 @@ class Journal:
         yield "event,account,class,side,amount\n"
         # the entries are in event order, so only each event's lines are sorted
         for event_ref, entries in groupby(self.entries, _EVENT_REF):
-            rows = [(*_ROW[account, side], micro)
+            rows = [(*_ROW[side][account], micro)
                     for _, _, lines in entries for account, side, micro in lines]
             rows.sort(key=_RANK)                # by rank; a stable sort
-            chunk = []
-            for _, text, micro in rows:
-                digits = str(micro).zfill(7)    # a line amount is positive
-                chunk.append(f"{event_ref},{text},{digits[:-6]}.{digits[-6:]}\n")
-            yield "".join(chunk)
+            ref = str(event_ref)                # written once per event, not per row
+            yield "".join([f"{ref},{text},{micro_text(micro)}\n" for _, text, micro in rows])
 
     def export_csv(self) -> str:
         return "".join(self.csv_chunks())

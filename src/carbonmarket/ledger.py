@@ -54,7 +54,7 @@ from .chainlog import STATE_FORMAT, Transaction, TxKind, parse_state
 from .errors import ErrorCode, LedgerError
 from .exchange import (quote_buy_tokens, quote_spend_cash, spot_price, validate_anchor,
                        validate_fraction)
-from .fixed import ZERO, Fixed, Money, Quantity
+from .fixed import ZERO, Fixed
 
 
 class Role(str, Enum):
@@ -110,8 +110,8 @@ class OrgRecord:
 
     __slots__ = ("id", "role", "permit", "emission", "cash", "projects")
 
-    def __init__(self, id: str, role: Role, permit: Quantity = ZERO,
-                 emission: Quantity = ZERO, cash: Money = ZERO,
+    def __init__(self, id: str, role: Role, permit: Fixed = ZERO,
+                 emission: Fixed = ZERO, cash: Fixed = ZERO,
                  projects: Optional[set[str]] = None):
         self.id = id
         self.role = role
@@ -133,8 +133,8 @@ class ExchangeState:
 
     __slots__ = ("fraction", "reserve", "baseline_supply", "baseline_reserve")
 
-    def __init__(self, fraction: Fixed, reserve: Money, baseline_supply: Quantity,
-                 baseline_reserve: Money):
+    def __init__(self, fraction: Fixed, reserve: Fixed, baseline_supply: Fixed,
+                 baseline_reserve: Fixed):
         self.fraction = fraction
         self.reserve = reserve
         self.baseline_supply = baseline_supply
@@ -161,11 +161,11 @@ class AppliedEvent(NamedTuple):
     """A successfully applied transaction plus its realized effects."""
 
     tx: Transaction
-    price_before: Money
-    price_after: Money
-    token_delta: Quantity = ZERO   # exchange trades: signed token leg
-    cash_delta: Money = ZERO       # exchange trades: signed cash leg
-    retired: Quantity = ZERO       # burns: emission tonnes actually retired
+    price_before: Fixed
+    price_after: Fixed
+    token_delta: Fixed = ZERO      # exchange trades: signed token leg
+    cash_delta: Fixed = ZERO       # exchange trades: signed cash leg
+    retired: Fixed = ZERO          # burns: emission tonnes actually retired
 
 
 _applied = partial(tuple.__new__, AppliedEvent)
@@ -178,9 +178,9 @@ class TokenLedger:
         self._owners: dict[str, str] = {}      # project id -> owning org id
         self._fragments: dict[str, str] = {}
         self._stale: set[str] = set()
-        self.market_permit: Quantity = ZERO
-        self.market_emission: Quantity = ZERO
-        self.market_price: Money = ZERO
+        self.market_permit: Fixed = ZERO
+        self.market_emission: Fixed = ZERO
+        self.market_price: Fixed = ZERO
         self.exchange: Optional[ExchangeState] = None
         self.seq = 0
 
@@ -334,7 +334,7 @@ class TokenLedger:
         self._owners[project_id] = owner.id
         return owner
 
-    def setup_set_cash(self, org_id: str, amount: Money) -> OrgRecord:
+    def setup_set_cash(self, org_id: str, amount: Fixed) -> OrgRecord:
         """Scenario cash faucet; genesis only, never a logged transaction."""
         if amount.is_negative:
             raise LedgerError(ErrorCode.INVALID_AMOUNT, "cash balances cannot be negative")
@@ -343,8 +343,8 @@ class TokenLedger:
         record.cash = amount
         return record
 
-    def setup_init_exchange(self, fraction: Fixed, baseline_supply: Quantity,
-                            baseline_reserve: Money) -> ExchangeState:
+    def setup_init_exchange(self, fraction: Fixed, baseline_supply: Fixed,
+                            baseline_reserve: Fixed) -> ExchangeState:
         validate_anchor(fraction, baseline_supply, baseline_reserve)
         if self.exchange is not None:
             raise LedgerError(ErrorCode.EXCHANGE_ACTIVE, "exchange already initialised")
@@ -375,7 +375,7 @@ class TokenLedger:
 
     # -- shared validation --------------------------------------------------
 
-    def _positive_amount(self, tx: Transaction) -> Quantity:
+    def _positive_amount(self, tx: Transaction) -> Fixed:
         if tx.amount is None or tx.amount <= ZERO:
             raise LedgerError(ErrorCode.ZERO_AMOUNT, "amount must be positive")
         return tx.amount
@@ -413,8 +413,8 @@ class TokenLedger:
                               f"{tx.kind.value} payload field {key!r} must be a non-empty string")
         return value
 
-    def _event(self, tx: Transaction, token_delta: Quantity = ZERO,
-               cash_delta: Money = ZERO, retired: Quantity = ZERO) -> AppliedEvent:
+    def _event(self, tx: Transaction, token_delta: Fixed = ZERO,
+               cash_delta: Fixed = ZERO, retired: Fixed = ZERO) -> AppliedEvent:
         price = self.market_price
         return _applied((tx, price, price, token_delta, cash_delta, retired))
 
@@ -510,7 +510,7 @@ class TokenLedger:
             permit, market, balance, reserve
         return self._event(tx, token_delta=tokens, cash_delta=cash)
 
-    def _rebase_supply(self) -> Quantity:
+    def _rebase_supply(self) -> Fixed:
         # Anchor market adjustments at the live supply; fall back to the old
         # baseline while no tokens circulate yet.
         if self.market_permit > ZERO:

@@ -1100,6 +1100,19 @@ def test_quote_of_a_sale_of_the_whole_supply_leaves_no_price(capsys):
         0, "tokens_delta,cash_delta,price_after\n-1000.000000,-10000.000000,0.000000\n", "")
 
 
+@pytest.mark.parametrize("argv, legs", [
+    # the proceeds round 45 micro-units past the reserve
+    (("--f", "0.5", "--s0", "2946468311924.896618", "--c0", "2526025478724.203987",
+      "--buy-tokens", "-2946468311924.895888"), "-2946468311924.895888,-2526025478724.203987"),
+    # the tokens surrendered round 109 micro-units past the supply
+    (("--f", "0.25", "--s0", "1639288868818.758035", "--c0", "2276757087461.178745",
+      "--spend-cash", "-2276757087461.178684"), "-1639288868818.758035,-2276757087461.178684"),
+], ids=["sale", "withdrawal"])
+def test_quote_of_a_leg_rounded_past_the_whole_prints_the_whole(capsys, argv, legs):
+    assert run_cli(capsys, "quote", *argv) == (
+        0, f"tokens_delta,cash_delta,price_after\n{legs},0.000000\n", "")
+
+
 @pytest.mark.parametrize("reserve", ["-5", "0"])
 @pytest.mark.parametrize("trade", [("--buy-tokens", "10"), ("--spend-cash", "10")])
 def test_quote_on_a_reserve_that_is_not_positive_is_an_input_error(capsys, reserve, trade):

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from carbonmarket import ErrorCode, LedgerError
 from carbonmarket.exchange import (cash_for_tokens_raw, quote_buy_tokens,
                                    quote_spend_cash, spot_price, spot_price_raw,
-                                   to_grid)
+                                   to_grid, tokens_for_cash_raw)
 from carbonmarket.fixed import SCALE, ZERO, Fixed
 
 from conftest import LedgerDriver, fx, standard_market
@@ -240,6 +240,22 @@ def test_no_sale_pays_more_than_the_reserve(fraction, supply, reserve, share):
     with contextlib.suppress(LedgerError):
         withdrawn = Fixed(-max(1, round(reserve.micro * share)))
         assert -quote_spend_cash(fraction, supply, reserve, withdrawn).tokens_delta <= supply
+
+
+def test_proceeds_rounded_past_the_reserve_are_the_reserve():
+    fraction, supply, reserve = anchor("0.5", "2946468311924.896618", "2526025478724.203987")
+    sold = fx("-2946468311924.895888")      # 730 micro-tokens short of the whole supply
+    raw = cash_for_tokens_raw(0.5, supply.to_float(), reserve.to_float(), sold.to_float())
+    assert to_grid(raw, math.ceil).micro == -reserve.micro - 45
+    assert quote_buy_tokens(fraction, supply, reserve, sold) == (sold, -reserve)
+
+
+def test_tokens_rounded_past_the_supply_are_the_supply():
+    fraction, supply, reserve = anchor("0.25", "1639288868818.758035", "2276757087461.178745")
+    withdrawn = fx("-2276757087461.178684")     # 61 micro-units short of the whole reserve
+    raw = tokens_for_cash_raw(0.25, supply.to_float(), reserve.to_float(), withdrawn.to_float())
+    assert to_grid(raw, math.floor).micro == -supply.micro - 109
+    assert quote_spend_cash(fraction, supply, reserve, withdrawn) == (-supply, withdrawn)
 
 
 def test_dust_trades_rejected_rather_than_zero_legged():

@@ -5,7 +5,8 @@ loads no module that parsing it did not, `run` of a corpus scenario loads
 no decimal parser either, `price-curve` loads
 no ledger, no command loads `dataclasses`, the benchmark's traced run still
 finds every name it wraps, the README's package layout names every module,
-and no source line is longer than 99 characters."""
+no source line is longer than 99 characters, and only `fixed.py` words an
+amount's range refusal."""
 
 import json
 import os
@@ -237,6 +238,14 @@ def test_source_lines_fit_99_columns(pattern):
                       path.read_text(encoding="utf-8").splitlines(), start=1)
                   if len(line) > 99]
     assert long_lines == []
+
+
+def test_only_fixed_words_the_range_refusal():
+    """`fixed.py` alone bounds, refuses and writes an amount: no other module
+    spells out its refusal."""
+    spelled = [path.name for path in sorted((ROOT / "src" / "carbonmarket").glob("*.py"))
+               if "amount exceeds the representable range" in path.read_text(encoding="utf-8")]
+    assert spelled == ["fixed.py"]
 
 
 def _span_names(path: Path) -> set:

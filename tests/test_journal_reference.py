@@ -4,17 +4,20 @@ After every applied event the two must agree on the entries it added (event,
 org, and each line's account, side and micro-units, in booking order), on
 the trial balance, and on any refusal of a booking that leaves the 64-bit
 amount range, with its reason.  Run over the corpus, the benchmark
-workloads and hypothesis-drawn transaction sequences.
+workloads and hypothesis-drawn transaction sequences, each led by issues at
+several prices to one org and by uses of the lots they build.
 """
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from carbonmarket import ErrorCode, Journal, LedgerError
+from carbonmarket import ErrorCode, Journal, LedgerError, TxKind
 
 from conftest import JOURNAL_OVERFLOW, SCENARIO_DIR, applied_events, load_gen
 from reference_journal import ReferenceJournal, Refused
 from test_journal import GENESIS_AND_TRANSACTIONS, NO_SHRINK, drawn_genesis, drawn_transaction
+from test_state_cache import TOKEN
 
 
 def booked(entries) -> list:
@@ -65,14 +68,44 @@ def test_journal_matches_the_reference_on_the_workloads(workload, seed):
     assert assert_agree(genesis, events) == len(events)
 
 
+@st.composite
+def lots_at_several_prices(draw) -> tuple[list, list]:
+    """Transactions, as `drawn_transaction` takes them, that give one org, E
+    or F, lots at several issue prices, then use them: 2-5 issues, a price
+    set before each after the first (only E, which owns a project, may be
+    granted), then 2-6 uses: transfers to the other org, burns, and
+    emissions by either org."""
+    org = draw(st.sampled_from("EF"))
+    other = "F" if org == "E" else "E"
+    kinds = (TxKind.MINT_PERMIT, TxKind.GRANT_PERMIT) if org == "E" else (TxKind.MINT_PERMIT,)
+    amounts = st.integers(1, 200 * TOKEN)
+    issues = []
+    for count in range(draw(st.integers(2, 5))):
+        if count:
+            price = draw(st.integers(1, 100 * TOKEN))
+            issues.append(("tx", TxKind.SET_PRICE, "A", "", "", None, {"price": price}))
+        kind = draw(st.sampled_from(kinds))
+        signer = "A" if kind is TxKind.MINT_PERMIT else "V"
+        issues.append(("tx", kind, signer, org, "", draw(amounts), {}))
+    use = st.sampled_from([(TxKind.TRANSFER_PERMIT, org, other, ""),
+                           (TxKind.BURN_TOKEN, org, "", ""),
+                           (TxKind.MINT_EMISSION, org, "", "V"),
+                           (TxKind.MINT_EMISSION, other, "", "V")])
+    uses = [("tx", kind, sender, target, cosigner, draw(amounts), {})
+            for kind, sender, target, cosigner in draw(st.lists(use, min_size=2, max_size=6))]
+    return issues, uses
+
+
 @settings(max_examples=20, deadline=None, phases=NO_SHRINK)
-@given(*GENESIS_AND_TRANSACTIONS)
+@given(*GENESIS_AND_TRANSACTIONS, lots_at_several_prices())
 def test_journal_matches_the_reference_from_a_drawn_genesis(balances, price, exchange,
-                                                            sequence):
+                                                            sequence, lots):
     genesis = drawn_genesis(balances, price, exchange)
     ledger = genesis.copy()
-    events = []
-    for drawn in sequence:
+    issues, uses = lots
+    # the lots are built first, and always: every issue and price applies
+    events = [ledger.apply(drawn_transaction(ledger, drawn)) for drawn in issues]
+    for drawn in (*uses, *sequence):
         try:
             events.append(ledger.apply(drawn_transaction(ledger, drawn)))
         except LedgerError:
