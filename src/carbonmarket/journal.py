@@ -14,6 +14,9 @@ The books open on the genesis ledger: genesis permits become one lot with
 no issue price, and genesis emissions an outstanding surrender liability
 at the genesis price.  Opening balances book no entry.
 
+`Account` is the chart of accounts: each member declares the account's
+name and class, in trial-balance order.
+
 Policy summary:
 
 * Free issuance (allowances or credits) recognises the asset against
@@ -73,40 +76,27 @@ class AccountClass(Enum):
 
 
 class Account(Enum):
-    PERMIT_ALLOWANCES = "Emission permit-Allowances"
-    PERMIT_CREDITS = "Emission permit-Credits"
-    EMISSION_PERMIT = "Emission permit"
-    DEFERRED_INCOME = "Deferred income"
-    EMISSION_RIGHTS = "Emission rights"
-    GAIN_ON_REVALUATION = "Gain on revaluation"
-    LOSS_ON_REVALUATION = "Loss on revaluation"
-    INCOME = "Income"
-    EXPENSES_EMISSIONS = "Expenses-Emissions"
-    PERMIT_SURRENDERABLE = "Permit surrenderable"
-    CASH = "Cash"
+    PERMIT_ALLOWANCES = "Emission permit-Allowances", AccountClass.ASSET
+    PERMIT_CREDITS = "Emission permit-Credits", AccountClass.ASSET
+    EMISSION_PERMIT = "Emission permit", AccountClass.ASSET
+    DEFERRED_INCOME = "Deferred income", AccountClass.LIABILITY
+    EMISSION_RIGHTS = "Emission rights", AccountClass.LIABILITY
+    GAIN_ON_REVALUATION = "Gain on revaluation", AccountClass.EQUITY
+    LOSS_ON_REVALUATION = "Loss on revaluation", AccountClass.EQUITY
+    INCOME = "Income", AccountClass.EQUITY
+    EXPENSES_EMISSIONS = "Expenses-Emissions", AccountClass.EQUITY
+    PERMIT_SURRENDERABLE = "Permit surrenderable", AccountClass.LIABILITY
+    CASH = "Cash", AccountClass.ASSET
+
+    def __new__(cls, name: str, account_class: AccountClass) -> Account:
+        member = object.__new__(cls)
+        member._value_ = name
+        member.account_class = account_class
+        return member
 
     # members are singletons that compare by identity; the identity hash
     # spares the journal's per-line dict lookups Enum's Python-level __hash__
     __hash__ = object.__hash__
-
-    @property
-    def account_class(self) -> AccountClass:
-        return _ACCOUNT_CLASS[self]
-
-
-_ACCOUNT_CLASS = {
-    Account.PERMIT_ALLOWANCES: AccountClass.ASSET,
-    Account.PERMIT_CREDITS: AccountClass.ASSET,
-    Account.EMISSION_PERMIT: AccountClass.ASSET,
-    Account.CASH: AccountClass.ASSET,
-    Account.DEFERRED_INCOME: AccountClass.LIABILITY,
-    Account.EMISSION_RIGHTS: AccountClass.LIABILITY,
-    Account.PERMIT_SURRENDERABLE: AccountClass.LIABILITY,
-    Account.GAIN_ON_REVALUATION: AccountClass.EQUITY,
-    Account.LOSS_ON_REVALUATION: AccountClass.EQUITY,
-    Account.INCOME: AccountClass.EQUITY,
-    Account.EXPENSES_EMISSIONS: AccountClass.EQUITY,
-}
 
 
 class Side(Enum):

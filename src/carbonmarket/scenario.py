@@ -170,8 +170,6 @@ EXPECT_FIELDS = {"permit": "permit", "emission": "emission", "cash": "cash",
                  "compliant": "compliant", "outstanding": "emission"}
 EXPECT_MARKETS = {"permit": "market_permit", "emission": "market_emission"}
 
-# journal accounts by the name an `expect` step gives them
-_ACCOUNTS = {account.value: account for account in Account}
 _ERROR_CODES = frozenset(code.value for code in ErrorCode)
 # the payload every transaction without one shares, as `Transaction` builds it
 _NO_PAYLOAD = Transaction._field_defaults["payload"]
@@ -320,9 +318,11 @@ def _parse_expect(where: str, step: dict, declared: dict) -> Expectation:
         label, attr = f"{org}.{name} =", EXPECT_FIELDS[name]
     elif subject == "account":
         name = _as_str(where, "account", step["account"])
-        if name not in _ACCOUNTS:
-            raise _schema_error(where, f"unknown journal account {name!r}")
-        label, attr = f"account {name!r} nets", _ACCOUNTS[name]
+        try:
+            attr = Account(name)
+        except ValueError:
+            raise _schema_error(where, f"unknown journal account {name!r}") from None
+        label = f"account {name!r} nets"
     elif subject == "market":
         name = _as_str(where, "market", step["market"])
         if name not in EXPECT_MARKETS:

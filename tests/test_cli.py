@@ -67,6 +67,47 @@ def test_runs_are_byte_identical(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+# one enterprise owning five projects: a set of them iterates in an order
+# the hash seed picks
+MANY_PROJECTS = """\
+name: many-projects
+genesis:
+  orgs:
+    - {id: A, role: authority}
+    - {id: V, role: verifier}
+    - {id: E, role: enterprise, cash: 5000}
+  projects:
+    - {owner: E, project: wind-07}
+    - {owner: E, project: solar-2}
+    - {owner: E, project: hydro-a}
+    - {owner: E, project: forest-x}
+    - {owner: E, project: biogas-9}
+  exchange: {fraction: "0.5", supply: 1000, reserve: 10000}
+steps:
+  - {time: "2021-01-04", action: mintPermit, signer: A, target: E, amount: 100}
+  - {time: "2021-02-01", action: tradeToken, sender: E, amount: 10}
+  - {time: "2021-12-31", action: mintEmission, sender: E, signer: V, amount: 30}
+  - {time: "2021-12-31", action: burnToken, sender: E, amount: 30}
+"""
+
+
+def test_runs_are_byte_identical_across_hash_seeds(tmp_path):
+    scenario = tmp_path / "many-projects.yaml"
+    scenario.write_text(MANY_PROJECTS)
+    outputs = []
+    for seed in ("0", "1"):
+        out_dir = tmp_path / seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "carbonmarket.cli", "run", str(scenario), "--out",
+             str(out_dir)], env=dict(PROCESS_ENV, PYTHONHASHSEED=seed), capture_output=True,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        blob = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        outputs.append((proc.stdout, blob))
+    assert b"biogas-9;forest-x;hydro-a;solar-2;wind-07" in outputs[0][1]["balances.csv"]
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_replay_journal_round_trip(tmp_path, capsys):
     out_dir = tmp_path / "out"
     run_cli(capsys, "run", str(GOLDEN_SCENARIO), "--out", str(out_dir))
@@ -94,6 +135,27 @@ def test_verify_detects_tampering(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == 1
     assert "INVALID" in err
+
+
+@pytest.mark.parametrize("dropped", [1, 2])
+def test_a_log_cut_at_an_entry_boundary_verifies_and_replays(tmp_path, capsys, dropped):
+    # every prefix of a valid log that ends after an entry line is valid:
+    # only the final state digest `run` prints tells the cut log apart
+    out_dir = tmp_path / "out"
+    code, run_out, _ = run_cli(capsys, "run", str(SCENARIO_DIR / "market-steering.yaml"),
+                               "--out", str(out_dir))
+    assert code == 0
+    lines = (out_dir / "chainlog.log").read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut.log"
+    cut.write_text("".join(lines[:-dropped]))
+    kept_digest = lines[-dropped - 1].split()[4]
+
+    code, out, _ = run_cli(capsys, "verify", str(cut))
+    assert code == 0 and "chain valid" in out
+    code, out, _ = run_cli(capsys, "replay", str(cut), str(out_dir / "genesis.json"))
+    assert code == 0
+    assert out.splitlines()[0].endswith(f"state-digest {kept_digest}")
+    assert run_out.splitlines()[-1] != f"state-digest {kept_digest}"
 
 
 def test_failed_scenario_returns_one(tmp_path, capsys):
@@ -1111,6 +1173,22 @@ def test_quote_of_a_sale_of_the_whole_supply_leaves_no_price(capsys):
 def test_quote_of_a_leg_rounded_past_the_whole_prints_the_whole(capsys, argv, legs):
     assert run_cli(capsys, "quote", *argv) == (
         0, f"tokens_delta,cash_delta,price_after\n{legs},0.000000\n", "")
+
+
+@pytest.mark.parametrize("reserve, cash, price", [
+    # the float leg lands 45 micro-units past the reserve: the sale pays the reserve
+    ("2526025478724.203987", "-2526025478724.203987", "2.526025"),
+    # the float leg lands 1 micro-unit short of the reserve
+    ("1000000000000.000001", "-1000000000000.000000", "1.000000"),
+])
+def test_quote_of_a_sale_short_of_the_supply_only_as_a_float(capsys, reserve, cash, price):
+    code, out, err = run_cli(capsys, "quote", "--f", "1", "--s0", "1000000000000",
+                             "--c0", reserve, "--buy-tokens", "-999999999999.999999")
+    assert (code, err) == (0, "")
+    tokens, proceeds, _ = out.splitlines()[1].split(",")
+    assert tokens == "-999999999999.999999"
+    assert -Fixed.parse(proceeds) <= Fixed.parse(reserve)
+    assert out == f"tokens_delta,cash_delta,price_after\n{tokens},{cash},{price}\n"
 
 
 @pytest.mark.parametrize("reserve", ["-5", "0"])

@@ -250,6 +250,28 @@ def test_proceeds_rounded_past_the_reserve_are_the_reserve():
     assert quote_buy_tokens(fraction, supply, reserve, sold) == (sold, -reserve)
 
 
+# F = 1 and a sale one micro-token short of a supply of 1e12 tokens, whose
+# token leg a double cannot tell from the whole supply: the raw curve pays
+# the float reserve
+@pytest.mark.parametrize("reserve, grid_past, cash", [
+    # the float reserve rounds 45 micro-units past the reserve: the clamp pays the reserve
+    ("2526025478724.203987", 45, "-2526025478724.203987"),
+    # the float reserve rounds 1 micro-unit short of it: the sale pays that
+    ("1000000000000.000001", -1, "-1000000000000.000000"),
+])
+def test_a_sale_short_of_the_supply_only_as_a_float_pays_the_float_reserve(
+        reserve, grid_past, cash):
+    fraction, supply, reserve = anchor("1", "1000000000000", reserve)
+    sold = fx("-999999999999.999999")
+    assert sold.to_float() == -supply.to_float()
+    raw = cash_for_tokens_raw(1.0, supply.to_float(), reserve.to_float(), sold.to_float())
+    assert raw == -reserve.to_float()
+    assert to_grid(raw, math.ceil).micro == -reserve.micro - grid_past
+    quote = quote_buy_tokens(fraction, supply, reserve, sold)
+    assert quote.tokens_delta == sold and -quote.cash_delta <= reserve
+    assert quote == (sold, fx(cash))
+
+
 def test_tokens_rounded_past_the_supply_are_the_supply():
     fraction, supply, reserve = anchor("0.25", "1639288868818.758035", "2276757087461.178745")
     withdrawn = fx("-2276757087461.178684")     # 61 micro-units short of the whole reserve

@@ -4,10 +4,12 @@ loads no state machine and no decimal parser, running a parsed scenario
 loads no module that parsing it did not, `run` of a corpus scenario loads
 no decimal parser either, `price-curve` loads
 no ledger, no command loads `dataclasses`, the benchmark's traced run still
-finds every name it wraps, the README's package layout names every module,
-no source line is longer than 99 characters, and only `fixed.py` words an
-amount's range refusal."""
+finds every name it wraps, the README's package layout names every module
+and its chart of accounts is `Account`'s, every source file parses as
+Python 3.10, no source line is longer than 99 characters, and only
+`fixed.py` words an amount's range refusal."""
 
+import ast
 import json
 import os
 import re
@@ -20,6 +22,7 @@ import pytest
 
 import carbonmarket
 from carbonmarket.cli import main
+from carbonmarket.journal import Account
 
 from conftest import GOLDEN_SCENARIO, SCENARIO_DIR
 
@@ -228,6 +231,20 @@ def test_readme_package_layout_names_every_module():
     listed = re.findall(r"^  (\w+\.py) ", block, flags=re.MULTILINE)
     modules = [path.name for path in (ROOT / "src" / "carbonmarket").glob("*.py")]
     assert sorted(listed) == sorted(name for name in modules if name != "__init__.py")
+
+
+def test_readme_chart_of_accounts_is_the_account_enum():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    policy = readme.split("\n## Accounting policy\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (.+?) \| (\w+) \|$", policy, flags=re.MULTILINE)
+    assert rows[1:] == [(a.value, a.account_class.value) for a in Account]
+
+
+@pytest.mark.parametrize("pattern", ["src/carbonmarket/*.py", "demos/*.py", "tests/*.py"])
+def test_source_parses_as_python_3_10(pattern):
+    """pyproject.toml declares Python 3.10 as the floor."""
+    for path in sorted(ROOT.glob(pattern)):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("pattern", ["src/carbonmarket/*.py", "demos/*.py", "tests/*.py"])
